@@ -66,7 +66,6 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
                    help="reporting floor for class rows")
     p.add_argument("--class-ceiling", type=int, default=None,
                    help="drop class rows for classes with more instances than this")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--all-probabilities", action="store_true",
                    help="write every stored instance pair, not just the maximal assignment")
     p.add_argument("--strict", action="store_true",
@@ -86,7 +85,6 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         functionality_mode=args.functionality_mode,
         class_score_threshold=args.class_threshold,
         class_instance_ceiling=args.class_ceiling,
-        threads=args.threads,
     )
 
 
@@ -134,12 +132,17 @@ def _manifest_lines(
 
 def cmd_align(args: argparse.Namespace) -> int:
     try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         o1 = load_ontology(args.left, origin="first")
         o2 = load_ontology(args.right, origin="second")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    result = run_fixpoint(o1, o2, _config_from_args(args))
+    result = run_fixpoint(o1, o2, config)
     instances, relations, classes = result_rows(result)
     if args.all_probabilities:
         instances = [

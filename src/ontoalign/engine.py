@@ -22,19 +22,18 @@ Evidence model, in words:
 Literal-literal equalities are clamped up front through the shared
 normalized-value index and never change. All products over evidence factors
 are computed over ascending-sorted factor lists, so results do not depend on
-traversal order, worker count, or which ontology is called "first" when the
-two roles are swapped.
+traversal order or on which ontology is called "first" when the two roles are
+swapped.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .functionality import FunctionalityTable, build_functionality_table
-from .literals import LiteralMeasure, build_key_index, get_measure
+from .functionality import MODES, FunctionalityTable, build_functionality_table
+from .literals import MEASURES, LiteralMeasure, build_key_index, get_measure
 from .ntriples import AlignmentRow
 from .store import INSTANCE, LITERAL, Ontology
 
@@ -56,11 +55,57 @@ class AlignmentConfig:
     functionality_mode: str = "harmonic-mean"
     class_score_threshold: float = 0.4  # reporting floor for class rows
     class_instance_ceiling: int | None = None  # drop class rows for classes larger than this
-    threads: int = 1
+
+    def __post_init__(self) -> None:
+        """Reject out-of-range settings with a ValueError naming the field."""
+        problems = []
+        if not 0.0 < self.theta < 1.0:
+            problems.append(f"theta must be in (0, 1), got {self.theta!r}")
+        if not 0.0 <= self.convergence_fraction <= 1.0:
+            problems.append(
+                f"convergence_fraction must be in [0, 1], got {self.convergence_fraction!r}"
+            )
+        if self.max_iterations < 0:
+            problems.append(f"max_iterations must be >= 0, got {self.max_iterations!r}")
+        if self.pair_cap < 1:
+            problems.append(f"pair_cap must be >= 1, got {self.pair_cap!r}")
+        if not 0.0 <= self.class_score_threshold <= 1.0:
+            problems.append(
+                f"class_score_threshold must be in [0, 1], got {self.class_score_threshold!r}"
+            )
+        if self.class_instance_ceiling is not None and self.class_instance_ceiling < 0:
+            problems.append(
+                f"class_instance_ceiling must be None or >= 0,"
+                f" got {self.class_instance_ceiling!r}"
+            )
+        if self.negative_inner not in ("object", "pair"):
+            problems.append(
+                f"negative_inner must be 'object' or 'pair', got {self.negative_inner!r}"
+            )
+        if self.literal_mode not in MEASURES:
+            problems.append(
+                f"literal_mode must be one of {sorted(MEASURES)}, got {self.literal_mode!r}"
+            )
+        if self.functionality_mode not in MODES:
+            problems.append(
+                f"functionality_mode must be one of {list(MODES)},"
+                f" got {self.functionality_mode!r}"
+            )
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
 class IterationStats:
+    """What one iteration did.
+
+    `pairs_evaluated` counts the candidate pairs the instance sweep scored:
+    the pairs reached through a statement whose bounded contribution could
+    lift a pair over theta. Pairs reached only through weak statements, such
+    as those naming a hub value, are never scored, since they could never
+    be stored.
+    """
+
     iteration: int
     changed: int
     tracked: int  # instances assigned in this or the previous iteration
@@ -297,33 +342,178 @@ def _sub_lookups(state: AlignmentState):
     return sub12, sub21
 
 
-def _instance_factors(
-    state: AlignmentState, ev: EvidenceView, x: int
-) -> dict[int, list[float]]:
-    """Positive-evidence factors per candidate partner of x.
+# Slack added per bound term. It exceeds what rounding in one factor and in
+# its share of 1 - prod(factors) can add to a computed p (a few units of
+# 2**-53), so the bound still holds for computed values, whatever theta is.
+_TERM_SLACK = 2.0**-50
 
-    Walks x's statements, hops to known-equal objects, and lands on the
-    candidates' statements; each matched statement pair contributes one factor
-    (1 - P(incl)(r',r) fun_inv(r) P(y,y')) (1 - P(incl)(r,r') fun_inv(r') P(y,y')).
+
+class _InstanceFactors:
+    """Positive-evidence factors of instance pairs, for one sweep.
+
+    A statement r(x, y) of a first-ontology instance x hops to the known-equal
+    objects y2 of y and lands on second-ontology statements r2(x2, y2); each
+    matched statement pair contributes one factor
+    (1 - P(incl)(r2,r) fun_inv(r) P(y,y2)) (1 - P(incl)(r,r2) fun_inv(r2) P(y,y2)).
     Candidates of a different term kind are skipped: a resource never equals
     a literal.
+
+    A statement whose object is a hub value lands on every holder of that
+    value, yet it can add at most its bound (see `_bound`) to 1 - p of any one
+    candidate. `candidates` enumerates only through the statements whose
+    bounds together could lift a pair over theta, then gives each candidate
+    the factors of the other ("weak") statements by lookup. A pair reached
+    only through weak statements could never be stored; every other pair gets
+    the factor list that full enumeration gives, so its value is unchanged.
     """
-    o1, o2 = state.o1, state.o2
-    fun1, fun2 = state.fun1, state.fun2
-    sub12, sub21 = _sub_lookups(state)
-    acc: dict[int, list[float]] = {}
-    for r, y in o1.by_subject.get(x, ()):
-        if1 = fun1.inverse_fun(r)
-        for y2, pyy in ev.partners_left(y):
-            for q, x2 in o2.by_subject.get(y2, ()):
-                if o2.kind(x2) != INSTANCE:
+
+    def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
+        self._partners = ev.partners_left
+        self._stmts1 = state.o1.by_subject
+        self._stmts2 = state.o2.by_subject
+        self._rels2 = state.o2.relations_between
+        self._kind2 = state.o2.kind
+        self._inv_fun1 = state.fun1.inverse_fun
+        self._inv_fun2 = state.fun2.inverse_fun
+        self._sub12, self._sub21 = _sub_lookups(state)
+        # A pair reached only through weak statements has p <= the sum of
+        # their bounds, so it cannot be stored. The relative margin keeps
+        # rounding in those float sums from letting such a pair over theta.
+        self._limit = state.config.theta * (1.0 - 1e-9)
+        self._coefs: dict[int, dict[int, tuple[float, float]]] = {}
+        self._landings: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._bounds: dict[tuple[int, int], float | None] = {}
+
+    def _coefficients(self, r: int) -> dict[int, tuple[float, float]]:
+        """Per relation q of a second-ontology statement q(y2, x2), the two
+        weights of its factor with statement r(x, y), before P(y, y2).
+        Filled on first use."""
+        coefs = self._coefs.get(r)
+        if coefs is None:
+            coefs = self._coefs[r] = {}
+        return coefs
+
+    def _coefficient(
+        self, coefs: dict[int, tuple[float, float]], r: int, q: int
+    ) -> tuple[float, float]:
+        r2 = q ^ 1  # the statement r2(x2, y2) seen from its object side
+        c = coefs[q] = (
+            self._sub21(r2, r) * self._inv_fun1(r),
+            self._sub12(r, r2) * self._inv_fun2(r2),
+        )
+        return c
+
+    def _add_factors(
+        self,
+        acc: dict[int, list[float]],
+        r: int,
+        parts: tuple[tuple[int, float], ...],
+        among: list[int] | tuple[int, ...] | None = None,
+    ) -> None:
+        """Append the factors of statement r(x, y), whose object has the
+        partners `parts`, to every candidate they land on, or, given `among`,
+        to those candidates only, found by lookup."""
+        coefs = self._coefficients(r)
+        kind2 = self._kind2
+        for y2, pyy in parts:
+            if among is None:
+                hits = self._stmts2.get(y2, ())
+            else:
+                rels2 = self._rels2
+                hits = [(q, x2) for x2 in among for q in rels2(y2, x2)]
+            for q, x2 in hits:
+                if kind2(x2) != INSTANCE:
                     continue
-                r2 = q ^ 1  # the statement r2(x2, y2) seen from its object side
-                f = (1.0 - sub21(r2, r) * if1 * pyy) * (
-                    1.0 - sub12(r, r2) * fun2.inverse_fun(r2) * pyy
-                )
-                acc.setdefault(x2, []).append(f)
-    return acc
+                c = coefs.get(q) or self._coefficient(coefs, r, q)
+                acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
+
+    def _landing(self, y2: int) -> tuple[int, tuple[int, ...]]:
+        """How many instance statements q(y2, x2) there are, and their
+        distinct relations q."""
+        landing = self._landings.get(y2)
+        if landing is None:
+            kind2 = self._kind2
+            rels = [q for q, x2 in self._stmts2.get(y2, ()) if kind2(x2) == INSTANCE]
+            landing = self._landings[y2] = (len(rels), tuple(dict.fromkeys(rels)))
+        return landing
+
+    def _bound(
+        self, r: int, y: int, parts: tuple[tuple[int, float], ...]
+    ) -> float | None:
+        """Upper bound on what statement r(x, y) adds to 1 - p of any one
+        candidate, or None when the statement is to be enumerated.
+
+        Per candidate, the statement contributes one factor per partner
+        (y2, P(y, y2)) and relation q of a statement q(y2, x2). Since
+        1 - prod(1 - a_i) <= sum(a_i), the sum over all distinct (y2, q) of
+        (both factor weights) * P(y, y2) bounds it. None means the bound
+        passes theta, or that the partners land on no more statements than
+        there are terms, so that bounding could save no enumeration. A bound
+        of 0.0 means every factor of the statement is exactly 1.0.
+        """
+        key = (r, y)
+        if key in self._bounds:
+            return self._bounds[key]
+        stmts2 = self._stmts2
+        if all(len(stmts2.get(y2, ())) <= 1 for y2, _ in parts):
+            return None  # fast path: such partners cannot repeat a relation
+        landings = [(pyy, self._landing(y2)) for y2, pyy in parts]
+        if sum(n for _, (n, _) in landings) <= sum(len(qs) for _, (_, qs) in landings):
+            return None
+        coefs = self._coefficients(r)
+        bound: float | None = None
+        mass = 0.0
+        terms = 0
+        for pyy, (_, qs) in landings:
+            for q in qs:
+                c1, c2 = coefs.get(q) or self._coefficient(coefs, r, q)
+                mass += (c1 + c2) * pyy
+                terms += 1
+            if mass + terms * _TERM_SLACK > self._limit:
+                break
+        else:
+            bound = 0.0 if mass == 0.0 else mass + terms * _TERM_SLACK
+        # only statements that can be bounded are cached; their objects are
+        # the ones many instances share
+        self._bounds[key] = bound
+        return bound
+
+    def candidates(self, x: int) -> dict[int, list[float]]:
+        """Factors per candidate partner of x that could score above theta."""
+        acc: dict[int, list[float]] = {}
+        weak = []
+        for r, y in self._stmts1.get(x, ()):
+            parts = self._partners(y)
+            if not parts:
+                continue
+            bound = self._bound(r, y, parts)
+            if bound is None:
+                self._add_factors(acc, r, parts)
+            elif bound > 0.0:
+                weak.append((bound, r, y, parts))
+        if not weak:
+            return acc
+        # the smallest bounds stay weak while their sum stays within theta
+        weak.sort()
+        total = 0.0
+        for i, (bound, r, _, parts) in enumerate(weak):
+            total += bound
+            if total > self._limit:
+                for _, r, _, parts in weak[i:]:
+                    self._add_factors(acc, r, parts)
+                del weak[i:]
+                break
+        among = list(acc)
+        for _, r, _, parts in weak:
+            self._add_factors(acc, r, parts, among)
+        return acc
+
+    def of_pair(self, x: int, x2: int) -> list[float]:
+        """Every factor of the pair (x, x2), by lookup over all of x's statements."""
+        acc: dict[int, list[float]] = {}
+        for r, y in self._stmts1.get(x, ()):
+            self._add_factors(acc, r, self._partners(y), (x2,))
+        return acc.get(x2, [])
 
 
 def _sorted_product(factors: list[float]) -> float:
@@ -409,7 +599,7 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
         state.o1, state.o2, state.equiv, state.assignment,
         state.config.restrict_to_assignment,
     )
-    factors = _instance_factors(state, ev, x).get(x2)
+    factors = _InstanceFactors(state, ev).of_pair(x, x2)
     if not factors:
         return 0.0
     return 1.0 - _sorted_product(factors)
@@ -421,7 +611,7 @@ def instance_equivalence_with_negative(state: AlignmentState, x: int, x2: int) -
         state.o1, state.o2, state.equiv, state.assignment,
         state.config.restrict_to_assignment,
     )
-    factors = _instance_factors(state, ev, x).get(x2)
+    factors = _InstanceFactors(state, ev).of_pair(x, x2)
     if not factors:
         return 0.0
     positive = 1.0 - _sorted_product(factors)
@@ -431,64 +621,56 @@ def instance_equivalence_with_negative(state: AlignmentState, x: int, x2: int) -
     return positive * _sorted_product(pens)
 
 
+def _instance_rows(
+    state: AlignmentState, ev: EvidenceView
+) -> tuple[list[tuple[int, dict[int, float]]], int]:
+    """Stored-pair rows per first-ontology instance, and the number of
+    candidate pairs evaluated."""
+    cfg = state.config
+    factors = _InstanceFactors(state, ev)
+    rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
+    objs_cache: dict[int, dict[int, list[int]]] = {}
+    rows: list[tuple[int, dict[int, float]]] = []
+    evaluated = 0
+    for x in sorted(state.o1.by_subject):
+        if state.o1.kind(x) != INSTANCE:
+            continue
+        acc = factors.candidates(x)
+        evaluated += len(acc)
+        row: dict[int, float] = {}
+        for x2, fs in acc.items():
+            p = 1.0 - _sorted_product(fs)
+            if cfg.negative_evidence and p > 0.0:
+                pens = _penalty_factors(state, ev, rel_partners, objs_cache, x, x2)
+                p *= _sorted_product(pens)
+            if p > cfg.theta:
+                row[x2] = p
+        if row:
+            rows.append((x, row))
+    return rows, evaluated
+
+
 def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     """One full instance sweep: a fresh table from the previous snapshot.
 
-    Returns the new table and the number of candidate pairs evaluated (the
-    sweep never enumerates the full cross product; candidates come only from
-    shared evidence). Rows are computed independently per instance, so the
-    sweep may run on any number of worker threads with identical output.
+    Returns the new table and the number of candidate pairs evaluated. The
+    sweep never enumerates the full cross product: candidates come only from
+    shared evidence, and only through statements that could lift a pair over
+    theta (see `_InstanceFactors`).
     """
-    cfg = state.config
     ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment, cfg.restrict_to_assignment
+        state.o1, state.o2, state.equiv, state.assignment,
+        state.config.restrict_to_assignment,
     )
-    rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
-    theta = cfg.theta
-    subjects = state.o1.by_subject
-    instances = [x for x in sorted(subjects) if state.o1.kind(x) == INSTANCE]
-
-    def compute_chunk(chunk: list[int]) -> tuple[list[tuple[int, dict[int, float]]], int]:
-        out: list[tuple[int, dict[int, float]]] = []
-        evaluated = 0
-        objs_cache: dict[int, dict[int, list[int]]] = {}
-        for x in chunk:
-            acc = _instance_factors(state, ev, x)
-            evaluated += len(acc)
-            row: dict[int, float] = {}
-            for x2, factors in acc.items():
-                p = 1.0 - _sorted_product(factors)
-                if cfg.negative_evidence and p > 0.0:
-                    pens = _penalty_factors(state, ev, rel_partners, objs_cache, x, x2)
-                    p *= _sorted_product(pens)
-                if p > theta:
-                    row[x2] = p
-            if row:
-                out.append((x, row))
-        return out, evaluated
-
-    if cfg.threads <= 1 or len(instances) < 2:
-        chunks = [instances]
-    else:
-        size = max(1, (len(instances) + cfg.threads - 1) // cfg.threads)
-        chunks = [instances[i : i + size] for i in range(0, len(instances), size)]
-
-    results: list[tuple[list[tuple[int, dict[int, float]]], int]]
-    if len(chunks) == 1:
-        results = [compute_chunk(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(compute_chunk, chunks))
-
+    # rows first: the sweep's caches are gone before the table is built,
+    # which keeps the sweep's peak memory down
+    rows, evaluated = _instance_rows(state, ev)
     table = EquivalenceTable()
     for a, b, p in state.literal_seeds:
         table.set(a, b, p)
-    evaluated = 0
-    for rows, n in results:
-        evaluated += n
-        for x, row in rows:
-            for x2, p in row.items():
-                table.set(x, x2, p)
+    for x, row in rows:
+        for x2, p in row.items():
+            table.set(x, x2, p)
     return table, evaluated
 
 

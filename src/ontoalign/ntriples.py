@@ -158,6 +158,8 @@ def load_ontology(
                 triples.extend(parse_ntriples(fh, stats))
         except OSError as exc:
             raise ParseError(f"cannot read {f}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{f} is not valid UTF-8: {exc}") from exc
     total = stats.parsed + stats.skipped
     if total and stats.skipped / total > max_skip_fraction:
         raise ParseError(

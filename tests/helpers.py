@@ -64,13 +64,15 @@ def random_world_pair(
     n_class: int = 3,
     drop: float = 0.15,
     value_pool: int | None = None,
+    hub: bool = False,
 ) -> tuple[Ontology, Ontology]:
     """Two random projections of one random world.
 
     Entities share literal attribute values across the two sides (the only
     alignment anchor); identifiers and relation names are disjoint. A smaller
     value pool than the entity count forces shared values and therefore
-    ambiguous candidates.
+    ambiguous candidates. With `hub`, every entity on both sides also gets
+    `active "true"`, one literal shared by all of them.
     """
     value_pool = value_pool if value_pool is not None else max(2, n_inst)
     world_attr: list[tuple[int, int, str]] = []  # (entity, attr, value)
@@ -97,6 +99,8 @@ def random_world_pair(
         for e, l, e2 in world_link:
             if rng.random() >= drop:
                 statements.append((f"{tag}:e{e}", f"{tag}:link{l}", f"{tag}:e{e2}"))
+        if hub:
+            statements += [(f"{tag}:e{e}", f"{tag}:active", '"true"') for e in range(n_inst)]
         types = [(f"{tag}:e{e}", f"{tag}:c{c}") for e, c in world_type]
         sides.append(
             make_ontology("first" if tag == "a" else "second", statements, types=types)

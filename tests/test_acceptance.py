@@ -3,7 +3,7 @@
 Each test pins one externally visible guarantee: agreement with a brute-force
 reference implementation, exact functionality arithmetic, invariance to the
 bootstrap prior, recovery quality on generated fixtures, determinism across
-thread counts, and direction accuracy for split/merged relations. Reference
+reruns, and direction accuracy for split/merged relations. Reference
 person/restaurant data is optional; that test skips when the files are absent.
 """
 
@@ -128,6 +128,24 @@ def test_sweeps_match_brute_force_oracle_every_iteration():
             mode=("pair-ratio", "arg-ratio")[case % 2] if case % 7 == 6 else "harmonic-mean",
         )
     assert time.perf_counter() - started < 30.0
+
+
+def test_hub_worlds_match_brute_force_oracle():
+    """Every entity on both sides holds one shared literal, so each instance
+    reaches every other through it. The engine scores pairs only through
+    statements that could lift them over theta, and must still agree with
+    the full cross product at every iteration."""
+    rng = random.Random(4711)
+    for case in range(4):
+        n_inst = rng.randint(25, 35)
+        o1, o2 = random_world_pair(
+            rng, n_inst=n_inst, n_attr=rng.randint(1, 3), n_link=rng.randint(1, 2),
+            n_class=2, drop=rng.choice((0.0, 0.15)), hub=True,
+        )
+        _assert_lockstep(
+            o1, o2, theta=0.1, restrict=case % 2 == 0, negative=case >= 2,
+            inner="object", mode="harmonic-mean",
+        )
 
 
 # ----------------------------------------------- functionality arithmetic
@@ -294,14 +312,13 @@ def test_byte_identical_outputs_across_threads_and_reruns(tmp_path):
     assert main(["generate", "--out-dir", str(data), "--instances", "80",
                  "--seed", "21"]) == 0
     outs = {}
-    for name, threads in (("t1", "1"), ("t4", "4"), ("again", "1")):
+    for name in ("first", "again"):
         out = tmp_path / name
         assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                     "--out", str(out), "--threads", threads]) == 0
+                     "--out", str(out)]) == 0
         outs[name] = out
     for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
-        reference = (outs["t1"] / tsv).read_bytes()
-        assert (outs["t4"] / tsv).read_bytes() == reference, tsv
+        reference = (outs["first"] / tsv).read_bytes()
         assert (outs["again"] / tsv).read_bytes() == reference, tsv
 
 

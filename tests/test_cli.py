@@ -129,6 +129,42 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.nt"
+    bad.write_bytes(b'<http://a.example/x> <http://a.example/name> "Ren\xe9" .\n')
+    code = main(["align", str(bad), str(bad), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "latin1.nt" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--theta", "1.5"],
+        ["--theta", "-0.5"],
+        ["--theta", "0"],
+        ["--theta", "1"],
+        ["--convergence", "-1"],
+        ["--convergence", "1.5"],
+        ["--max-iterations", "-1"],
+        ["--pair-cap", "0"],
+        ["--class-threshold", "-0.1"],
+        ["--class-threshold", "1.5"],
+        ["--class-ceiling", "-1"],
+    ],
+)
+def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):
+    data, _ = world
+    out = tmp_path / "out"
+    code = main(["align", str(data / "left.nt"), str(data / "right.nt"),
+                 "--out", str(out), *option])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any output is written
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["align"])  # missing positionals and --out

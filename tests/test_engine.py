@@ -49,20 +49,25 @@ def test_first_iteration_value_is_derivable_by_hand(alice):
     assert state.equiv.get(x, x2) == expected
 
 
+def hub_world_pair():
+    """A random world in which every entity holds one shared literal."""
+    return random_world_pair(random.Random(11), n_inst=30, drop=0.2, hub=True)
+
+
 def test_one_pair_operation_agrees_with_sweep_everywhere(alice):
-    o1, o2 = alice
-    state = bootstrap(o1, o2)
-    for _ in range(2):
-        table, _ = update_all_instances(state)
-        for x in o1.instances():
-            for x2 in o2.instances():
-                p = instance_equivalence(state, x, x2)
-                stored = table.get(x, x2)
-                if p > state.config.theta:
-                    assert stored == p
-                else:
-                    assert stored == 0.0
-        state, _ = step(state)
+    for o1, o2 in (alice, hub_world_pair()):
+        state = bootstrap(o1, o2)
+        for _ in range(2):
+            table, _ = update_all_instances(state)
+            for x in o1.instances():
+                for x2 in o2.instances():
+                    p = instance_equivalence(state, x, x2)
+                    stored = table.get(x, x2)
+                    if p > state.config.theta:
+                        assert stored == p
+                    else:
+                        assert stored == 0.0
+            state, _ = step(state)
 
 
 def test_fixpoint_saturates_and_converges(alice):
@@ -154,16 +159,6 @@ def test_role_swap_mirrors_on_random_worlds():
     assert engine_table_dict(ab.equiv) == {(b, a): p for a, b, p in ba.equiv.pairs()}
 
 
-def test_thread_count_does_not_change_results():
-    rng = random.Random(3)
-    o1, o2 = random_world_pair(rng, n_inst=25, drop=0.2)
-    single = run_fixpoint(o1, o2, AlignmentConfig(threads=1))
-    multi = run_fixpoint(o1, o2, AlignmentConfig(threads=4))
-    assert engine_table_dict(single.equiv) == engine_table_dict(multi.equiv)
-    assert single.assignment.forward == multi.assignment.forward
-    assert single.subrel.o1_to_o2 == multi.subrel.o1_to_o2
-
-
 def test_assignment_ties_break_toward_smaller_lexical():
     o1 = make_ontology("first", [("x", "label", '"Twin"')])
     o2 = make_ontology("second", [("zb", "name", '"Twin"'), ("za", "name", '"Twin"')])
@@ -231,6 +226,47 @@ def test_candidates_come_from_shared_evidence_not_cross_product():
         total += stats.pairs_evaluated
     assert total <= 60 * 4  # unique anchors: no quadratic blowup
     assert len(state.assignment.forward) == 60
+
+
+def test_hub_value_adds_no_candidates():
+    """A value every instance holds on both sides could reach all 3 600
+    pairs, but it can never lift a pair over theta on its own."""
+    statements1 = [(f"a{i}", "code", f'"K{i}"') for i in range(60)]
+    statements1 += [(f"a{i}", "active", '"true"') for i in range(60)]
+    statements2 = [(f"b{i}", "ref", f'"K{i}"') for i in range(60)]
+    statements2 += [(f"b{i}", "enabled", '"true"') for i in range(60)]
+    o1 = make_ontology("first", statements1)
+    o2 = make_ontology("second", statements2)
+    state = bootstrap(o1, o2)
+    total = 0
+    for _ in range(2):
+        state, stats = step(state)
+        total += stats.pairs_evaluated
+    assert total <= 60 * 4
+    assert len(state.assignment.forward) == 60
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("theta", 0.0),
+        ("theta", 1.0),
+        ("theta", -0.5),
+        ("theta", float("nan")),
+        ("convergence_fraction", -0.01),
+        ("convergence_fraction", 1.01),
+        ("max_iterations", -1),
+        ("pair_cap", 0),
+        ("class_score_threshold", 1.5),
+        ("class_instance_ceiling", -1),
+        ("negative_inner", "published"),
+        ("literal_mode", "fuzzy"),
+        ("functionality_mode", "median"),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        AlignmentConfig(**{field: value})
 
 
 def test_zero_iterations_returns_bootstrap_outputs(alice):
@@ -315,16 +351,16 @@ def test_no_penalties_during_the_uniform_prior_iteration():
 
 
 def test_negative_one_pair_operation_matches_sweep():
-    o1, o2 = conflicting_phone_pair()
     cfg = AlignmentConfig(negative_evidence=True)
-    state = bootstrap(o1, o2, cfg)
-    for _ in range(3):
-        table, _ = update_all_instances(state)
-        for x in o1.instances():
-            for x2 in o2.instances():
-                p = instance_equivalence_with_negative(state, x, x2)
-                assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
-        state, _ = step(state)
+    for o1, o2 in (conflicting_phone_pair(), hub_world_pair()):
+        state = bootstrap(o1, o2, cfg)
+        for _ in range(3):
+            table, _ = update_all_instances(state)
+            for x in o1.instances():
+                for x2 in o2.instances():
+                    p = instance_equivalence_with_negative(state, x, x2)
+                    assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
+            state, _ = step(state)
 
 
 def test_negative_inner_pair_mode_uses_previous_pair_probability():
