@@ -32,6 +32,7 @@ from .ntriples import (
     load_ontology,
     parse_ntriples,
     read_alignment,
+    read_utf8_lines,
     write_alignment,
 )
 from .store import INSTANCE
@@ -185,11 +186,10 @@ def _fact_counts(paths: list[str]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for path in paths:
         for f in _expand_paths(path):
-            with open(f, encoding="utf-8") as fh:
-                for s, _p, o in parse_ntriples(fh):
-                    counts[s] = counts.get(s, 0) + 1
-                    if not o.startswith('"'):
-                        counts[o] = counts.get(o, 0) + 1
+            for s, _p, o in parse_ntriples(read_utf8_lines(f)):
+                counts[s] = counts.get(s, 0) + 1
+                if not o.startswith('"'):
+                    counts[o] = counts.get(o, 0) + 1
     return counts
 
 

@@ -36,10 +36,12 @@ class ParseStats:
             self.samples.append(line.strip()[:120])
 
 
+# IRIs are captured without their angle brackets. An object is an IRI, a
+# blank node label or a token starting with a quote, which _LITERAL checks.
 _LINE = re.compile(
-    r"^(?P<s><[^<>]*>|_:\S+)\s+"
-    r"(?P<p><[^<>]*>)\s+"
-    r"(?P<o>.+?)\s*\.\s*$"
+    r"^(?:<(?P<s>[^<>]*)>|(?P<sb>_:\S+))\s+"
+    r"<(?P<p>[^<>]*)>\s+"
+    r'(?:<(?P<o>[^<>]*)>|(?P<ob>_:\S+)|(?P<ol>".*?))\s*\.\s*$'
 )
 _LITERAL = re.compile(
     r'^"(?P<text>(?:[^"\\]|\\.)*)"'
@@ -52,6 +54,8 @@ _ESCAPES = {
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out: list[str] = []
     i = 0
     n = len(text)
@@ -85,8 +89,17 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _strip_iri(token: str) -> str:
-    return token[1:-1] if token.startswith("<") else token
+def read_utf8_lines(path: str | Path) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text file.
+
+    Bytes that do not decode raise ParseError naming the file; OSError from
+    opening or reading it passes through.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def parse_ntriples(
@@ -107,9 +120,11 @@ def parse_ntriples(
         if not m:
             stats.skip(line)
             continue
-        obj_tok = m.group("o")
-        if obj_tok.startswith('"'):
-            lm = _LITERAL.match(obj_tok)
+        subj, blank, pred, obj, blank_obj, literal = m.groups()
+        if obj is None:
+            obj = blank_obj
+        if literal is not None:
+            lm = _LITERAL.match(literal)
             if not lm:
                 stats.skip(line)
                 continue
@@ -123,15 +138,8 @@ def parse_ntriples(
                 obj += f"@{lm.group('lang')}"
             elif lm.group("dt"):
                 obj += f"^^{lm.group('dt')}"
-        elif obj_tok.startswith("<") and obj_tok.endswith(">"):
-            obj = _strip_iri(obj_tok)
-        elif obj_tok.startswith("_:") and not re.search(r"\s", obj_tok):
-            obj = obj_tok
-        else:
-            stats.skip(line)
-            continue
         stats.parsed += 1
-        yield _strip_iri(m.group("s")), _strip_iri(m.group("p")), obj
+        yield (blank if subj is None else subj), pred, obj
 
 
 def load_ontology(
@@ -154,12 +162,9 @@ def load_ontology(
     triples: list[tuple[str, str, str]] = []
     for f in files:
         try:
-            with open(f, encoding="utf-8") as fh:
-                triples.extend(parse_ntriples(fh, stats))
+            triples.extend(parse_ntriples(read_utf8_lines(f), stats))
         except OSError as exc:
             raise ParseError(f"cannot read {f}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{f} is not valid UTF-8: {exc}") from exc
     total = stats.parsed + stats.skipped
     if total and stats.skipped / total > max_skip_fraction:
         raise ParseError(
@@ -190,10 +195,6 @@ def _expand_paths(paths: str | Path | Iterable[str | Path]) -> list[Path]:
 
 
 # --------------------------------------------------------------- alignments
-
-KINDS = ("instance", "relation", "class")
-DIRECTIONS = ("equivalence", "left_in_right", "right_in_left")
-
 
 @dataclass(frozen=True)
 class AlignmentRow:
@@ -239,20 +240,19 @@ def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:
 
 def read_alignment(path: str | Path) -> list[AlignmentRow]:
     rows: list[AlignmentRow] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(f"alignment row with {len(parts)} columns: {line!r}")
-            rows.append(
-                AlignmentRow(
-                    _field_unescape(parts[0]), _field_unescape(parts[1]),
-                    float(parts[2]), parts[3], parts[4],
-                )
+    for line in read_utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ParseError(f"alignment row with {len(parts)} columns: {line!r}")
+        rows.append(
+            AlignmentRow(
+                _field_unescape(parts[0]), _field_unescape(parts[1]),
+                float(parts[2]), parts[3], parts[4],
             )
+        )
     return rows
 
 
@@ -260,16 +260,15 @@ def load_gold(path: str | Path) -> set[tuple[str, str]]:
     """Load a two-column gold TSV into a deduplicated pair set."""
     pairs: set[tuple[str, str]] = set()
     bad = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                bad += 1
-                continue
-            pairs.add((_field_unescape(parts[0]), _field_unescape(parts[1])))
+    for line in read_utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            bad += 1
+            continue
+        pairs.add((_field_unescape(parts[0]), _field_unescape(parts[1])))
     if bad:
         log.warning("gold file %s: skipped %d malformed rows", path, bad)
     return pairs

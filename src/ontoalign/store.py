@@ -8,6 +8,21 @@ statements. Type and schema edges (rdf:type, rdfs:subClassOf,
 rdfs:subPropertyOf) live in dedicated indexes, not in the general statement
 store: class alignment consumes them separately and they carry no
 functionality semantics.
+
+Each inverse-closed statement s r o is held in exactly three indexes:
+
+- ``by_subject[s]`` holds ``(r, o)``. The instance sweep, the one-pair
+  operations, the penalty path and local functionality walk it.
+- ``by_relation[r]`` holds ``(s, o)``. Global functionality, the relation
+  sweep, schema closure and the ``functionality`` command read it.
+- ``_pair_rels[(s, o)]`` is the tuple of relations between s and o, in
+  insertion order. It deduplicates statements and answers
+  :meth:`Ontology.has_statement` and :meth:`Ontology.relations_between`;
+  the instance and relation sweeps call the latter.
+
+The statement containers are tuples of ints wherever they can be, because
+the cyclic garbage collector stops tracking those; a list or set per
+statement would make every collection walk all of them.
 """
 
 from __future__ import annotations
@@ -27,20 +42,6 @@ RELATION = "relation"
 CLASS = "class"
 
 INVERSE_MARK = "⁻¹"  # superscript -1, appended to inverse relation names
-
-
-class Term(NamedTuple):
-    id: int
-    kind: str
-    lexical: str
-    origin: str
-
-
-class Relation(NamedTuple):
-    id: int
-    lexical: str
-    inverse: int
-    origin: str
 
 
 class Vocabulary(NamedTuple):
@@ -68,19 +69,17 @@ class Ontology:
         # relation table: separate id space; ids 2k / 2k+1 are mutual inverses
         self._rel_id: dict[str, int] = {}
         self._rel_lex: list[str] = []
-        # statements, stored in both directions
-        self._stmts: set[tuple[int, int, int]] = set()
+        # statements, stored in both directions (see the module docstring)
         self.by_subject: dict[int, list[tuple[int, int]]] = {}
         self.by_relation: dict[int, list[tuple[int, int]]] = {}
-        self.by_relation_object: dict[tuple[int, int], list[int]] = {}
-        self._pair_rels: dict[tuple[int, int], list[int]] = {}
+        self._pair_rels: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._statements = 0
         # schema
         self._types_of: dict[int, list[int]] = {}  # instance -> classes
         self._instances_of: dict[int, list[int]] = {}  # class -> instances
         self._type_pairs: set[tuple[int, int]] = set()
         self.subclass_edges: dict[int, set[int]] = {}
         self.subproperty_edges: dict[int, set[int]] = {}
-        self._closed = False
         self.rejected_statements = 0
 
     # ------------------------------------------------------------------ terms
@@ -114,9 +113,6 @@ class Ontology:
         self._rel_lex.append(inv_lex)
         return rid
 
-    def term(self, tid: int) -> Term:
-        return Term(tid, self._term_kind[tid], self._term_lex[tid], self.origin)
-
     def term_id(self, lexical: str) -> int | None:
         return self._term_id.get(lexical)
 
@@ -125,9 +121,6 @@ class Ontology:
 
     def lexical(self, tid: int) -> str:
         return self._term_lex[tid]
-
-    def relation(self, rid: int) -> Relation:
-        return Relation(rid, self._rel_lex[rid], rid ^ 1, self.origin)
 
     def relation_id(self, lexical: str) -> int | None:
         return self._rel_id.get(lexical)
@@ -179,27 +172,28 @@ class Ontology:
         self._insert(obj, relation ^ 1, subject)
 
     def _insert(self, s: int, r: int, o: int) -> None:
-        key = (s, r, o)
-        if key in self._stmts:
+        key = (s, o)
+        rels = self._pair_rels.get(key)
+        if rels is None:
+            self._pair_rels[key] = (r,)
+        elif r in rels:
             return
-        self._stmts.add(key)
+        else:
+            # rare: a second relation between the same two terms
+            self._pair_rels[key] = rels + (r,)
+        self._statements += 1
         self.by_subject.setdefault(s, []).append((r, o))
-        self.by_relation.setdefault(r, []).append((s, o))
-        self.by_relation_object.setdefault((r, o), []).append(s)
-        self._pair_rels.setdefault((s, o), []).append(r)
+        self.by_relation.setdefault(r, []).append(key)
 
     def statement_count(self) -> int:
-        return len(self._stmts)
+        return self._statements
 
     def has_statement(self, s: int, r: int, o: int) -> bool:
-        return (s, r, o) in self._stmts
+        return r in self._pair_rels.get((s, o), ())
 
     def statements_with_subject(self, subject: int) -> Iterator[tuple[int, int]]:
         """Stream (relation, object) for a subject; inverse edges included."""
         return iter(self.by_subject.get(subject, ()))
-
-    def subjects_of(self, relation: int, obj: int) -> Iterator[int]:
-        return iter(self.by_relation_object.get((relation, obj), ()))
 
     def pairs_of(self, relation: int) -> Iterator[tuple[int, int]]:
         return iter(self.by_relation.get(relation, ()))
@@ -240,9 +234,6 @@ class Ontology:
         # r below s implies r's inverse below s's inverse
         self.subproperty_edges.setdefault(sub ^ 1, set()).add(sup ^ 1)
 
-    def superclasses_of(self, cls: int) -> set[int]:
-        return _reachable(self.subclass_edges, cls)
-
     def close_under_schema(self) -> None:
         """Materialize the transitive consequences of subclass/subproperty edges.
 
@@ -262,7 +253,6 @@ class Ontology:
                 for s, o in list(self.by_relation.get(rel, ())):
                     self._insert(s, sup, o)
                     self._insert(o, sup ^ 1, s)
-        self._closed = True
 
     def _warn_cycles(
         self, edges: dict[int, set[int]], label: str, names: list[str]

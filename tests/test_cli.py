@@ -138,6 +138,21 @@ def test_non_utf8_input_exits_3(tmp_path, capsys):
     assert "latin1.nt" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("bad_arg", ["predicted", "gold", "facts"])
+def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
+    data, out = world
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b'<http://a.example/x> <http://a.example/name> "Ren\xe9" .\n')
+    files = {"predicted": out / "instances.tsv", "gold": data / "gold_instances.tsv",
+             "facts": data / "left.nt"}
+    files[bad_arg] = bad
+    code = main(["eval", str(files["predicted"]), str(files["gold"]),
+                 "--min-facts", "1", "--facts-from", str(files["facts"])])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize(
     "option",
     [

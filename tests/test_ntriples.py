@@ -56,13 +56,15 @@ def test_malformed_lines_are_skipped_and_counted():
         "<u:x> <u:p> <u:y> .\n"
         "not a triple\n"
         '<u:x> <u:p> "broken\\q" .\n'  # bad escape
-        '<u:x> <u:p> "truncated\\u00" .\n',
+        '<u:x> <u:p> "truncated\\u00" .\n'
+        "<u:x> <u:p> <u:a> <u:b> .\n"  # two object IRIs
+        "<u:x> <u:p> <u:a<b> .\n",  # '<' inside an IRI
         stats,
     )
     assert len(out) == 1
     assert stats.parsed == 1
-    assert stats.skipped == 3
-    assert len(stats.samples) == 3
+    assert stats.skipped == 5
+    assert len(stats.samples) == 5
 
 
 def test_load_ontology_aborts_on_heavy_corruption(tmp_path):

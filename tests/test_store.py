@@ -1,10 +1,17 @@
-import pytest
+import gc
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ontoalign.cli import generate_pair
+from ontoalign.ntriples import load_ontology
 from ontoalign.store import (
     CLASS,
     INSTANCE,
     INVERSE_MARK,
     LITERAL,
+    RDFS_SUBPROPERTYOF,
     Ontology,
     ontology_from_triples,
 )
@@ -73,7 +80,6 @@ def test_query_indexes_are_consistent():
     p = onto.intern_term("p", INSTANCE)
     onto.add_statement(a, r, p)
     onto.add_statement(b, r, p)
-    assert sorted(onto.subjects_of(r, p)) == sorted([a, b])
     assert sorted(onto.pairs_of(r)) == sorted([(a, p), (b, p)])
     assert list(onto.relations_between(a, p)) == [r]
     assert list(onto.relations_between(p, a)) == [onto.inverse(r)]
@@ -178,3 +184,59 @@ def test_inverse_subproperty_edges_follow_base_edges():
     sup = onto.intern_relation("cityOf")
     onto.add_subproperty(sub, sup)
     assert onto.inverse(sup) in onto.subproperty_edges.get(onto.inverse(sub), set())
+
+
+_ENTITIES = ("e0", "e1", "e2", "e3")
+_OBJECTS = _ENTITIES + ('"v0"', '"v1"')
+_RELATIONS = ("r0", "r1", "r2", "r3")
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_ENTITIES), st.sampled_from(_RELATIONS),
+                       st.sampled_from(_OBJECTS)), max_size=30),
+    st.lists(st.tuples(st.sampled_from(_RELATIONS), st.sampled_from(_RELATIONS)),
+             max_size=4),
+)
+def test_store_matches_brute_force_statement_set(plain, subprops):
+    """Every index holds each inverse-closed statement exactly once."""
+    triples = plain + [(a, RDFS_SUBPROPERTYOF, b) for a, b in subprops]
+    onto = ontology_from_triples(triples)
+    rid = {name: onto.relation_id(name) for name in _RELATIONS}
+    above = {r: {r} for r in _RELATIONS}
+    for _ in _RELATIONS:  # enough rounds to follow the longest chain
+        for a, b in subprops:
+            for r in above:
+                if a in above[r]:
+                    above[r].add(b)
+    expected = set()
+    for s, r, o in plain:
+        sid, oid = onto.term_id(s), onto.term_id(o)
+        for sup in above[r]:
+            expected.add((sid, rid[sup], oid))
+            expected.add((oid, onto.inverse(rid[sup]), sid))
+
+    assert onto.statement_count() == len(expected)
+    terms = range(onto.term_count())
+    for s in terms:
+        for o in terms:
+            for r in onto.relation_ids():
+                assert onto.has_statement(s, r, o) == ((s, r, o) in expected)
+    from_subject = [(s, r, o) for s, rows in onto.by_subject.items() for r, o in rows]
+    from_relation = [(s, r, o) for r, rows in onto.by_relation.items() for s, o in rows]
+    from_pairs = [(s, r, o) for s in terms for o in terms
+                  for r in onto.relations_between(s, o)]
+    for listed in (from_subject, from_relation, from_pairs):
+        assert sorted(listed) == sorted(expected)
+
+
+def test_store_tracks_few_objects_per_statement(tmp_path):
+    """A list or set per statement would put every statement in front of the
+    cyclic garbage collector; the indexes keep one container per term or
+    relation, and tuples of ints that the collector stops tracking."""
+    generate_pair(tmp_path, instances=40, seed=1)
+    gc.collect()
+    before = len(gc.get_objects())
+    sides = [load_ontology(tmp_path / name) for name in ("left.nt", "right.nt")]
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert tracked <= sum(onto.statement_count() for onto in sides)
