@@ -18,15 +18,12 @@ from .engine import (
     MaximalAssignment,
     SubrelationTable,
     bootstrap,
-    class_inclusion,
     compute_class_alignment,
     compute_maximal_assignment,
     instance_equivalence,
-    instance_equivalence_with_negative,
     result_rows,
     run_fixpoint,
     step,
-    subrelation_probability,
 )
 from .evaluation import Metrics, evaluate_instances, evaluate_threshold_sweep
 from .functionality import (
@@ -68,7 +65,6 @@ __all__ = [
     "Vocabulary",
     "bootstrap",
     "build_functionality_table",
-    "class_inclusion",
     "compute_class_alignment",
     "compute_maximal_assignment",
     "evaluate_instances",
@@ -76,7 +72,6 @@ __all__ = [
     "get_measure",
     "global_functionality",
     "instance_equivalence",
-    "instance_equivalence_with_negative",
     "literal_equality",
     "load_gold",
     "load_ontology",
@@ -87,6 +82,5 @@ __all__ = [
     "result_rows",
     "run_fixpoint",
     "step",
-    "subrelation_probability",
     "write_alignment",
 ]

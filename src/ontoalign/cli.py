@@ -194,6 +194,12 @@ def _fact_counts(paths: list[str]) -> dict[str, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.min_facts < 0:
+        print(f"error: --min-facts must be >= 0, got {args.min_facts}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.min_facts and not args.facts_from:
+        print("error: --min-facts needs --facts-from", file=sys.stderr)
+        return EXIT_USAGE
     try:
         rows = [r for r in read_alignment(args.predicted) if r.kind == args.kind]
         gold = load_gold(args.gold)
@@ -201,9 +207,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.min_facts and counts is None:
-        print("error: --min-facts needs --facts-from", file=sys.stderr)
-        return EXIT_USAGE
     if args.sweep:
         print("threshold\tprecision\trecall\tf1\tpredicted\tcorrect\tgold")
         for threshold, m in evaluate_threshold_sweep(
@@ -225,6 +228,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_functionality(args: argparse.Namespace) -> int:
+    if args.top is not None and args.top < 1:
+        print(f"error: --top must be >= 1, got {args.top}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         onto = load_ontology(args.ontology, origin="first")
     except ParseError as exc:
@@ -241,7 +247,7 @@ def cmd_functionality(args: argparse.Namespace) -> int:
         )
     rows.sort(key=lambda r: (-r[1], r[0]))
     print("relation\tfunctionality\tinverse_functionality\tstatements")
-    for name, fun, ifun, stmts in rows[: args.top] if args.top else rows:
+    for name, fun, ifun, stmts in rows[: args.top]:
         print(f"{name}\t{fun:.6f}\t{ifun:.6f}\t{stmts}")
     return EXIT_OK
 
@@ -318,7 +324,17 @@ def generate_pair(
     * scramble_phones   replace this fraction of phone values outright
     * split_relation    split worksAt into two relations by subject parity
     * merge_relations   merge bornIn and diedIn into one placeOf relation
+
+    Raises ValueError, before writing anything, when instances < 1 or a
+    fraction is outside [0, 1].
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances!r}")
+    for name, value in (("attribute_drop", attribute_drop),
+                        ("perturb_literals", perturb_literals),
+                        ("scramble_phones", scramble_phones)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -483,6 +499,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             split_relation=args.split_relation,
             merge_relations=args.merge_relations,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -314,34 +314,6 @@ def bootstrap(
 # --------------------------------------------------------- instance equalities
 
 
-def _sub_lookups(state: AlignmentState):
-    """Relation-inclusion lookups for the ongoing iteration.
-
-    The very first iteration sees the uniform prior theta for every
-    cross-ontology relation pair; afterwards, missing entries read as zero.
-    """
-    if state.subrel is None:
-        theta = state.config.theta
-
-        def sub12(_r1: int, _r2: int) -> float:
-            return theta
-
-        def sub21(_r2: int, _r1: int) -> float:
-            return theta
-
-        return sub12, sub21
-    d12 = state.subrel.o1_to_o2
-    d21 = state.subrel.o2_to_o1
-
-    def sub12(r1: int, r2: int) -> float:
-        return d12.get((r1, r2), 0.0)
-
-    def sub21(r2: int, r1: int) -> float:
-        return d21.get((r2, r1), 0.0)
-
-    return sub12, sub21
-
-
 # Slack added per bound term. It exceeds what rounding in one factor and in
 # its share of 1 - prod(factors) can add to a computed p (a few units of
 # 2**-53), so the bound still holds for computed values, whatever theta is.
@@ -349,7 +321,8 @@ _TERM_SLACK = 2.0**-50
 
 
 class _InstanceFactors:
-    """Positive-evidence factors of instance pairs, for one sweep.
+    """Instance-pair scores for one sweep; the one place a pair's score is
+    formed (see `probability`).
 
     A statement r(x, y) of a first-ontology instance x hops to the known-equal
     objects y2 of y and lands on second-ontology statements r2(x2, y2); each
@@ -365,21 +338,39 @@ class _InstanceFactors:
     the factors of the other ("weak") statements by lookup. A pair reached
     only through weak statements could never be stored; every other pair gets
     the factor list that full enumeration gives, so its value is unchanged.
+    Penalties only lower a score, so they change nothing of this.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
+        cfg = state.config
         self._partners = ev.partners_left
         self._stmts1 = state.o1.by_subject
         self._stmts2 = state.o2.by_subject
         self._rels2 = state.o2.relations_between
         self._kind2 = state.o2.kind
+        self._fun1 = state.fun1.fun
+        self._fun2 = state.fun2.fun
         self._inv_fun1 = state.fun1.inverse_fun
         self._inv_fun2 = state.fun2.inverse_fun
-        self._sub12, self._sub21 = _sub_lookups(state)
+        # relation-inclusion lookups: the uniform prior theta for every
+        # relation pair in the first iteration; afterwards, missing entries
+        # read as zero
+        if state.subrel is None:
+            self._sub12 = self._sub21 = lambda _r, _q: cfg.theta
+        else:
+            d12, d21 = state.subrel.o1_to_o2, state.subrel.o2_to_o1
+            self._sub12 = lambda r1, r2: d12.get((r1, r2), 0.0)
+            self._sub21 = lambda r2, r1: d21.get((r2, r1), 0.0)
+        # negative evidence: aligned relations (none without it, so no
+        # penalties), and the equality each penalty's inner product reads
+        self._rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
+        self._p = ev.p
+        self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
+        self._objs: dict[int, dict[int, list[int]]] = {}
         # A pair reached only through weak statements has p <= the sum of
         # their bounds, so it cannot be stored. The relative margin keeps
         # rounding in those float sums from letting such a pair over theta.
-        self._limit = state.config.theta * (1.0 - 1e-9)
+        self._limit = cfg.theta * (1.0 - 1e-9)
         self._coefs: dict[int, dict[int, tuple[float, float]]] = {}
         self._landings: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._bounds: dict[tuple[int, int], float | None] = {}
@@ -515,6 +506,53 @@ class _InstanceFactors:
             self._add_factors(acc, r, self._partners(y), (x2,))
         return acc.get(x2, [])
 
+    def _penalties(self, x: int, x2: int) -> list[float]:
+        """Negative-evidence factors: statements of x whose objects have no
+        equal among x2's objects under an aligned relation count against the
+        pair.
+
+        A candidate that lacks an aligned relation entirely is penalized
+        through the empty inner product (worth exactly 1), i.e. having the
+        relation and disagreeing is no worse than not having it at all.
+        """
+        objs2 = self._objs.get(x2)
+        if objs2 is None:
+            objs2 = self._objs[x2] = {}
+            for q, o in self._stmts2.get(x2, ()):
+                objs2.setdefault(q, []).append(o)
+        pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
+        sub12, sub21, fun2, p_ev = self._sub12, self._sub21, self._fun2, self._p
+        pens: list[float] = []
+        for r, y in self._stmts1.get(x, ()):
+            fr = self._fun1(r)
+            for r2 in self._rel_partners.get(r, ()):
+                s21 = sub21(r2, r)
+                s12 = sub12(r, r2)
+                if s21 <= 0.0 and s12 <= 0.0:
+                    continue
+                objs = objs2.get(r2, ())
+                if pair_prev is None:
+                    inner = 1.0
+                    for y2 in objs:
+                        pe = p_ev(y, y2)
+                        if pe:
+                            inner *= 1.0 - pe
+                else:
+                    inner = (1.0 - pair_prev) ** len(objs)
+                if s21 > 0.0:
+                    pens.append(1.0 - fr * s21 * inner)
+                if s12 > 0.0:
+                    pens.append(1.0 - fun2(r2) * s12 * inner)
+        return pens
+
+    def probability(self, x: int, x2: int, factors: list[float]) -> float:
+        """The pair's score from its positive factors: 1 - prod(factors),
+        times the penalties under negative evidence. Not floored at theta."""
+        p = 1.0 - _sorted_product(factors)
+        if self._rel_partners and p > 0.0:
+            p *= _sorted_product(self._penalties(x, x2))
+        return p
+
 
 def _sorted_product(factors: list[float]) -> float:
     factors.sort()
@@ -538,87 +576,21 @@ def _relation_partner_map(state: AlignmentState) -> dict[int, tuple[int, ...]]:
     return {r1: tuple(sorted(rs)) for r1, rs in partners.items()}
 
 
-def _penalty_factors(
-    state: AlignmentState,
-    ev: EvidenceView,
-    rel_partners: dict[int, tuple[int, ...]],
-    objs_cache: dict[int, dict[int, list[int]]],
-    x: int,
-    x2: int,
-) -> list[float]:
-    """Negative-evidence factors: statements of x whose objects have no equal
-    among x2's objects under an aligned relation count against the pair.
-
-    A candidate that lacks an aligned relation entirely is penalized through
-    the empty inner product (worth exactly 1), i.e. having the relation and
-    disagreeing is no worse than not having it at all.
-    """
-    o1, o2 = state.o1, state.o2
-    fun1, fun2 = state.fun1, state.fun2
-    sub12, sub21 = _sub_lookups(state)
-    objs2 = objs_cache.get(x2)
-    if objs2 is None:
-        objs2 = {}
-        for q, o in o2.by_subject.get(x2, ()):
-            objs2.setdefault(q, []).append(o)
-        objs_cache[x2] = objs2
-    pair_prev: float | None = None
-    if state.config.negative_inner == "pair":
-        pair_prev = state.equiv.get(x, x2)
-    pens: list[float] = []
-    for r, y in o1.by_subject.get(x, ()):
-        fr = fun1.fun(r)
-        for r2 in rel_partners.get(r, ()):
-            s21 = sub21(r2, r)
-            s12 = sub12(r, r2)
-            if s21 <= 0.0 and s12 <= 0.0:
-                continue
-            objs = objs2.get(r2, ())
-            if pair_prev is None:
-                inner = 1.0
-                for y2 in objs:
-                    pe = ev.p(y, y2)
-                    if pe:
-                        inner *= 1.0 - pe
-            else:
-                inner = (1.0 - pair_prev) ** len(objs)
-            if s21 > 0.0:
-                pens.append(1.0 - fr * s21 * inner)
-            if s12 > 0.0:
-                pens.append(1.0 - fun2.fun(r2) * s12 * inner)
-    return pens
-
-
 def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
-    """Positive-evidence equivalence of one candidate pair, unpruned.
+    """Equivalence of one candidate pair, as the next sweep computes it.
 
-    Reads the state's tables as "previous iteration": this is the value the
-    next sweep would assign. x is a first-ontology instance, x2 second.
+    Reads the state's tables as the previous iteration and applies the
+    state's own config, negative evidence included. The value is not floored:
+    the sweep stores it only if it is above theta. x is a first-ontology
+    instance, x2 second. Each call builds the sweep's evidence view, so it
+    costs a pass over the table; for many pairs, run the sweep.
     """
     ev = EvidenceView(
         state.o1, state.o2, state.equiv, state.assignment,
         state.config.restrict_to_assignment,
     )
-    factors = _InstanceFactors(state, ev).of_pair(x, x2)
-    if not factors:
-        return 0.0
-    return 1.0 - _sorted_product(factors)
-
-
-def instance_equivalence_with_negative(state: AlignmentState, x: int, x2: int) -> float:
-    """Equivalence of one pair with unmatched-statement penalties applied."""
-    ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment,
-        state.config.restrict_to_assignment,
-    )
-    factors = _InstanceFactors(state, ev).of_pair(x, x2)
-    if not factors:
-        return 0.0
-    positive = 1.0 - _sorted_product(factors)
-    pens = _penalty_factors(
-        state, ev, _relation_partner_map(state), {}, x, x2
-    )
-    return positive * _sorted_product(pens)
+    factors = _InstanceFactors(state, ev)
+    return factors.probability(x, x2, factors.of_pair(x, x2))
 
 
 def _instance_rows(
@@ -626,10 +598,8 @@ def _instance_rows(
 ) -> tuple[list[tuple[int, dict[int, float]]], int]:
     """Stored-pair rows per first-ontology instance, and the number of
     candidate pairs evaluated."""
-    cfg = state.config
+    theta = state.config.theta
     factors = _InstanceFactors(state, ev)
-    rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
-    objs_cache: dict[int, dict[int, list[int]]] = {}
     rows: list[tuple[int, dict[int, float]]] = []
     evaluated = 0
     for x in sorted(state.o1.by_subject):
@@ -639,11 +609,8 @@ def _instance_rows(
         evaluated += len(acc)
         row: dict[int, float] = {}
         for x2, fs in acc.items():
-            p = 1.0 - _sorted_product(fs)
-            if cfg.negative_evidence and p > 0.0:
-                pens = _penalty_factors(state, ev, rel_partners, objs_cache, x, x2)
-                p *= _sorted_product(pens)
-            if p > cfg.theta:
+            p = factors.probability(x, x2, fs)
+            if p > theta:
                 row[x2] = p
         if row:
             rows.append((x, row))
@@ -674,40 +641,34 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     return table, evaluated
 
 
-def compute_maximal_assignment(
-    table: EquivalenceTable, o1: Ontology, o2: Ontology
-) -> MaximalAssignment:
-    """Per-instance argmax over stored scores; ties go to the lexically
-    smallest partner. Literal rows are ignored: the assignment is about
-    instances."""
-    assignment = MaximalAssignment()
-    for a, row in table._fwd.items():
-        if o1.kind(a) != INSTANCE:
+def _argmax(
+    rows: dict[int, dict[int, float]], side: Ontology, other: Ontology
+) -> dict[int, tuple[int, float]]:
+    """Best partner (and score) per instance row of `side`; ties go to the
+    lexically smallest partner."""
+    out: dict[int, tuple[int, float]] = {}
+    for a, row in rows.items():
+        if side.kind(a) != INSTANCE:
             continue
         best: tuple[int, float] | None = None
         for b, p in row.items():
             if (
                 best is None
                 or p > best[1]
-                or (p == best[1] and o2.lexical(b) < o2.lexical(best[0]))
+                or (p == best[1] and other.lexical(b) < other.lexical(best[0]))
             ):
                 best = (b, p)
         if best:
-            assignment.forward[a] = best
-    for b, col in table._bwd.items():
-        if o2.kind(b) != INSTANCE:
-            continue
-        best = None
-        for a, p in col.items():
-            if (
-                best is None
-                or p > best[1]
-                or (p == best[1] and o1.lexical(a) < o1.lexical(best[0]))
-            ):
-                best = (a, p)
-        if best:
-            assignment.backward[b] = best
-    return assignment
+            out[a] = best
+    return out
+
+
+def compute_maximal_assignment(
+    table: EquivalenceTable, o1: Ontology, o2: Ontology
+) -> MaximalAssignment:
+    """Per-instance argmax over stored scores, both directions. Literal rows
+    are ignored: the assignment is about instances."""
+    return MaximalAssignment(_argmax(table._fwd, o1, o2), _argmax(table._bwd, o2, o1))
 
 
 # ------------------------------------------------------------- subrelations
@@ -776,24 +737,6 @@ def update_subrelations(
     return out
 
 
-def subrelation_probability(
-    state: AlignmentState, side: Ontology, relation: int, other_relation: int
-) -> float:
-    """Inclusion of `relation` (of `side`) in `other_relation` of the other
-    ontology, evaluated from the state's current equivalences."""
-    ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment,
-        state.config.restrict_to_assignment,
-    )
-    if side is state.o1:
-        rows = _subrel_rows(state.o1, state.o2, ev.partners_left, relation, state.config.pair_cap)
-    elif side is state.o2:
-        rows = _subrel_rows(state.o2, state.o1, ev.partners_right, relation, state.config.pair_cap)
-    else:
-        raise ValueError("side must be one of the state's ontologies")
-    return rows.get(other_relation, 0.0)
-
-
 # ------------------------------------------------------------------- classes
 
 
@@ -845,23 +788,6 @@ def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
         ).items():
             out.o2_to_o1[(c2, c1)] = entry
     return out
-
-
-def class_inclusion(
-    state: AlignmentState, side: Ontology, cls: int, other_cls: int
-) -> float:
-    """Inclusion of `cls` (of `side`) in `other_cls` of the other ontology."""
-    ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment,
-        state.config.restrict_to_assignment,
-    )
-    if side is state.o1:
-        rows = _class_rows(state.o1, state.o2, ev.partners_left, cls, state.config.pair_cap)
-    elif side is state.o2:
-        rows = _class_rows(state.o2, state.o1, ev.partners_right, cls, state.config.pair_cap)
-    else:
-        raise ValueError("side must be one of the state's ontologies")
-    return rows.get(other_cls, (0.0, 0))[0]
 
 
 # ------------------------------------------------------------------ fixpoint

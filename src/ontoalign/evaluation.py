@@ -95,11 +95,3 @@ def evaluate_threshold_sweep(
             (threshold, evaluate_instances(kept, gold, min_facts, fact_counts))
         )
     return out
-
-
-def fact_count_index(paths_lines) -> dict[str, int]:
-    """Statement counts per subject identifier from raw (s, p, o) triples."""
-    counts: dict[str, int] = {}
-    for s, _p, _o in paths_lines:
-        counts[s] = counts.get(s, 0) + 1
-    return counts

@@ -20,7 +20,7 @@ MODES = ("harmonic-mean", "pair-ratio", "arg-ratio", "arithmetic-mean")
 
 def local_functionality(onto: Ontology, relation: int, subject: int) -> float:
     """1 / number of objects the subject has under the relation."""
-    count = sum(1 for r, _ in onto.statements_with_subject(subject) if r == relation)
+    count = sum(1 for r, _ in onto.by_subject.get(subject, ()) if r == relation)
     if count == 0:
         raise ValueError(
             f"{onto.relation_lexical(relation)} has no statement with subject"
@@ -39,7 +39,7 @@ def global_functionality(onto: Ontology, relation: int, mode: str = "harmonic-me
                     statements distribute over the subjects
     arithmetic-mean plain average of the local functionalities
     """
-    pairs = list(onto.pairs_of(relation))
+    pairs = onto.by_relation.get(relation, ())
     if not pairs:
         return 1.0
     per_subject: dict[int, int] = {}

@@ -240,17 +240,21 @@ def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:
 
 def read_alignment(path: str | Path) -> list[AlignmentRow]:
     rows: list[AlignmentRow] = []
-    for line in read_utf8_lines(path):
+    for n, line in enumerate(read_utf8_lines(path), 1):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 5:
-            raise ParseError(f"alignment row with {len(parts)} columns: {line!r}")
+            raise ParseError(f"{path}:{n}: alignment row with {len(parts)} columns: {line!r}")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            raise ParseError(f"{path}:{n}: score {parts[2]!r} is not a number") from None
         rows.append(
             AlignmentRow(
                 _field_unescape(parts[0]), _field_unescape(parts[1]),
-                float(parts[2]), parts[3], parts[4],
+                score, parts[3], parts[4],
             )
         )
     return rows

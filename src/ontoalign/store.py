@@ -11,8 +11,8 @@ functionality semantics.
 
 Each inverse-closed statement s r o is held in exactly three indexes:
 
-- ``by_subject[s]`` holds ``(r, o)``. The instance sweep, the one-pair
-  operations, the penalty path and local functionality walk it.
+- ``by_subject[s]`` holds ``(r, o)``. The instance sweep (penalties
+  included), the one-pair operation and local functionality walk it.
 - ``by_relation[r]`` holds ``(s, o)``. Global functionality, the relation
   sweep, schema closure and the ``functionality`` command read it.
 - ``_pair_rels[(s, o)]`` is the tuple of relations between s and o, in
@@ -190,13 +190,6 @@ class Ontology:
 
     def has_statement(self, s: int, r: int, o: int) -> bool:
         return r in self._pair_rels.get((s, o), ())
-
-    def statements_with_subject(self, subject: int) -> Iterator[tuple[int, int]]:
-        """Stream (relation, object) for a subject; inverse edges included."""
-        return iter(self.by_subject.get(subject, ()))
-
-    def pairs_of(self, relation: int) -> Iterator[tuple[int, int]]:
-        return iter(self.by_relation.get(relation, ()))
 
     def relations_between(self, subject: int, obj: int) -> Iterator[int]:
         return iter(self._pair_rels.get((subject, obj), ()))

@@ -180,6 +180,44 @@ def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):
     assert not out.exists()  # rejected before any output is written
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--instances", "0"],
+        ["generate", "--instances", "-3"],
+        ["generate", "--attribute-drop", "1.5"],
+        ["generate", "--perturb-literals", "-1"],
+        ["generate", "--scramble-phones", "2"],
+        ["functionality", "{left}", "--top", "0"],
+        ["functionality", "{left}", "--top", "-2"],
+        ["eval", "{predicted}", "{gold}", "--min-facts", "-4", "--facts-from", "{left}"],
+    ],
+)
+def test_out_of_range_settings_outside_align_exit_2(world, tmp_path, capsys, argv):
+    data, out = world
+    out_dir = tmp_path / "generated"
+    paths = {"left": data / "left.nt", "predicted": out / "instances.tsv",
+             "gold": data / "gold_instances.tsv"}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "generate":
+        argv += ["--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()  # rejected before any output is written
+
+
+def test_non_numeric_score_exits_3(world, tmp_path, capsys):
+    data, _ = world
+    bad = tmp_path / "predicted.tsv"
+    bad.write_text("a\tb\t1.0\tinstance\tequivalence\nc\td\tabc\tinstance\tequivalence\n",
+                   encoding="utf-8")
+    assert main(["eval", str(bad), str(data / "gold_instances.tsv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "predicted.tsv:2" in err and "'abc'" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["align"])  # missing positionals and --out

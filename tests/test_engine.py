@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,15 +7,12 @@ from helpers import alice_pair, engine_table_dict, make_ontology, random_world_p
 from ontoalign.engine import (
     AlignmentConfig,
     bootstrap,
-    class_inclusion,
     compute_class_alignment,
     compute_maximal_assignment,
     instance_equivalence,
-    instance_equivalence_with_negative,
     result_rows,
     run_fixpoint,
     step,
-    subrelation_probability,
     update_all_instances,
 )
 from ontoalign.store import INSTANCE, Ontology
@@ -55,8 +53,9 @@ def hub_world_pair():
 
 
 def test_one_pair_operation_agrees_with_sweep_everywhere(alice):
-    for o1, o2 in (alice, hub_world_pair()):
-        state = bootstrap(o1, o2)
+    configs = (AlignmentConfig(), AlignmentConfig(restrict_to_assignment=False))
+    for (o1, o2), cfg in itertools.product((alice, hub_world_pair()), configs):
+        state = bootstrap(o1, o2, cfg)
         for _ in range(2):
             table, _ = update_all_instances(state)
             for x in o1.instances():
@@ -93,10 +92,6 @@ def test_relation_inclusions_reach_one_after_first_sweep(alice):
     assert sub[("label", "name")] == 1.0
     assert sub[("wasBornIn", "birthPlace")] == 1.0
     assert sub[("marriedTo", "spouse")] == 1.0
-    # the one-pair operation reads the same rows the sweep wrote
-    r1 = o1.relation_id("wasBornIn")
-    r2 = o2.relation_id("birthPlace")
-    assert subrelation_probability(state, o1, r1, r2) == 1.0
 
 
 def test_inverse_relations_are_aligned_too(alice):
@@ -124,8 +119,9 @@ def test_class_alignment_runs_once_from_final_state():
     score, support = result.classes.o1_to_o2[(c1, c2)]
     assert score == 1.0 and support == 2
     state, _ = step(step(bootstrap(o1, o2))[0])
-    assert class_inclusion(state, o1, c1, c2) == 1.0
-    assert class_inclusion(state, o2, c2, c1) == 1.0
+    classes = compute_class_alignment(state)
+    assert classes.o1_to_o2[(c1, c2)] == (1.0, 2)
+    assert classes.o2_to_o1[(c2, c1)] == (1.0, 2)
 
 
 # ----------------------------------------------------------------- semantics
@@ -341,24 +337,26 @@ def test_negative_evidence_gives_up_conflicting_pairs():
 
 def test_no_penalties_during_the_uniform_prior_iteration():
     o1, o2 = conflicting_phone_pair()
-    cfg = AlignmentConfig(negative_evidence=True)
-    state = bootstrap(o1, o2, cfg)
+    negative = bootstrap(o1, o2, AlignmentConfig(negative_evidence=True))
+    default = bootstrap(o1, o2)
     x, y = o1.term_id("x"), o2.term_id("y")
-    # iteration 1: no stored inclusion scores yet, so both ops agree
-    assert instance_equivalence_with_negative(state, x, y) == instance_equivalence(
-        state, x, y
-    )
+    # iteration 1: no stored inclusion scores yet, so no penalty applies
+    assert instance_equivalence(negative, x, y) == instance_equivalence(default, x, y) > 0.0
 
 
 def test_negative_one_pair_operation_matches_sweep():
-    cfg = AlignmentConfig(negative_evidence=True)
-    for o1, o2 in (conflicting_phone_pair(), hub_world_pair()):
+    configs = (
+        AlignmentConfig(negative_evidence=True),
+        AlignmentConfig(negative_evidence=True, negative_inner="pair"),
+        AlignmentConfig(negative_evidence=True, restrict_to_assignment=False),
+    )
+    for (o1, o2), cfg in itertools.product((conflicting_phone_pair(), hub_world_pair()), configs):
         state = bootstrap(o1, o2, cfg)
         for _ in range(3):
             table, _ = update_all_instances(state)
             for x in o1.instances():
                 for x2 in o2.instances():
-                    p = instance_equivalence_with_negative(state, x, x2)
+                    p = instance_equivalence(state, x, x2)
                     assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
             state, _ = step(state)
 

@@ -4,7 +4,6 @@ from ontoalign.evaluation import (
     Metrics,
     evaluate_instances,
     evaluate_threshold_sweep,
-    fact_count_index,
 )
 from ontoalign.ntriples import AlignmentRow
 
@@ -93,7 +92,3 @@ def test_threshold_sweep_covers_range_and_monotone_predictions():
     at_half = dict(sweep)[0.5]
     assert at_half.predicted == 1 and at_half.recall == 0.5
 
-
-def test_fact_count_index_counts_subjects():
-    triples = [("a", "p", "x"), ("a", "q", "y"), ("b", "p", "z")]
-    assert fact_count_index(triples) == {"a": 2, "b": 1}

@@ -58,7 +58,7 @@ def test_subject_constraints():
     with pytest.raises(ValueError):
         onto.add_statement(lit, r, a)
     onto.add_statement(a, r, lit)
-    assert list(onto.statements_with_subject(lit)) == [(onto.inverse(r), a)]
+    assert onto.by_subject[lit] == [(onto.inverse(r), a)]
 
 
 def test_classes_cannot_join_ordinary_statements():
@@ -80,7 +80,7 @@ def test_query_indexes_are_consistent():
     p = onto.intern_term("p", INSTANCE)
     onto.add_statement(a, r, p)
     onto.add_statement(b, r, p)
-    assert sorted(onto.pairs_of(r)) == sorted([(a, p), (b, p)])
+    assert sorted(onto.by_relation[r]) == sorted([(a, p), (b, p)])
     assert list(onto.relations_between(a, p)) == [r]
     assert list(onto.relations_between(p, a)) == [onto.inverse(r)]
 
