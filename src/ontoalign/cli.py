@@ -8,7 +8,8 @@ Subcommands:
 * ``functionality``  print per-relation functionality of one ontology
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
-4 alignment did not converge and --strict was given.
+4 alignment did not converge and --strict was given, 141 standard output was
+closed by its reader (files already written stay complete).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import os
 import random
 import sys
 from pathlib import Path
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own
 EXIT_IO = 3
 EXIT_NOT_CONVERGED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a process the signal killed reports
 
 
 def _add_align_options(p: argparse.ArgumentParser) -> None:
@@ -55,7 +58,8 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--convergence", type=float, default=0.01,
                    help="stop when fewer than this fraction of assignments change")
     p.add_argument("--pair-cap", type=int, default=10_000,
-                   help="statements/instances sampled per relation or class")
+                   help="read only the first N statements per relation and instances per class,"
+                        " in load order (a prefix, not a sample)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
     p.add_argument("--negative-inner", choices=("object", "pair"), default="object")
@@ -573,7 +577,15 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+    except BrokenPipeError:
+        # Nobody reads standard output any more, so say nothing. Point it at
+        # /dev/null, or the interpreter's own flush at exit raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

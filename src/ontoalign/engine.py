@@ -20,10 +20,10 @@ Evidence model, in words:
   equal inside the other class.
 
 Literal-literal equalities are clamped up front through the shared
-normalized-value index and never change. All products over evidence factors
-are computed over ascending-sorted factor lists, so results do not depend on
-traversal order or on which ontology is called "first" when the two roles are
-swapped.
+normalized-value index and never change, so their share of the evidence is
+built once per run. All products over evidence factors are computed over
+ascending-sorted factor lists, so results do not depend on traversal order or
+on which ontology is called "first" when the two roles are swapped.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .functionality import MODES, FunctionalityTable, build_functionality_table
 from .literals import MEASURES, LiteralMeasure, build_key_index, get_measure
 from .ntriples import AlignmentRow
-from .store import INSTANCE, LITERAL, Ontology
+from .store import INSTANCE, Ontology
 
 log = logging.getLogger("ontoalign.engine")
 
@@ -47,7 +48,7 @@ class AlignmentConfig:
     theta: float = 0.1  # bootstrap relation-inclusion prior; also the storage floor
     max_iterations: int = 10
     convergence_fraction: float = 0.01  # stop when fewer instances change partner
-    pair_cap: int = 10_000  # statements/instances sampled per relation/class sweep
+    pair_cap: int = 10_000  # first N statements/instances per relation/class, in load order
     negative_evidence: bool = False  # penalize unmatched statements of aligned relations
     negative_inner: str = "object"  # "object" (per-object equalities) | "pair" (published form)
     restrict_to_assignment: bool = True  # use only previous argmax equalities as evidence
@@ -188,9 +189,46 @@ class ClassAlignmentTable:
     o2_to_o1: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
 
 
+Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by partner
+
+
+def _partner_maps(
+    pairs: list[tuple[int, int, float]],
+) -> tuple[dict[int, dict[int, float]], dict[int, Partners], dict[int, Partners]]:
+    """P by first-ontology term, then partner; and each term's partners, seen
+    from the first ontology and from the second."""
+    left: dict[int, dict[int, float]] = {}
+    right: dict[int, dict[int, float]] = {}
+    for a, b, p in pairs:
+        left.setdefault(a, {})[b] = p
+        right.setdefault(b, {})[a] = p
+    return (
+        left,
+        {a: tuple(sorted(row.items())) for a, row in left.items()},
+        {b: tuple(sorted(row.items())) for b, row in right.items()},
+    )
+
+
+class LiteralShare(NamedTuple):
+    """The literal share of every evidence view: the clamped seed pairs'
+    partner maps (see `_partner_maps`).
+
+    Seeds never change, so `bootstrap` builds this once per run and every
+    later state and view reads it in place.
+    """
+
+    left: dict[int, dict[int, float]]
+    left_sorted: dict[int, Partners]
+    right_sorted: dict[int, Partners]
+
+
 @dataclass
 class AlignmentState:
-    """Everything one iteration reads; treat as an immutable snapshot."""
+    """Everything one iteration reads; treat as an immutable snapshot.
+
+    `literal_seeds` and their partner maps in `literals` are built once, by
+    `bootstrap`, and passed on unchanged from state to state.
+    """
 
     o1: Ontology
     o2: Ontology
@@ -199,6 +237,7 @@ class AlignmentState:
     fun2: FunctionalityTable
     measure: LiteralMeasure
     literal_seeds: list[tuple[int, int, float]]
+    literals: LiteralShare
     equiv: EquivalenceTable
     assignment: MaximalAssignment
     subrel: SubrelationTable | None  # None means the uniform bootstrap prior
@@ -221,48 +260,45 @@ class AlignmentResult:
 class EvidenceView:
     """Equality evidence readable during one sweep.
 
-    Literal pairs are always visible (they are clamped). Instance pairs are,
-    by default, only those of the previous maximal assignment; with the
-    restriction off, every stored pair is evidence.
+    Two shares whose keys never meet: seeds pair literals with literals only,
+    and sweep rows pair instances with instances only.
+
+    * The literal share is the run's `LiteralShare`, read in place: seeds are
+      clamped, so every view sees them all.
+    * The instance share is built per view. By default it is the previous
+      maximal assignment alone, taken from `assignment.forward` and
+      `assignment.backward` (whose entries carry the stored p), so an
+      instance has at most two partners. With the restriction off, it is
+      every instance row of the table.
     """
 
     def __init__(
         self,
-        o1: Ontology,
-        o2: Ontology,
+        literals: LiteralShare,
         table: EquivalenceTable,
         assignment: MaximalAssignment,
         restrict: bool,
     ) -> None:
-        left: dict[int, dict[int, float]] = {}
-        right: dict[int, dict[int, float]] = {}
-        kind1, kind2 = o1.kind, o2.kind
-        for a, b, p in table.pairs():
-            if restrict and kind1(a) == INSTANCE:
-                fa = assignment.forward.get(a)
-                ba = assignment.backward.get(b)
-                if not ((fa and fa[0] == b) or (ba and ba[0] == a)):
-                    continue
-            left.setdefault(a, {})[b] = p
-            right.setdefault(b, {})[a] = p
-        self._left = left
-        self._right = right
-        self._left_sorted: dict[int, tuple[tuple[int, float], ...]] = {
-            a: tuple(sorted(row.items())) for a, row in left.items()
-        }
-        self._right_sorted: dict[int, tuple[tuple[int, float], ...]] = {
-            b: tuple(sorted(row.items())) for b, row in right.items()
-        }
+        if restrict:
+            pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
+            pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
+        else:
+            pairs = [(a, b, p) for a, b, p in table.pairs() if a not in literals.left]
+        self._left, self._left_sorted, self._right_sorted = _partner_maps(pairs)
+        self._literal_left = literals.left
+        self._literal_left_sorted = literals.left_sorted
+        self._literal_right_sorted = literals.right_sorted
 
-    def partners_left(self, term: int) -> tuple[tuple[int, float], ...]:
+    def partners_left(self, term: int) -> Partners:
         """(second-ontology partner, probability) pairs for a first-ontology term."""
-        return self._left_sorted.get(term, ())
+        return self._left_sorted.get(term) or self._literal_left_sorted.get(term, ())
 
-    def partners_right(self, term: int) -> tuple[tuple[int, float], ...]:
-        return self._right_sorted.get(term, ())
+    def partners_right(self, term: int) -> Partners:
+        return self._right_sorted.get(term) or self._literal_right_sorted.get(term, ())
 
     def p(self, left: int, right: int) -> float:
-        return self._left.get(left, _EMPTY).get(right, 0.0)
+        row = self._left.get(left) or self._literal_left.get(left, _EMPTY)
+        return row.get(right, 0.0)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -306,8 +342,8 @@ def bootstrap(
         table.set(a, b, p)
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2, measure=measure,
-        literal_seeds=seeds, equiv=table, assignment=MaximalAssignment(),
-        subrel=None, iteration=0,
+        literal_seeds=seeds, literals=LiteralShare(*_partner_maps(seeds)), equiv=table,
+        assignment=MaximalAssignment(), subrel=None, iteration=0,
     )
 
 
@@ -583,11 +619,11 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
     instance, x2 second. Each call builds the sweep's evidence view, so it
-    costs a pass over the table; for many pairs, run the sweep.
+    costs a pass over the assignment (over the table with the restriction
+    off); for many pairs, run the sweep.
     """
     ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment,
-        state.config.restrict_to_assignment,
+        state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
     )
     factors = _InstanceFactors(state, ev)
     return factors.probability(x, x2, factors.of_pair(x, x2))
@@ -626,8 +662,7 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     theta (see `_InstanceFactors`).
     """
     ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment,
-        state.config.restrict_to_assignment,
+        state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
     )
     # rows first: the sweep's caches are gone before the table is built,
     # which keeps the sweep's peak memory down
@@ -674,43 +709,84 @@ def compute_maximal_assignment(
 # ------------------------------------------------------------- subrelations
 
 
+def _miss_products(
+    outer: Partners, inner: Partners, rels
+) -> tuple[float, dict[int, float]]:
+    """One statement's transported pairs (u, v), outer partner u first: the
+    product of their misses 1 - P(u) P(v), and one such product per relation
+    q between u and v, all multiplied in loop order."""
+    dprod = 1.0
+    nprods: dict[int, float] = {}
+    for u, pu in outer:
+        for v, pv in inner:
+            miss = 1.0 - pu * pv
+            dprod *= miss
+            for q in rels(u, v):
+                nprods[q] = nprods.get(q, 1.0) * miss
+    return dprod, nprods
+
+
+def _ratios(num: dict[int, float], den: float) -> dict[int, float]:
+    if den <= 0.0:
+        return {}
+    return {q: v / den for q, v in num.items() if v > 0.0}
+
+
 def _subrel_rows(
     side: Ontology,
     other: Ontology,
     partners,
     relation: int,
     pair_cap: int,
-) -> dict[int, float]:
-    """Inclusion scores of one relation into every candidate of the other side.
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Inclusion scores of a relation r and of its inverse into every
+    candidate of the other side, from one pass over r's statements.
 
     Per statement r(x, y): the chance that (x, y) transported through known
     equalities lands on an r'(x', y') statement (numerator, per candidate r'),
     against the chance that it lands on any known pair at all (denominator).
+
+    The store inserts each statement together with its inverse, so r's
+    inverse has the same statements, transposed and in the same order, and
+    the other side's relations between (y', x') are the inverses of those
+    between (x', y'). Its sums therefore equal r's, keyed by the inverse
+    relations, except that a statement whose x and y both have several
+    partners multiplies its misses in transposed order (y' outer). From the
+    first such statement on, the inverse keeps sums of its own.
     """
-    stmts = side.by_relation.get(relation, ())[:pair_cap]
+    rels = other.relations_between
     num: dict[int, float] = {}
     den = 0.0
-    for x, y in stmts:
+    inv_num: dict[int, float] | None = None  # the inverse's own sums, once they part
+    inv_den = 0.0
+    for x, y in side.by_relation.get(relation, ())[:pair_cap]:
         ex = partners(x)
         if not ex:
             continue
         ey = partners(y)
         if not ey:
             continue
-        dprod = 1.0
-        nprods: dict[int, float] = {}
-        for x2, px in ex:
-            for y2, py in ey:
-                miss = 1.0 - px * py
-                dprod *= miss
-                for r2 in other.relations_between(x2, y2):
-                    nprods[r2] = nprods.get(r2, 1.0) * miss
+        transposed = len(ex) > 1 and len(ey) > 1
+        if transposed and inv_num is None:
+            inv_num = {q ^ 1: v for q, v in num.items()}
+            inv_den = den
+        dprod, nprods = _miss_products(ex, ey, rels)
         den += 1.0 - dprod
-        for r2, prod in nprods.items():
-            num[r2] = num.get(r2, 0.0) + (1.0 - prod)
-    if den <= 0.0:
-        return {}
-    return {r2: v / den for r2, v in num.items() if v > 0.0}
+        for q, prod in nprods.items():
+            num[q] = num.get(q, 0.0) + (1.0 - prod)
+        if inv_num is None:
+            continue
+        if transposed:
+            dprod, nprods = _miss_products(ey, ex, rels)
+        else:
+            nprods = {q ^ 1: prod for q, prod in nprods.items()}
+        inv_den += 1.0 - dprod
+        for q, prod in nprods.items():
+            inv_num[q] = inv_num.get(q, 0.0) + (1.0 - prod)
+    if inv_num is None:
+        inv_num = {q ^ 1: v for q, v in num.items()}
+        inv_den = den
+    return _ratios(num, den), _ratios(inv_num, inv_den)
 
 
 def update_subrelations(
@@ -720,20 +796,22 @@ def update_subrelations(
 
     Inverse relations are first-class: every directed pair with any shared
     evidence gets a computed score, including a relation against its own
-    cross-ontology namesake (never hardcoded)."""
+    cross-ontology namesake (never hardcoded). A relation and its inverse
+    are scored together, in one pass over the relation's statements."""
     cfg = state.config
-    ev = EvidenceView(state.o1, state.o2, table, assignment, cfg.restrict_to_assignment)
+    ev = EvidenceView(state.literals, table, assignment, cfg.restrict_to_assignment)
     out = SubrelationTable()
-    for r1 in sorted(state.o1.by_relation):
-        for r2, p in _subrel_rows(
-            state.o1, state.o2, ev.partners_left, r1, cfg.pair_cap
-        ).items():
-            out.o1_to_o2[(r1, r2)] = p
-    for r2 in sorted(state.o2.by_relation):
-        for r1, p in _subrel_rows(
-            state.o2, state.o1, ev.partners_right, r2, cfg.pair_cap
-        ).items():
-            out.o2_to_o1[(r2, r1)] = p
+    for side, other, partners, scores in (
+        (state.o1, state.o2, ev.partners_left, out.o1_to_o2),
+        (state.o2, state.o1, ev.partners_right, out.o2_to_o1),
+    ):
+        for r in sorted(side.by_relation):
+            if r & 1:
+                continue  # an inverse: scored with r ^ 1
+            rows = _subrel_rows(side, other, partners, r, cfg.pair_cap)
+            for rel, row in zip((r, r ^ 1), rows):
+                for q, p in row.items():
+                    scores[(rel, q)] = p
     return out
 
 
@@ -773,9 +851,7 @@ def _class_rows(
 def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     """Directed class inclusions from the final equivalences, both ways."""
     cfg = state.config
-    ev = EvidenceView(
-        state.o1, state.o2, state.equiv, state.assignment, cfg.restrict_to_assignment
-    )
+    ev = EvidenceView(state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment)
     out = ClassAlignmentTable()
     for c1 in sorted(state.o1.classes()):
         for c2, entry in _class_rows(
@@ -820,7 +896,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     fresh = AlignmentState(
         o1=state.o1, o2=state.o2, config=state.config,
         fun1=state.fun1, fun2=state.fun2, measure=state.measure,
-        literal_seeds=state.literal_seeds,
+        literal_seeds=state.literal_seeds, literals=state.literals,
         equiv=table, assignment=assignment, subrel=subrel,
         iteration=state.iteration + 1,
     )

@@ -20,6 +20,7 @@ from oracle import naive_functionality, oracle_run
 from ontoalign.cli import generate_pair, main
 from ontoalign.engine import (
     AlignmentConfig,
+    EvidenceView,
     bootstrap,
     compute_class_alignment,
     run_fixpoint,
@@ -146,6 +147,34 @@ def test_hub_worlds_match_brute_force_oracle():
             o1, o2, theta=0.1, restrict=case % 2 == 0, negative=case >= 2,
             inner="object", mode="harmonic-mean",
         )
+
+
+def test_mirrored_inclusions_match_oracle_exactly():
+    """A relation's inverse is scored in the same pass as the relation. Where
+    both ends of a statement have several partners, the inverse multiplies
+    its misses in transposed order, as the oracle's own pass over the
+    inverse does. So the inclusion tables must be equal, not just close,
+    at every iteration. Unrestricted evidence over a small value pool gives
+    many such statements."""
+    rng = random.Random(6021)
+    started = time.perf_counter()
+    cfg = AlignmentConfig(restrict_to_assignment=False, max_iterations=3)
+    several = 0
+    for _ in range(40):
+        o1, o2 = random_world_pair(rng, value_pool=4)
+        history, _, _ = oracle_run(o1, o2, restrict=False, max_iterations=3)
+        state = bootstrap(o1, o2, cfg)
+        for i, (_, _, _, (sub12, sub21), _) in enumerate(history, 1):
+            state, _ = step(state)
+            assert state.subrel.o1_to_o2 == sub12, f"iteration {i} inclusions 1->2"
+            assert state.subrel.o2_to_o1 == sub21, f"iteration {i} inclusions 2->1"
+            ev = EvidenceView(state.literals, state.equiv, state.assignment, False)
+            several += sum(
+                len(ev.partners_left(x)) > 1 and len(ev.partners_left(y)) > 1
+                for rows in o1.by_relation.values() for x, y in rows
+            )
+    assert several > 1000
+    assert time.perf_counter() - started < 5.0
 
 
 # ----------------------------------------------- functionality arithmetic

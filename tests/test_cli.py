@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour: generate, align, eval, functionality.
 
-Everything runs in-process through main() so exit codes and output files are
-asserted exactly as a shell user would see them.
+Everything but the closed-pipe test runs in-process through main() so exit
+codes and output files are asserted exactly as a shell user would see them;
+that one needs a process of its own, since its standard output is a pipe.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ontoalign.cli import main
+from ontoalign.cli import EXIT_BROKEN_PIPE, main
 from ontoalign.ntriples import read_alignment
 
 
@@ -251,3 +256,40 @@ def test_functionality_top_limits_rows(world, capsys):
     assert main(["functionality", str(data / "left.nt"), "--top", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", ["align", "functionality"])
+def test_reader_closing_the_pipe_early_costs_no_traceback(world, tmp_path, command):
+    """As in `ontoalign align ... | true`: the reader of standard output is
+    gone before anything is printed. The run ends with the documented exit
+    status and an empty stderr, and the files align wrote stay complete."""
+    data, out = world
+    argv = {
+        "align": ["align", str(data / "left.nt"), str(data / "right.nt"),
+                  "--out", str(tmp_path / "out")],
+        "functionality": ["functionality", str(data / "left.nt")],
+    }[command]
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # output reaches the pipe at the final flush
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ontoalign.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
+    if command == "align":
+        for name in ("instances.tsv", "relations.tsv", "classes.tsv"):
+            assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes()
+
+        def stable(path):  # the manifest without output paths and timings
+            lines = path.read_text(encoding="utf-8").splitlines()
+            return [l for l in lines if not (l.startswith("output.") and ".path=" in l)
+                    and ".seconds=" not in l]
+
+        assert stable(tmp_path / "out" / "manifest.txt") == stable(out / "manifest.txt")

@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ontoalign.cli import generate_pair
@@ -188,7 +188,8 @@ def test_inverse_subproperty_edges_follow_base_edges():
 
 _ENTITIES = ("e0", "e1", "e2", "e3")
 _OBJECTS = _ENTITIES + ('"v0"', '"v1"')
-_RELATIONS = ("r0", "r1", "r2", "r3")
+# "r0⁻¹" names the inverse the store interns alongside r0
+_RELATIONS = ("r0", "r1", "r2", "r3", "r0" + INVERSE_MARK)
 
 
 @given(
@@ -197,23 +198,32 @@ _RELATIONS = ("r0", "r1", "r2", "r3")
     st.lists(st.tuples(st.sampled_from(_RELATIONS), st.sampled_from(_RELATIONS)),
              max_size=4),
 )
+@example(  # a duplicate, a statement through "r0⁻¹", a chain through it
+    plain=[("e0", "r0", "e1"), ("e2", "r1", '"v0"'), ("e0", "r0", "e1"),
+           ("e1", "r0" + INVERSE_MARK, "e3"), ("e3", "r0" + INVERSE_MARK, "e0")],
+    subprops=[("r0" + INVERSE_MARK, "r1"), ("r1", "r2"), ("r2", "r3")],
+)
 def test_store_matches_brute_force_statement_set(plain, subprops):
-    """Every index holds each inverse-closed statement exactly once."""
+    """Every index holds each inverse-closed statement exactly once, and each
+    relation's statements are its inverse's, transposed, in the same order."""
     triples = plain + [(a, RDFS_SUBPROPERTYOF, b) for a, b in subprops]
     onto = ontology_from_triples(triples)
     rid = {name: onto.relation_id(name) for name in _RELATIONS}
-    above = {r: {r} for r in _RELATIONS}
-    for _ in _RELATIONS:  # enough rounds to follow the longest chain
-        for a, b in subprops:
+    # r below s puts r's inverse below s's inverse
+    edges = [(rid[a], rid[b]) for a, b in subprops]
+    edges += [(a ^ 1, b ^ 1) for a, b in edges]
+    above = {r: {r} for r in onto.relation_ids()}
+    for _ in above:  # enough rounds to follow the longest chain
+        for a, b in edges:
             for r in above:
                 if a in above[r]:
                     above[r].add(b)
     expected = set()
     for s, r, o in plain:
         sid, oid = onto.term_id(s), onto.term_id(o)
-        for sup in above[r]:
-            expected.add((sid, rid[sup], oid))
-            expected.add((oid, onto.inverse(rid[sup]), sid))
+        for sup in above[rid[r]]:
+            expected.add((sid, sup, oid))
+            expected.add((oid, onto.inverse(sup), sid))
 
     assert onto.statement_count() == len(expected)
     terms = range(onto.term_count())
@@ -227,6 +237,10 @@ def test_store_matches_brute_force_statement_set(plain, subprops):
                   for r in onto.relations_between(s, o)]
     for listed in (from_subject, from_relation, from_pairs):
         assert sorted(listed) == sorted(expected)
+    # the relation sweep scores each relation's inverse from this mirror
+    for r in onto.relation_ids():
+        mirrored = [(o, s) for s, o in onto.by_relation.get(r, [])]
+        assert onto.by_relation.get(r ^ 1, []) == mirrored
 
 
 def test_store_tracks_few_objects_per_statement(tmp_path):
