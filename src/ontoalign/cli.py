@@ -37,7 +37,6 @@ from .ntriples import (
     read_utf8_lines,
     write_alignment,
 )
-from .store import INSTANCE
 
 log = logging.getLogger("ontoalign.cli")
 
@@ -152,8 +151,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     if args.all_probabilities:
         instances = [
             AlignmentRow(o1.lexical(a), o2.lexical(b), p, "instance", "equivalence")
-            for a, b, p in result.equiv.pairs()
-            if o1.kind(a) == INSTANCE and o2.kind(b) == INSTANCE
+            for a, b, p in result.equiv.instance_pairs()
         ]
     out = Path(args.out)
     try:

@@ -118,13 +118,19 @@ class IterationStats:
 
 
 class EquivalenceTable:
-    """Sparse term-equivalence probabilities, readable from either side.
+    """Sparse term-equivalence probabilities: the run's literal seeds and one
+    sweep's instance rows.
 
-    Keys are (first-ontology term id, second-ontology term id); both row and
-    column access are maintained so lookups are symmetric in argument order.
+    The seeds are the run's `LiteralShare`, read in place, so a table holds
+    them without copying them. `set` adds instance rows only; they are kept
+    by first-ontology term and by second-ontology term, for the assignment.
+    Seeds pair literals with literals and instance rows pair instances with
+    instances, so the two never share a key. `get`, `pairs` and `len` cover
+    both.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, literals: LiteralShare) -> None:
+        self._seeds = literals.left
         self._fwd: dict[int, dict[int, float]] = {}
         self._bwd: dict[int, dict[int, float]] = {}
         self._n = 0
@@ -137,21 +143,24 @@ class EquivalenceTable:
         self._bwd.setdefault(right, {})[left] = p
 
     def get(self, left: int, right: int) -> float:
-        return self._fwd.get(left, _EMPTY).get(right, 0.0)
+        row = self._fwd.get(left) or self._seeds.get(left, _EMPTY)
+        return row.get(right, 0.0)
 
-    def row(self, left: int) -> dict[int, float]:
-        return self._fwd.get(left, _EMPTY)
-
-    def col(self, right: int) -> dict[int, float]:
-        return self._bwd.get(right, _EMPTY)
-
-    def pairs(self):
+    def instance_pairs(self):
+        """The pairs `set` stored, in insertion order."""
         for left, row in self._fwd.items():
             for right, p in row.items():
                 yield left, right, p
 
+    def pairs(self):
+        """Every stored pair: the seeds, then the instance rows."""
+        for left, row in self._seeds.items():
+            for right, p in row.items():
+                yield left, right, p
+        yield from self.instance_pairs()
+
     def __len__(self) -> int:
-        return self._n
+        return self._n + sum(map(len, self._seeds.values()))
 
 
 _EMPTY: dict[int, float] = {}
@@ -210,11 +219,11 @@ def _partner_maps(
 
 
 class LiteralShare(NamedTuple):
-    """The literal share of every evidence view: the clamped seed pairs'
-    partner maps (see `_partner_maps`).
+    """The clamped seed pairs' partner maps (see `_partner_maps`): the
+    literal share of every equivalence table and every evidence view.
 
-    Seeds never change, so `bootstrap` builds this once per run and every
-    later state and view reads it in place.
+    Seeds never change, so `bootstrap` builds this once per run, and every
+    later state, table and view reads it in place.
     """
 
     left: dict[int, dict[int, float]]
@@ -283,7 +292,7 @@ class EvidenceView:
             pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
             pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
         else:
-            pairs = [(a, b, p) for a, b, p in table.pairs() if a not in literals.left]
+            pairs = list(table.instance_pairs())
         self._left, self._left_sorted, self._right_sorted = _partner_maps(pairs)
         self._literal_left = literals.left
         self._literal_left_sorted = literals.left_sorted
@@ -296,9 +305,9 @@ class EvidenceView:
     def partners_right(self, term: int) -> Partners:
         return self._right_sorted.get(term) or self._literal_right_sorted.get(term, ())
 
-    def p(self, left: int, right: int) -> float:
-        row = self._left.get(left) or self._literal_left.get(left, _EMPTY)
-        return row.get(right, 0.0)
+    def row(self, left: int) -> dict[int, float]:
+        """P by second-ontology partner, for a first-ontology term."""
+        return self._left.get(left) or self._literal_left.get(left, _EMPTY)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -337,12 +346,10 @@ def bootstrap(
     fun1 = fun1 or build_functionality_table(o1, config.functionality_mode)
     fun2 = fun2 or build_functionality_table(o2, config.functionality_mode)
     seeds = literal_seed_pairs(o1, o2, measure, config.theta)
-    table = EquivalenceTable()
-    for a, b, p in seeds:
-        table.set(a, b, p)
+    literals = LiteralShare(*_partner_maps(seeds))
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2, measure=measure,
-        literal_seeds=seeds, literals=LiteralShare(*_partner_maps(seeds)), equiv=table,
+        literal_seeds=seeds, literals=literals, equiv=EquivalenceTable(literals),
         assignment=MaximalAssignment(), subrel=None, iteration=0,
     )
 
@@ -354,6 +361,11 @@ def bootstrap(
 # its share of 1 - prod(factors) can add to a computed p (a few units of
 # 2**-53), so the bound still holds for computed values, whatever theta is.
 _TERM_SLACK = 2.0**-50
+
+
+# One candidate-independent part of a pair's penalties: the object's evidence
+# row, the aligned relation and the two penalty weights (see `_penalty_plan`).
+PenaltyTerm = tuple[dict[int, float], int, float | None, float | None]
 
 
 class _InstanceFactors:
@@ -375,6 +387,11 @@ class _InstanceFactors:
     only through weak statements could never be stored; every other pair gets
     the factor list that full enumeration gives, so its value is unchanged.
     Penalties only lower a score, so they change nothing of this.
+
+    Under negative evidence, the part of x's penalties that does not depend
+    on the candidate is built once per x (see `_penalty_plan`), so each
+    candidate x2 costs only the walk over its own objects. The sweep scores
+    x's candidates one after another; one plan is kept at a time.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -383,7 +400,7 @@ class _InstanceFactors:
         self._stmts1 = state.o1.by_subject
         self._stmts2 = state.o2.by_subject
         self._rels2 = state.o2.relations_between
-        self._kind2 = state.o2.kind
+        self._kinds2 = state.o2.kinds()
         self._fun1 = state.fun1.fun
         self._fun2 = state.fun2.fun
         self._inv_fun1 = state.fun1.inverse_fun
@@ -400,9 +417,11 @@ class _InstanceFactors:
         # negative evidence: aligned relations (none without it, so no
         # penalties), and the equality each penalty's inner product reads
         self._rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
-        self._p = ev.p
+        self._evidence_row = ev.row
         self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
         self._objs: dict[int, dict[int, list[int]]] = {}
+        self._plan_of: int | None = None  # the instance `_plan` belongs to
+        self._plan: list[PenaltyTerm] = []
         # A pair reached only through weak statements has p <= the sum of
         # their bounds, so it cannot be stored. The relative margin keeps
         # rounding in those float sums from letting such a pair over theta.
@@ -441,7 +460,7 @@ class _InstanceFactors:
         partners `parts`, to every candidate they land on, or, given `among`,
         to those candidates only, found by lookup."""
         coefs = self._coefficients(r)
-        kind2 = self._kind2
+        kinds2 = self._kinds2
         for y2, pyy in parts:
             if among is None:
                 hits = self._stmts2.get(y2, ())
@@ -449,7 +468,7 @@ class _InstanceFactors:
                 rels2 = self._rels2
                 hits = [(q, x2) for x2 in among for q in rels2(y2, x2)]
             for q, x2 in hits:
-                if kind2(x2) != INSTANCE:
+                if kinds2[x2] != INSTANCE:
                     continue
                 c = coefs.get(q) or self._coefficient(coefs, r, q)
                 acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
@@ -459,8 +478,8 @@ class _InstanceFactors:
         distinct relations q."""
         landing = self._landings.get(y2)
         if landing is None:
-            kind2 = self._kind2
-            rels = [q for q, x2 in self._stmts2.get(y2, ()) if kind2(x2) == INSTANCE]
+            kinds2 = self._kinds2
+            rels = [q for q, x2 in self._stmts2.get(y2, ()) if kinds2[x2] == INSTANCE]
             landing = self._landings[y2] = (len(rels), tuple(dict.fromkeys(rels)))
         return landing
 
@@ -542,6 +561,30 @@ class _InstanceFactors:
             self._add_factors(acc, r, self._partners(y), (x2,))
         return acc.get(x2, [])
 
+    def _penalty_plan(self, x: int) -> list[PenaltyTerm]:
+        """The part of x's penalties that does not depend on the candidate:
+        one term per statement r(x, y) and aligned relation r2 of r, holding
+        y's evidence row, r2 and the two weights fun1(r) P(r2 in r) and
+        fun2(r2) P(r in r2), each None where its inclusion is not positive.
+        Relations with neither inclusion positive get no term."""
+        sub12, sub21, fun2, evidence_row = (
+            self._sub12, self._sub21, self._fun2, self._evidence_row
+        )
+        plan: list[PenaltyTerm] = []
+        for r, y in self._stmts1.get(x, ()):
+            fr = self._fun1(r)
+            for r2 in self._rel_partners.get(r, ()):
+                s21 = sub21(r2, r)
+                s12 = sub12(r, r2)
+                if s21 <= 0.0 and s12 <= 0.0:
+                    continue
+                plan.append((
+                    evidence_row(y), r2,
+                    fr * s21 if s21 > 0.0 else None,
+                    fun2(r2) * s12 if s12 > 0.0 else None,
+                ))
+        return plan
+
     def _penalties(self, x: int, x2: int) -> list[float]:
         """Negative-evidence factors: statements of x whose objects have no
         equal among x2's objects under an aligned relation count against the
@@ -550,35 +593,33 @@ class _InstanceFactors:
         A candidate that lacks an aligned relation entirely is penalized
         through the empty inner product (worth exactly 1), i.e. having the
         relation and disagreeing is no worse than not having it at all.
+        x's plan (see `_penalty_plan`) is built once for all its candidates;
+        each weight w is fixed before the inner product, as in
+        1 - fun(r) P(incl) inner, which multiplies left to right.
         """
+        if x != self._plan_of:
+            self._plan_of, self._plan = x, self._penalty_plan(x)
         objs2 = self._objs.get(x2)
         if objs2 is None:
             objs2 = self._objs[x2] = {}
             for q, o in self._stmts2.get(x2, ()):
                 objs2.setdefault(q, []).append(o)
         pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
-        sub12, sub21, fun2, p_ev = self._sub12, self._sub21, self._fun2, self._p
         pens: list[float] = []
-        for r, y in self._stmts1.get(x, ()):
-            fr = self._fun1(r)
-            for r2 in self._rel_partners.get(r, ()):
-                s21 = sub21(r2, r)
-                s12 = sub12(r, r2)
-                if s21 <= 0.0 and s12 <= 0.0:
-                    continue
-                objs = objs2.get(r2, ())
-                if pair_prev is None:
-                    inner = 1.0
-                    for y2 in objs:
-                        pe = p_ev(y, y2)
-                        if pe:
-                            inner *= 1.0 - pe
-                else:
-                    inner = (1.0 - pair_prev) ** len(objs)
-                if s21 > 0.0:
-                    pens.append(1.0 - fr * s21 * inner)
-                if s12 > 0.0:
-                    pens.append(1.0 - fun2(r2) * s12 * inner)
+        for row, r2, w21, w12 in self._plan:
+            objs = objs2.get(r2, ())
+            if pair_prev is None:
+                inner = 1.0
+                for y2 in objs:
+                    pe = row.get(y2)
+                    if pe:
+                        inner *= 1.0 - pe
+            else:
+                inner = (1.0 - pair_prev) ** len(objs)
+            if w21 is not None:
+                pens.append(1.0 - w21 * inner)
+            if w12 is not None:
+                pens.append(1.0 - w12 * inner)
         return pens
 
     def probability(self, x: int, x2: int, factors: list[float]) -> float:
@@ -636,10 +677,11 @@ def _instance_rows(
     candidate pairs evaluated."""
     theta = state.config.theta
     factors = _InstanceFactors(state, ev)
+    kinds1 = state.o1.kinds()
     rows: list[tuple[int, dict[int, float]]] = []
     evaluated = 0
     for x in sorted(state.o1.by_subject):
-        if state.o1.kind(x) != INSTANCE:
+        if kinds1[x] != INSTANCE:
             continue
         acc = factors.candidates(x)
         evaluated += len(acc)
@@ -667,9 +709,7 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     # rows first: the sweep's caches are gone before the table is built,
     # which keeps the sweep's peak memory down
     rows, evaluated = _instance_rows(state, ev)
-    table = EquivalenceTable()
-    for a, b, p in state.literal_seeds:
-        table.set(a, b, p)
+    table = EquivalenceTable(state.literals)
     for x, row in rows:
         for x2, p in row.items():
             table.set(x, x2, p)
@@ -677,14 +717,12 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
 
 
 def _argmax(
-    rows: dict[int, dict[int, float]], side: Ontology, other: Ontology
+    rows: dict[int, dict[int, float]], other: Ontology
 ) -> dict[int, tuple[int, float]]:
-    """Best partner (and score) per instance row of `side`; ties go to the
-    lexically smallest partner."""
+    """Best partner (and score) per instance row; ties go to the lexically
+    smallest partner."""
     out: dict[int, tuple[int, float]] = {}
     for a, row in rows.items():
-        if side.kind(a) != INSTANCE:
-            continue
         best: tuple[int, float] | None = None
         for b, p in row.items():
             if (
@@ -701,9 +739,9 @@ def _argmax(
 def compute_maximal_assignment(
     table: EquivalenceTable, o1: Ontology, o2: Ontology
 ) -> MaximalAssignment:
-    """Per-instance argmax over stored scores, both directions. Literal rows
-    are ignored: the assignment is about instances."""
-    return MaximalAssignment(_argmax(table._fwd, o1, o2), _argmax(table._bwd, o2, o1))
+    """Per-instance argmax over stored scores, both directions. The table's
+    own rows are instance rows only: the seeds are not among them."""
+    return MaximalAssignment(_argmax(table._fwd, o2), _argmax(table._bwd, o1))
 
 
 # ------------------------------------------------------------- subrelations
@@ -765,6 +803,20 @@ def _subrel_rows(
             continue
         ey = partners(y)
         if not ey:
+            continue
+        if len(ex) == 1 and len(ey) == 1:
+            # one transported pair: its products are its one miss
+            (u, pu), = ex
+            (v, pv), = ey
+            hit = 1.0 - (1.0 - pu * pv)
+            qs = rels(u, v)
+            den += hit
+            for q in qs:
+                num[q] = num.get(q, 0.0) + hit
+            if inv_num is not None:
+                inv_den += hit
+                for q in qs:
+                    inv_num[q ^ 1] = inv_num.get(q ^ 1, 0.0) + hit
             continue
         transposed = len(ex) > 1 and len(ey) > 1
         if transposed and inv_num is None:

@@ -36,16 +36,18 @@ class ParseStats:
             self.samples.append(line.strip()[:120])
 
 
-# IRIs are captured without their angle brackets. An object is an IRI, a
-# blank node label or a token starting with a quote, which _LITERAL checks.
+# IRIs are captured without their angle brackets. As in N-Triples, an IRI
+# holds no '<', '>' or '"', so no IRI reads like a literal. An object is an
+# IRI, a blank node label or a token starting with a quote, which _LITERAL
+# checks.
 _LINE = re.compile(
-    r"^(?:<(?P<s>[^<>]*)>|(?P<sb>_:\S+))\s+"
-    r"<(?P<p>[^<>]*)>\s+"
-    r'(?:<(?P<o>[^<>]*)>|(?P<ob>_:\S+)|(?P<ol>".*?))\s*\.\s*$'
+    r'^(?:<(?P<s>[^<>"]*)>|(?P<sb>_:\S+))\s+'
+    r'<(?P<p>[^<>"]*)>\s+'
+    r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:\S+)|(?P<ol>".*?))\s*\.\s*$'
 )
 _LITERAL = re.compile(
     r'^"(?P<text>(?:[^"\\]|\\.)*)"'
-    r"(?:@(?P<lang>[A-Za-z][A-Za-z0-9-]*)|\^\^(?P<dt><[^<>]*>))?$"
+    r'(?:@(?P<lang>[A-Za-z][A-Za-z0-9-]*)|\^\^(?P<dt><[^<>"]*>))?$'
 )
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",

@@ -17,8 +17,13 @@ Each inverse-closed statement s r o is held in exactly three indexes:
   sweep, schema closure and the ``functionality`` command read it.
 - ``_pair_rels[(s, o)]`` is the tuple of relations between s and o, in
   insertion order. It deduplicates statements and answers
-  :meth:`Ontology.has_statement` and :meth:`Ontology.relations_between`;
-  the instance and relation sweeps call the latter.
+  :meth:`Ontology.has_statement` and :meth:`Ontology.relations_between`,
+  which returns that tuple itself; the instance and relation sweeps call
+  the latter.
+
+Term kinds are one list indexed by term id. :meth:`Ontology.kind` reads one
+entry; :meth:`Ontology.kinds` returns a read-only copy of the whole list,
+for the engine's loops that check a kind per candidate.
 
 The statement containers are tuples of ints wherever they can be, because
 the cyclic garbage collector stops tracking those; a list or set per
@@ -28,7 +33,7 @@ statement would make every collection walk all of them.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 log = logging.getLogger("ontoalign.store")
 
@@ -119,6 +124,11 @@ class Ontology:
     def kind(self, tid: int) -> str:
         return self._term_kind[tid]
 
+    def kinds(self) -> tuple[str, ...]:
+        """Every term's kind, indexed by term id: a read-only copy, for
+        loops that check many kinds."""
+        return tuple(self._term_kind)
+
     def lexical(self, tid: int) -> str:
         return self._term_lex[tid]
 
@@ -191,8 +201,8 @@ class Ontology:
     def has_statement(self, s: int, r: int, o: int) -> bool:
         return r in self._pair_rels.get((s, o), ())
 
-    def relations_between(self, subject: int, obj: int) -> Iterator[int]:
-        return iter(self._pair_rels.get((subject, obj), ()))
+    def relations_between(self, subject: int, obj: int) -> tuple[int, ...]:
+        return self._pair_rels.get((subject, obj), ())
 
     def _render(self, s: int, r: int, o: int) -> str:
         return (
@@ -292,6 +302,8 @@ def ontology_from_triples(
     subClassOf endpoints are classes, the rest are instances. Ordinary
     statements that would use a class or relation as subject/object are
     rejected and counted (the class/relation reading wins over instancehood).
+    A literal is never a class: a type edge to one is dropped, and a
+    subClassOf edge with one at either end is rejected and counted.
     """
     vocab = vocab or Vocabulary()
     type_preds = set(vocab.type)
@@ -308,10 +320,11 @@ def ontology_from_triples(
     for s, p, o in triples:
         if p in type_preds:
             type_edges.append((s, o))
-            class_lex.add(o)
+            if not o.startswith('"'):
+                class_lex.add(o)
         elif p in sub_preds:
             subclass.append((s, o))
-            class_lex.update((s, o))
+            class_lex.update(t for t in (s, o) if not t.startswith('"'))
         elif p in prop_preds:
             subprop.append((s, o))
             rel_lex.update((s, o))

@@ -59,17 +59,17 @@ def _engine_history(o1, o2, cfg):
     return history, (dict(classes.o1_to_o2), dict(classes.o2_to_o1)), converged
 
 
-def _assert_tables_close(got, want, where):
+def _assert_tables_equal(got, want, where):
     assert got.keys() == want.keys(), f"{where}: key sets differ"
     for key, value in want.items():
-        assert abs(got[key] - value) <= TOL, f"{where}: {key} {got[key]} != {value}"
+        assert got[key] == value, f"{where}: {key} {got[key]} != {value}"
 
 
-def _assert_assignments_close(got, want, where):
+def _assert_assignments_equal(got, want, where):
     assert got.keys() == want.keys(), f"{where}: assigned terms differ"
     for key, (partner, p) in want.items():
         assert got[key][0] == partner, f"{where}: {key} partner differs"
-        assert abs(got[key][1] - p) <= TOL
+        assert got[key][1] == p, f"{where}: {key} {got[key][1]} != {p}"
 
 
 def _assert_lockstep(o1, o2, *, theta, restrict, negative, inner, mode):
@@ -89,17 +89,17 @@ def _assert_lockstep(o1, o2, *, theta, restrict, negative, inner, mode):
     assert len(engine_hist) == len(oracle_hist)
     for i, (e, o) in enumerate(zip(engine_hist, oracle_hist)):
         where = f"iteration {i + 1}"
-        _assert_tables_close(e[0], o[0], f"{where} equivalences")
-        _assert_assignments_close(e[1], o[1], f"{where} forward")
-        _assert_assignments_close(e[2], o[2], f"{where} backward")
-        _assert_tables_close(e[3][0], o[3][0], f"{where} inclusions 1->2")
-        _assert_tables_close(e[3][1], o[3][1], f"{where} inclusions 2->1")
+        _assert_tables_equal(e[0], o[0], f"{where} equivalences")
+        _assert_assignments_equal(e[1], o[1], f"{where} forward")
+        _assert_assignments_equal(e[2], o[2], f"{where} backward")
+        _assert_tables_equal(e[3][0], o[3][0], f"{where} inclusions 1->2")
+        _assert_tables_equal(e[3][1], o[3][1], f"{where} inclusions 2->1")
         assert e[4] == o[4], f"{where}: change fraction differs"
     for side in (0, 1):
         got, want = engine_classes[side], oracle_classes[side]
         assert got.keys() == want.keys()
         for key, (score, support) in want.items():
-            assert abs(got[key][0] - score) <= TOL
+            assert got[key][0] == score
             assert got[key][1] == support
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from ontoalign.cli import EXIT_BROKEN_PIPE, main
 from ontoalign.ntriples import read_alignment
+from ontoalign.store import RDF_TYPE
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,23 @@ def test_non_utf8_input_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "latin1.nt" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("left, code", [
+    # an IRI holding '"' is a malformed line: 1 of 2 skipped trips the bound
+    ('<"x"> <http://p> <http://b> .\n<http://a> <http://p> "x" .\n', 3),
+    # a type edge to a literal is dropped; the literal stays a literal
+    (f'<http://a> <{RDF_TYPE}> "lit" .\n<http://b> <http://p> "lit" .\n', 0),
+], ids=["quoted-iri", "literal-class"])
+def test_literal_lookalike_terms_cost_no_traceback(tmp_path, capsys, left, code):
+    (tmp_path / "l.nt").write_text(left)
+    (tmp_path / "r.nt").write_text('<http://c> <http://p> "x" .\n')
+    assert main(["align", str(tmp_path / "l.nt"), str(tmp_path / "r.nt"),
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "error:" in err and "malformed" in err
 
 
 @pytest.mark.parametrize("bad_arg", ["predicted", "gold", "facts"])

@@ -209,6 +209,27 @@ def test_literal_seeds_survive_every_iteration(alice):
     assert len(seeds) == 3
 
 
+@pytest.mark.parametrize("restrict", [True, False])
+def test_every_table_holds_the_seeds(restrict):
+    """Each sweep's table holds the run's seeds unchanged next to its own
+    instance pairs, and counts both."""
+    rng = random.Random(77)
+    for _ in range(4):
+        o1, o2 = random_world_pair(rng, value_pool=5)
+        state = bootstrap(o1, o2, AlignmentConfig(restrict_to_assignment=restrict))
+        seeds = {(a, b): p for a, b, p in state.literal_seeds}
+        assert seeds
+        for _ in range(3):
+            state, _ = step(state)
+            table = engine_table_dict(state.equiv)
+            literal = {k: p for k, p in table.items() if o1.kind(k[0]) != INSTANCE}
+            assert literal == seeds
+            instance_pairs = len(table) - len(literal)
+            assert instance_pairs > 0
+            assert len(state.equiv) == len(state.literal_seeds) + instance_pairs
+            assert all(state.equiv.get(a, b) == p for (a, b), p in seeds.items())
+
+
 def test_candidates_come_from_shared_evidence_not_cross_product():
     """Visited-pair counts stay near-linear when anchors are unique."""
     statements1 = [(f"a{i}", "code", f'"K{i}"') for i in range(60)]

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontoalign.ntriples import (
     AlignmentRow,
@@ -10,6 +15,7 @@ from ontoalign.ntriples import (
     read_alignment,
     write_alignment,
 )
+from ontoalign.store import LITERAL, RDF_TYPE, RDFS_SUBCLASSOF, RDFS_SUBPROPERTYOF
 
 
 def parse(text: str, stats=None):
@@ -65,6 +71,85 @@ def test_malformed_lines_are_skipped_and_counted():
     assert stats.parsed == 1
     assert stats.skipped == 5
     assert len(stats.samples) == 5
+
+
+def test_iri_with_a_double_quote_is_a_malformed_line(tmp_path):
+    """N-Triples IRIs hold no '"'. Read as an IRI, <"x"> would be the
+    resource "x", the lexical form of the literal "x" as well."""
+    stats = ParseStats()
+    lines = ['<"x"> <http://p> <http://b> .', '<http://a> <http://p> "x" .']
+    assert parse("\n".join(lines), stats) == [("http://a", "http://p", '"x"')]
+    assert stats.skipped == 1
+    for line in ('<http://a> <http://"p"> <http://b> .',
+                 '<http://a> <http://p> <"b"> .',
+                 '<http://a> <http://p> "1"^^<http://"dt"> .'):
+        assert parse(line) == []
+    f = tmp_path / "quoted.nt"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError):
+        load_ontology(f)
+    onto = load_ontology(f, max_skip_fraction=1.0)
+    assert onto.kind(onto.term_id('"x"')) == LITERAL
+    assert onto.statement_count() == 2
+
+
+def test_literal_in_class_position_is_never_a_class(tmp_path):
+    """A type edge to a literal is dropped; a subClassOf edge with a literal
+    end is rejected and counted. The literal stays a literal."""
+    f = tmp_path / "typed.nt"
+    f.write_text(
+        f'<http://a> <{RDF_TYPE}> "lit" .\n'
+        '<http://b> <http://p> "lit" .\n'
+        f'<http://C> <{RDFS_SUBCLASSOF}> "lit" .\n'
+        f'"lit" <{RDFS_SUBCLASSOF}> <http://C> .\n'
+    )
+    onto = load_ontology(f, max_skip_fraction=1.0)  # the last line is malformed
+    lit = onto.term_id('"lit"')
+    assert onto.kind(lit) == LITERAL
+    assert onto.classes() == [onto.term_id("http://C")]
+    assert onto.classes_of(onto.term_id("http://a")) == []
+    assert onto.rejected_statements == 1
+    assert onto.statement_count() == 2
+
+
+_IRIS = ("<http://e/a>", "<http://e/b>", '<"x">', '<http://e/"y">', "<>")
+_SUBJECTS = _IRIS + ("_:b1", "_:b2", '"x"', "x")
+_PREDICATES = (
+    "<http://e/p>", "<http://e/q>", '<"x">',
+    f"<{RDF_TYPE}>", f"<{RDFS_SUBCLASSOF}>", f"<{RDFS_SUBPROPERTYOF}>",
+)
+_OBJECTS = _SUBJECTS + (
+    '"y"', '"lit"@en', '"x"^^<http://e/dt>', '"x"^^<"dt">', '"a\\tb"',
+    '"\\u00e9"', '"\\U0011FFFF"', '"bad\\q"', '"\\"x\\""', '"open',
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+                      st.sampled_from(_OBJECTS)).map(" ".join).map(lambda t: t + " ."),
+            st.sampled_from(("", "# note", "junk", "<http://e/a> <http://e/p> .")),
+        ),
+        max_size=12,
+    ),
+    max_skip_fraction=st.sampled_from((0.01, 1.0)),
+)
+@example(lines=['<"x"> <http://e/p> <http://e/b> .', '<http://e/a> <http://e/p> "x" .'],
+         max_skip_fraction=0.01)
+@example(lines=[f'<http://e/a> <{RDF_TYPE}> "lit" .', '<http://e/b> <http://e/p> "lit" .'],
+         max_skip_fraction=0.01)
+def test_loader_raises_nothing_but_parse_error(lines, max_skip_fraction):
+    """Whatever lines a file holds, loading it returns an ontology or
+    raises ParseError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "fuzz.nt"
+        f.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            load_ontology(f, max_skip_fraction=max_skip_fraction)
+        except ParseError:
+            pass
 
 
 def test_load_ontology_aborts_on_heavy_corruption(tmp_path):
