@@ -20,6 +20,7 @@ import logging
 import os
 import random
 import sys
+import time
 from pathlib import Path
 
 from .engine import AlignmentConfig, AlignmentResult, run_fixpoint, result_rows
@@ -103,20 +104,20 @@ def _manifest_lines(
     args: argparse.Namespace,
     result: AlignmentResult,
     outputs: dict[str, tuple[Path, int]],
+    load_seconds: float,
 ) -> list[str]:
     cfg = result.config
     kv: dict[str, object] = {
         "converged": str(result.converged).lower(),
         "iterations": len(result.iterations),
-        "input.left.path": args.left,
-        "input.left.sha256": _digest(args.left),
-        "input.left.terms": result.o1.term_count(),
-        "input.left.statements": result.o1.statement_count(),
-        "input.right.path": args.right,
-        "input.right.sha256": _digest(args.right),
-        "input.right.terms": result.o2.term_count(),
-        "input.right.statements": result.o2.statement_count(),
+        "phase.load.seconds": f"{load_seconds:.3f}",
     }
+    for side, path, onto in (("left", args.left, result.o1), ("right", args.right, result.o2)):
+        kv[f"input.{side}.path"] = path
+        kv[f"input.{side}.sha256"] = _digest(path)
+        kv[f"input.{side}.terms"] = onto.term_count()
+        kv[f"input.{side}.statements"] = onto.statement_count()
+        kv[f"input.{side}.rejected_statements"] = onto.rejected_statements
     for name, value in vars(cfg).items():
         kv[f"config.{name}"] = value
     for s in result.iterations:
@@ -140,12 +141,14 @@ def cmd_align(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    started = time.perf_counter()
     try:
         o1 = load_ontology(args.left, origin="first")
         o2 = load_ontology(args.right, origin="second")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    load_seconds = time.perf_counter() - started
     result = run_fixpoint(o1, o2, config)
     instances, relations, classes = result_rows(result)
     if args.all_probabilities:
@@ -164,7 +167,8 @@ def cmd_align(args: argparse.Namespace) -> int:
             outputs[name] = (path, write_alignment(rows, path))
         manifest = out / "manifest.txt"
         manifest.write_text(
-            "\n".join(_manifest_lines(args, result, outputs)) + "\n", encoding="utf-8"
+            "\n".join(_manifest_lines(args, result, outputs, load_seconds)) + "\n",
+            encoding="utf-8",
         )
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

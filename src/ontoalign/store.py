@@ -11,28 +11,41 @@ functionality semantics.
 
 Each inverse-closed statement s r o is held in exactly three indexes:
 
-- ``by_subject[s]`` holds ``(r, o)``. The instance sweep (penalties
-  included), the one-pair operation and local functionality walk it.
-- ``by_relation[r]`` holds ``(s, o)``. Global functionality, the relation
-  sweep, schema closure and the ``functionality`` command read it.
+- ``by_subject[s]`` is the tuple of s's ``(r, o)`` rows, in insertion
+  order. The instance sweep (penalties included), the one-pair operation
+  and local functionality walk it.
+- ``by_relation[r]`` is the list of r's ``(s, o)`` keys, in insertion order.
+  Global functionality, the relation sweep, schema closure and the
+  ``functionality`` command read it.
 - ``_pair_rels[(s, o)]`` is the tuple of relations between s and o, in
   insertion order. It deduplicates statements and answers
   :meth:`Ontology.has_statement` and :meth:`Ontology.relations_between`,
   which returns that tuple itself; the instance and relation sweeps call
   the latter.
 
+Types are held per instance and per class: :meth:`Ontology.classes_of` and
+:meth:`Ontology.instances_of` return tuples, in insertion order.
+
 Term kinds are one list indexed by term id. :meth:`Ontology.kind` reads one
 entry; :meth:`Ontology.kinds` returns a read-only copy of the whole list,
 for the engine's loops that check a kind per candidate.
 
-The statement containers are tuples of ints wherever they can be, because
-the cyclic garbage collector stops tracking those; a list or set per
-statement would make every collection walk all of them.
+Every container per statement or per term is a tuple of ints or of tuples
+of ints, because the cyclic garbage collector stops tracking those; only
+the few per-relation lists stay lists. A list per term, grown by one append
+per insert, would keep about 120 000 lists after loading two 10k-person
+ontologies, and every full collection, during the load and in each later
+pass, would walk them all. So an insert goes to flat logs in insertion
+order, and a stable grouping turns the logs into the per-term tuples once
+per batch: at the end of :meth:`Ontology.close_under_schema`, or at the
+first read of ``by_subject``, ``classes_of`` or ``instances_of`` after an
+insert.
 """
 
 from __future__ import annotations
 
 import logging
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 log = logging.getLogger("ontoalign.store")
@@ -75,16 +88,21 @@ class Ontology:
         self._rel_id: dict[str, int] = {}
         self._rel_lex: list[str] = []
         # statements, stored in both directions (see the module docstring)
-        self.by_subject: dict[int, list[tuple[int, int]]] = {}
+        self._by_subject: dict[int, tuple[tuple[int, int], ...]] = {}
         self.by_relation: dict[int, list[tuple[int, int]]] = {}
         self._pair_rels: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._statements = 0
         # schema
-        self._types_of: dict[int, list[int]] = {}  # instance -> classes
-        self._instances_of: dict[int, list[int]] = {}  # class -> instances
+        self._types_of: dict[int, tuple[int, ...]] = {}  # instance -> classes
+        self._instances_of: dict[int, tuple[int, ...]] = {}  # class -> instances
         self._type_pairs: set[tuple[int, int]] = set()
         self.subclass_edges: dict[int, set[int]] = {}
         self.subproperty_edges: dict[int, set[int]] = {}
+        # inserts not yet grouped into the per-term tuples: parallel
+        # flat logs in insertion order (subject, (r, o)) and (instance, class)
+        self._subject_log: list[int] = []
+        self._row_log: list[tuple[int, int]] = []
+        self._typed_log: list[int] = []
+        self._class_log: list[int] = []
         self.rejected_statements = 0
 
     # ------------------------------------------------------------------ terms
@@ -191,12 +209,19 @@ class Ontology:
         else:
             # rare: a second relation between the same two terms
             self._pair_rels[key] = rels + (r,)
-        self._statements += 1
-        self.by_subject.setdefault(s, []).append((r, o))
+        self._subject_log.append(s)
+        self._row_log.append((r, o))
         self.by_relation.setdefault(r, []).append(key)
 
+    @property
+    def by_subject(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Subject -> its ``(relation, object)`` rows, in insertion order."""
+        if self._subject_log:
+            self._group_logs()
+        return self._by_subject
+
     def statement_count(self) -> int:
-        return self._statements
+        return sum(map(len, self.by_relation.values()))
 
     def has_statement(self, s: int, r: int, o: int) -> bool:
         return r in self._pair_rels.get((s, o), ())
@@ -220,14 +245,26 @@ class Ontology:
         if (instance, cls) in self._type_pairs:
             return
         self._type_pairs.add((instance, cls))
-        self._types_of.setdefault(instance, []).append(cls)
-        self._instances_of.setdefault(cls, []).append(instance)
+        self._typed_log.append(instance)
+        self._class_log.append(cls)
 
-    def classes_of(self, instance: int) -> list[int]:
-        return self._types_of.get(instance, [])
+    def classes_of(self, instance: int) -> tuple[int, ...]:
+        if self._typed_log:
+            self._group_logs()
+        return self._types_of.get(instance, ())
 
-    def instances_of(self, cls: int) -> list[int]:
-        return self._instances_of.get(cls, [])
+    def instances_of(self, cls: int) -> tuple[int, ...]:
+        if self._typed_log:
+            self._group_logs()
+        return self._instances_of.get(cls, ())
+
+    def _group_logs(self) -> None:
+        """Move the logged inserts into the per-term tuples, then clear the logs."""
+        _append_grouped(self._by_subject, self._subject_log, self._row_log)
+        _append_grouped(self._types_of, self._typed_log, self._class_log)
+        _append_grouped(self._instances_of, self._class_log, self._typed_log)
+        for entries in (self._subject_log, self._row_log, self._typed_log, self._class_log):
+            entries.clear()
 
     def add_subclass(self, sub: int, sup: int) -> None:
         self.subclass_edges.setdefault(sub, set()).add(sup)
@@ -244,6 +281,7 @@ class Ontology:
         other member's extension) and are logged. Idempotent.
         """
         self._warn_cycles(self.subclass_edges, "subClassOf", self._term_lex)
+        self._group_logs()
         for inst, classes in list(self._types_of.items()):
             derived: set[int] = set()
             for c in classes:
@@ -256,6 +294,7 @@ class Ontology:
                 for s, o in list(self.by_relation.get(rel, ())):
                     self._insert(s, sup, o)
                     self._insert(o, sup ^ 1, s)
+        self._group_logs()
 
     def _warn_cycles(
         self, edges: dict[int, set[int]], label: str, names: list[str]
@@ -274,6 +313,22 @@ class Ontology:
                         label,
                         ", ".join(sorted(names[m] for m in group)),
                     )
+
+
+def _append_grouped(index: dict[int, tuple], keys: list[int], values: list) -> None:
+    """Append each ``values[i]`` to the tuple of ``keys[i]`` in index.
+
+    A stable sort groups the log, so each key's values keep log order; keys
+    new to the index are added in order of first appearance, as appending
+    one by one would add them.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    runs = {
+        k: tuple(map(values.__getitem__, run))
+        for k, run in groupby(order, keys.__getitem__)
+    }
+    for k in dict.fromkeys(keys):
+        index[k] = index.get(k, ()) + runs[k]
 
 
 def _reachable(edges: dict[int, set[int]], start: int) -> set[int]:
@@ -296,14 +351,15 @@ def ontology_from_triples(
 ) -> Ontology:
     """Build a closed ontology from lexical triples.
 
-    Objects whose lexical form starts with a double quote are literals;
-    everything else is a resource. Term kinds are decided in a first pass:
-    predicates and subPropertyOf endpoints are relations, rdf:type objects and
+    A lexical form that starts with a double quote is a literal; everything
+    else is a resource. Term kinds are decided in a first pass: predicates
+    and subPropertyOf endpoints are relations, rdf:type objects and
     subClassOf endpoints are classes, the rest are instances. Ordinary
     statements that would use a class or relation as subject/object are
-    rejected and counted (the class/relation reading wins over instancehood).
-    A literal is never a class: a type edge to one is dropped, and a
-    subClassOf edge with one at either end is rejected and counted.
+    rejected and counted (the class/relation reading wins over instancehood),
+    and so are statements with a literal subject. A literal is never a class
+    or a relation: a type edge to or from one is dropped, and a subClassOf or
+    subPropertyOf edge with one at either end is rejected and counted.
     """
     vocab = vocab or Vocabulary()
     type_preds = set(vocab.type)
@@ -317,7 +373,8 @@ def ontology_from_triples(
     class_lex: set[str] = set()
     rel_lex: set[str] = set()
 
-    for s, p, o in triples:
+    for triple in triples:
+        s, p, o = triple
         if p in type_preds:
             type_edges.append((s, o))
             if not o.startswith('"'):
@@ -327,9 +384,9 @@ def ontology_from_triples(
             class_lex.update(t for t in (s, o) if not t.startswith('"'))
         elif p in prop_preds:
             subprop.append((s, o))
-            rel_lex.update((s, o))
+            rel_lex.update(t for t in (s, o) if not t.startswith('"'))
         else:
-            plain.append((s, p, o))
+            plain.append(triple)
             rel_lex.add(p)
 
     overlap = class_lex & rel_lex
@@ -338,38 +395,52 @@ def ontology_from_triples(
     class_lex -= rel_lex
 
     onto = Ontology(origin)
-    for lex in sorted(rel_lex):
-        onto.intern_relation(lex)
+    rel_id = {lex: onto.intern_relation(lex) for lex in sorted(rel_lex)}
     for lex in sorted(class_lex):
         onto.intern_term(lex, CLASS)
+    schema_lex = class_lex | rel_lex
 
     def resource_id(lex: str) -> int | None:
-        # relations and classes cannot take part in ordinary statements
-        if lex in rel_lex:
+        # relations, classes and literals cannot be instances
+        if lex in schema_lex or lex.startswith('"'):
             return None
-        existing = onto.term_id(lex)
-        if existing is not None:
-            return existing if onto.kind(existing) != CLASS else None
         return onto.intern_term(lex, INSTANCE)
 
+    # A term the store already holds is looked up by lexical form and kept if
+    # its kind fits the position; only a term's first sight interns it.
+    known = onto._term_id.get
+    kinds = onto._term_kind
+    insert = onto._insert
     for s, p, o in plain:
-        rid = onto.relation_id(p)
-        sid = resource_id(s)
-        if o.startswith('"'):
-            oid = onto.intern_term(o, LITERAL)
-        else:
-            oid = resource_id(o)
+        sid = known(s)
+        if sid is None:
+            sid = resource_id(s)
+        elif kinds[sid] != INSTANCE:  # a class or a literal
+            sid = None
+        oid = known(o)
+        if oid is None:
+            oid = onto.intern_term(o, LITERAL) if o.startswith('"') else resource_id(o)
+        elif kinds[oid] == CLASS:
+            oid = None
         if sid is None or oid is None:
             onto.rejected_statements += 1
-            log.warning("rejected statement %s(%s, %s): schema term in data position", p, s, o)
+            log.warning(
+                "rejected statement %s(%s, %s): schema term or literal in"
+                " instance position", p, s, o,
+            )
             continue
-        onto.add_statement(sid, rid, oid)
+        # the same two inserts as add_statement, whose kind checks the
+        # lexical forms have already settled
+        rid = rel_id[p]
+        insert(sid, rid, oid)
+        insert(oid, rid ^ 1, sid)
 
     for s, c in type_edges:
         cid = onto.term_id(c)
         sid = resource_id(s)
         if sid is None or cid is None or onto.kind(cid) != CLASS:
-            # subject is a schema term, or the class got demoted to a relation
+            # subject is a schema term or literal, or the class got demoted
+            # to a relation
             log.warning("dropped type edge %s -> %s", s, c)
             continue
         onto.add_type(sid, cid)
@@ -382,7 +453,11 @@ def ontology_from_triples(
         onto.add_subclass(ca, cb)
 
     for a, b in subprop:
-        onto.add_subproperty(onto.intern_relation(a), onto.intern_relation(b))
+        if a.startswith('"') or b.startswith('"'):
+            onto.rejected_statements += 1
+            log.warning("rejected subPropertyOf edge %s -> %s: literal endpoint", a, b)
+            continue
+        onto.add_subproperty(rel_id[a], rel_id[b])
 
     onto.close_under_schema()
     return onto

@@ -161,6 +161,26 @@ def test_literal_lookalike_terms_cost_no_traceback(tmp_path, capsys, left, code)
         assert "error:" in err and "malformed" in err
 
 
+def test_manifest_reports_load_time_and_rejections_per_side(tmp_path):
+    """Each side holds one statement with a class as its object, which the
+    loader rejects and counts."""
+    for name, prefix in (("l.nt", "http://one/"), ("r.nt", "http://two/")):
+        (tmp_path / name).write_text(
+            f"<{prefix}a> <{prefix}p> <{prefix}b> .\n"
+            f"<{prefix}a> <{RDF_TYPE}> <{prefix}C> .\n"
+            f"<{prefix}b> <{prefix}p> <{prefix}C> .\n"
+        )
+    assert main(["align", str(tmp_path / "l.nt"), str(tmp_path / "r.nt"),
+                 "--out", str(tmp_path / "out")]) == 0
+    manifest = dict(
+        line.split("=", 1)
+        for line in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    )
+    assert manifest["input.left.rejected_statements"] == "1"
+    assert manifest["input.right.rejected_statements"] == "1"
+    assert float(manifest["phase.load.seconds"]) >= 0.0
+
+
 @pytest.mark.parametrize("bad_arg", ["predicted", "gold", "facts"])
 def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
     data, out = world

@@ -107,7 +107,7 @@ def test_literal_in_class_position_is_never_a_class(tmp_path):
     lit = onto.term_id('"lit"')
     assert onto.kind(lit) == LITERAL
     assert onto.classes() == [onto.term_id("http://C")]
-    assert onto.classes_of(onto.term_id("http://a")) == []
+    assert onto.classes_of(onto.term_id("http://a")) == ()
     assert onto.rejected_statements == 1
     assert onto.statement_count() == 2
 
@@ -150,6 +150,83 @@ def test_loader_raises_nothing_but_parse_error(lines, max_skip_fraction):
             load_ontology(f, max_skip_fraction=max_skip_fraction)
         except ParseError:
             pass
+
+
+# IRI text: no '<', '>', '"', whitespace or control characters
+_IRI = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
+                  blacklist_characters='<>"'),
+    min_size=1, max_size=12,
+)
+_LITERAL_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\t\n\ré'), st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+)
+
+
+def _escape_literal(text: str, spelled: list[bool]) -> str:
+    """N-Triples escaping of literal text. The characters that must be
+    escaped always are; another one is written as a \\u escape where
+    `spelled` says so, which needs a character in the basic plane."""
+    out = []
+    for i, ch in enumerate(text):
+        if ch in '"\\':
+            out.append("\\" + ch)
+        elif ch in "\t\n\r":
+            out.append({"\t": "\\t", "\n": "\\n", "\r": "\\r"}[ch])
+        elif ord(ch) < 0x20 or (spelled[i % len(spelled)] and ord(ch) <= 0xFFFF):
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+@st.composite
+def _literal_objects(draw):
+    """One literal object: its N-Triples spelling and its canonical form."""
+    text = draw(_LITERAL_TEXT)
+    written = '"' + _escape_literal(text, draw(st.lists(st.booleans(), min_size=1))) + '"'
+    tag = draw(st.one_of(
+        st.just(""),
+        st.from_regex(r"[A-Za-z][A-Za-z0-9-]{0,8}", fullmatch=True).map(lambda t: "@" + t),
+        _IRI.map(lambda iri: f"^^<{iri}>"),
+    ))
+    return written + tag, f'"{text}"' + tag
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(_IRI, _IRI, st.one_of(_IRI.map(lambda iri: (f"<{iri}>", iri)), _literal_objects())),
+    min_size=1, max_size=4,
+))
+def test_parse_round_trips_escaped_lines(statements):
+    """Lines written with N-Triples escapes parse back to the canonical
+    triple: IRIs without brackets, literal text unescaped, the tag kept."""
+    lines = [f"<{s}> <{p}> {written} ." for s, p, (written, _) in statements]
+    stats = ParseStats()
+    assert list(parse_ntriples(lines, stats)) == [
+        (s, p, canonical) for s, p, (_, canonical) in statements
+    ]
+    assert stats.skipped == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.sampled_from((b"\t", b"\n", b"\\", b"\xe9", b"nan", b"1e999", b"\x00",
+                     b"a", b"0.5", b"#", b"instance")),
+    max_size=40,
+).map(b"".join))
+def test_alignment_and_gold_readers_raise_nothing_but_parse_error(data):
+    """Whatever bytes a TSV holds, the alignment and gold readers return or
+    raise ParseError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "fuzz.tsv"
+        f.write_bytes(data)
+        for read in (read_alignment, load_gold):
+            try:
+                read(f)
+            except ParseError:
+                pass
 
 
 def test_load_ontology_aborts_on_heavy_corruption(tmp_path):

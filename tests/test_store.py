@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontoalign.cli import generate_pair
@@ -11,6 +11,7 @@ from ontoalign.store import (
     INSTANCE,
     INVERSE_MARK,
     LITERAL,
+    RDF_TYPE,
     RDFS_SUBPROPERTYOF,
     Ontology,
     ontology_from_triples,
@@ -58,7 +59,7 @@ def test_subject_constraints():
     with pytest.raises(ValueError):
         onto.add_statement(lit, r, a)
     onto.add_statement(a, r, lit)
-    assert onto.by_subject[lit] == [(onto.inverse(r), a)]
+    assert onto.by_subject[lit] == ((onto.inverse(r), a),)
 
 
 def test_classes_cannot_join_ordinary_statements():
@@ -178,6 +179,43 @@ def test_from_triples_subproperty_closure():
     assert onto.has_statement(onto.term_id("berlin"), sup, onto.term_id("germany"))
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["subject-first", "object-first"])
+def test_literal_subject_is_rejected_in_either_order(order):
+    triples = [('"x"', "http://p", "http://y"), ("http://a", "http://p", '"x"')][::order]
+    onto = ontology_from_triples(triples)
+    assert onto.rejected_statements == 1
+    lit, a = onto.term_id('"x"'), onto.term_id("http://a")
+    assert onto.kind(lit) == LITERAL
+    assert onto.statement_count() == 2
+    assert onto.by_subject[lit] == ((onto.inverse(onto.relation_id("http://p")), a),)
+
+
+def test_type_edge_from_a_literal_is_dropped():
+    onto = ontology_from_triples([("http://a", "http://p", '"x"'),
+                                  ('"x"', RDF_TYPE, "http://C")])
+    lit = onto.term_id('"x"')
+    assert onto.kind(lit) == LITERAL
+    assert onto.classes_of(lit) == ()
+    assert onto.instances_of(onto.term_id("http://C")) == ()
+    assert onto.rejected_statements == 0  # dropped like other bad type edges
+
+
+def test_literal_subproperty_endpoint_is_rejected():
+    """A literal at either end of a subPropertyOf edge names no relation and
+    copies no statement."""
+    data = [("http://a", "http://p", "http://b"), ("http://a", "http://q", '"v"')]
+    plain = ontology_from_triples(data)
+    onto = ontology_from_triples(
+        data + [("http://p", RDFS_SUBPROPERTYOF, '"lit"'),
+                ('"lit"', RDFS_SUBPROPERTYOF, "http://q")]
+    )
+    def names(o):
+        return [o.relation_lexical(r) for r in o.relation_ids()]
+    assert names(onto) == names(plain)
+    assert onto.statement_count() == plain.statement_count()
+    assert onto.rejected_statements == 2
+
+
 def test_inverse_subproperty_edges_follow_base_edges():
     onto = Ontology("first")
     sub = onto.intern_relation("capital")
@@ -254,3 +292,76 @@ def test_store_tracks_few_objects_per_statement(tmp_path):
     gc.collect()
     tracked = len(gc.get_objects()) - before
     assert tracked <= sum(onto.statement_count() for onto in sides)
+
+
+def test_tracked_objects_do_not_grow_with_the_ontology(tmp_path):
+    """Each term's statements and types are one tuple of tuples that the
+    collector stops tracking, so ten times the persons leaves about as many
+    tracked objects behind: a list per term would add thousands."""
+    def tracked_after_load(persons):
+        generate_pair(tmp_path / str(persons), instances=persons, seed=1)
+        gc.collect()
+        before = len(gc.get_objects())
+        sides = [load_ontology(tmp_path / str(persons) / name)
+                 for name in ("left.nt", "right.nt")]
+        gc.collect()
+        assert all(onto.statement_count() for onto in sides)
+        return len(gc.get_objects()) - before
+
+    small = tracked_after_load(40)
+    assert tracked_after_load(400) <= small + 50
+
+
+_INCREMENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("statement"), st.integers(0, 3), st.integers(0, 1),
+                  st.integers(0, 5)),
+        st.tuples(st.just("type"), st.integers(0, 3), st.integers(0, 2)),
+        st.just(("read",)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_INCREMENTS)
+def test_reads_see_every_insert_in_insertion_order(ops):
+    """Reads between inserts, and after closing, see each statement and type
+    once, in insertion order, with subjects in order of first appearance."""
+    onto = Ontology("first")
+    instances = [onto.intern_term(f"e{i}", INSTANCE) for i in range(4)]
+    objects = instances + [onto.intern_term(f'"v{i}"', LITERAL) for i in range(2)]
+    relations = [onto.intern_relation(f"r{i}") for i in range(2)]
+    classes = [onto.intern_term(f"C{i}", CLASS) for i in range(3)]
+    # brute-force logs in insertion order
+    rows: dict[int, list[tuple[int, int]]] = {}
+    types: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}
+
+    def log_statement(s, r, o):
+        if (r, o) not in rows.setdefault(s, []):
+            rows[s].append((r, o))
+
+    def check():
+        assert list(onto.by_subject.items()) == [(s, tuple(v)) for s, v in rows.items()]
+        for t in range(onto.term_count()):
+            assert onto.classes_of(t) == tuple(types.get(t, ()))
+            assert onto.instances_of(t) == tuple(members.get(t, ()))
+
+    for op in ops:
+        if op[0] == "statement":
+            s, r, o = instances[op[1]], relations[op[2]], objects[op[3]]
+            onto.add_statement(s, r, o)
+            log_statement(s, r, o)
+            log_statement(o, r ^ 1, s)
+        elif op[0] == "type":
+            x, c = instances[op[1]], classes[op[2]]
+            onto.add_type(x, c)
+            if c not in types.setdefault(x, []):
+                types[x].append(c)
+                members.setdefault(c, []).append(x)
+        else:
+            check()
+    check()
+    onto.close_under_schema()
+    check()
