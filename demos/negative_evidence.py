@@ -6,9 +6,10 @@ scoring only accumulates support, so the untouched code and name literals
 still pull every pair to 1.0. With negative evidence on, an aligned relation
 whose values disagree pushes back, and almost every match is given up.
 
-Turn it on when sources are complete and disagreement is meaningful;
+Turn it on only when sources are complete and disagreement is meaningful;
 leave it off when one side is merely sparse, or missing values will be
-punished like contradictions.
+punished like contradictions. Even on complete sources the assignment can
+oscillate instead of converging (see the README's caveat), as it does here.
 """
 
 import tempfile

@@ -129,6 +129,9 @@ def _manifest_lines(
         kv[f"{base}.subrelations"] = s.subrelations
         kv[f"{base}.pairs_evaluated"] = s.pairs_evaluated
         kv[f"{base}.seconds"] = f"{s.seconds:.3f}"
+        kv[f"{base}.instance_sweep.seconds"] = f"{s.instance_sweep_seconds:.3f}"
+        kv[f"{base}.assignment.seconds"] = f"{s.assignment_seconds:.3f}"
+        kv[f"{base}.relation_sweep.seconds"] = f"{s.relation_sweep_seconds:.3f}"
     for name, (path, count) in outputs.items():
         kv[f"output.{name}.path"] = str(path)
         kv[f"output.{name}.rows"] = count

@@ -102,9 +102,14 @@ class IterationStats:
 
     `pairs_evaluated` counts the candidate pairs the instance sweep scored:
     the pairs reached through a statement whose bounded contribution could
-    lift a pair over theta. Pairs reached only through weak statements, such
-    as those naming a hub value, are never scored, since they could never
+    lift a pair over theta, by a landing with a nonzero weight. Pairs reached
+    only through weak statements, such as those naming a hub value, or only
+    through zero-weight landings are never scored, since they could never
     be stored.
+
+    `seconds` is the whole iteration's wall time. The three phase times
+    within it are the instance sweep and the relation sweep, each with the
+    build of its evidence view, and the assignment with its change count.
     """
 
     iteration: int
@@ -115,6 +120,9 @@ class IterationStats:
     subrelations: int
     pairs_evaluated: int
     seconds: float
+    instance_sweep_seconds: float
+    assignment_seconds: float
+    relation_sweep_seconds: float
 
 
 class EquivalenceTable:
@@ -363,6 +371,9 @@ def bootstrap(
 _TERM_SLACK = 2.0**-50
 
 
+# An aligned relation r2 of a first-ontology relation r and the two penalty
+# weights of a statement of r against it (see `_penalty_weights`).
+PenaltyWeight = tuple[int, float | None, float | None]
 # One candidate-independent part of a pair's penalties: the object's evidence
 # row, the aligned relation and the two penalty weights (see `_penalty_plan`).
 PenaltyTerm = tuple[dict[int, float], int, float | None, float | None]
@@ -388,10 +399,17 @@ class _InstanceFactors:
     the factor list that full enumeration gives, so its value is unchanged.
     Penalties only lower a score, so they change nothing of this.
 
-    Under negative evidence, the part of x's penalties that does not depend
-    on the candidate is built once per x (see `_penalty_plan`), so each
+    A landing whose two weights are both 0.0, such as one through a relation
+    pair with no stored inclusion, adds no factor and makes no candidate: its
+    factor would be exactly 1.0.
+
+    Under negative evidence, the penalty weights are built once per sweep
+    (see `_penalty_weights`) and the part of x's penalties that does not
+    depend on the candidate once per x (see `_penalty_plan`), so each
     candidate x2 costs only the walk over its own objects. The sweep scores
-    x's candidates one after another; one plan is kept at a time.
+    x's candidates one after another; one plan is kept at a time. Penalties
+    are walked only for a pair that can still be stored, and the walk stops
+    as soon as one penalty rules it out (see `probability`).
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -414,9 +432,10 @@ class _InstanceFactors:
             d12, d21 = state.subrel.o1_to_o2, state.subrel.o2_to_o1
             self._sub12 = lambda r1, r2: d12.get((r1, r2), 0.0)
             self._sub21 = lambda r2, r1: d21.get((r2, r1), 0.0)
-        # negative evidence: aligned relations (none without it, so no
-        # penalties), and the equality each penalty's inner product reads
-        self._rel_partners = _relation_partner_map(state) if cfg.negative_evidence else {}
+        # negative evidence: aligned relations and their penalty weights (none
+        # without it, so no penalties), and the equality each penalty's inner
+        # product reads
+        self._weights = self._penalty_weights(state.subrel) if cfg.negative_evidence else {}
         self._evidence_row = ev.row
         self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
         self._objs: dict[int, dict[int, list[int]]] = {}
@@ -471,7 +490,8 @@ class _InstanceFactors:
                 if kinds2[x2] != INSTANCE:
                     continue
                 c = coefs.get(q) or self._coefficient(coefs, r, q)
-                acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
+                if c[0] or c[1]:
+                    acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
 
     def _landing(self, y2: int) -> tuple[int, tuple[int, ...]]:
         """How many instance statements q(y2, x2) there are, and their
@@ -561,34 +581,53 @@ class _InstanceFactors:
             self._add_factors(acc, r, self._partners(y), (x2,))
         return acc.get(x2, [])
 
+    def _penalty_weights(
+        self, subrel: SubrelationTable | None
+    ) -> dict[int, tuple[PenaltyWeight, ...]]:
+        """Per first-ontology relation r, one entry per aligned relation r2
+        of r, that is per r2 with a stored inclusion score either way: r2 and
+        the two weights fun1(r) P(r2 in r) and fun2(r2) P(r in r2), each None
+        where its inclusion is not positive. Empty during the bootstrap
+        iteration (the prior is implicit), so penalties only ever weigh
+        computed alignments."""
+        if subrel is None:
+            return {}
+        aligned: dict[int, set[int]] = {}
+        for r1, r2 in subrel.o1_to_o2:
+            aligned.setdefault(r1, set()).add(r2)
+        for r2, r1 in subrel.o2_to_o1:
+            aligned.setdefault(r1, set()).add(r2)
+        weights: dict[int, tuple[PenaltyWeight, ...]] = {}
+        for r, r2s in aligned.items():
+            fr = self._fun1(r)
+            entries = []
+            for r2 in sorted(r2s):
+                s21 = self._sub21(r2, r)
+                s12 = self._sub12(r, r2)
+                entries.append((
+                    r2,
+                    fr * s21 if s21 > 0.0 else None,
+                    self._fun2(r2) * s12 if s12 > 0.0 else None,
+                ))
+            weights[r] = tuple(entries)
+        return weights
+
     def _penalty_plan(self, x: int) -> list[PenaltyTerm]:
         """The part of x's penalties that does not depend on the candidate:
-        one term per statement r(x, y) and aligned relation r2 of r, holding
-        y's evidence row, r2 and the two weights fun1(r) P(r2 in r) and
-        fun2(r2) P(r in r2), each None where its inclusion is not positive.
-        Relations with neither inclusion positive get no term."""
-        sub12, sub21, fun2, evidence_row = (
-            self._sub12, self._sub21, self._fun2, self._evidence_row
-        )
-        plan: list[PenaltyTerm] = []
-        for r, y in self._stmts1.get(x, ()):
-            fr = self._fun1(r)
-            for r2 in self._rel_partners.get(r, ()):
-                s21 = sub21(r2, r)
-                s12 = sub12(r, r2)
-                if s21 <= 0.0 and s12 <= 0.0:
-                    continue
-                plan.append((
-                    evidence_row(y), r2,
-                    fr * s21 if s21 > 0.0 else None,
-                    fun2(r2) * s12 if s12 > 0.0 else None,
-                ))
-        return plan
+        one term per statement r(x, y) and entry (r2, w21, w12) of r's
+        penalty weights, holding y's evidence row, r2 and the two weights."""
+        weights, evidence_row = self._weights, self._evidence_row
+        return [
+            (evidence_row(y), r2, w21, w12)
+            for r, y in self._stmts1.get(x, ())
+            for r2, w21, w12 in weights.get(r, ())
+        ]
 
-    def _penalties(self, x: int, x2: int) -> list[float]:
+    def _penalties(self, x: int, x2: int, p: float, floor: float) -> list[float] | None:
         """Negative-evidence factors: statements of x whose objects have no
         equal among x2's objects under an aligned relation count against the
-        pair.
+        pair. None as soon as one factor f has p f <= floor: the pair's score
+        p prod(factors) can then not exceed floor (see `probability`).
 
         A candidate that lacks an aligned relation entirely is penalized
         through the empty inner product (worth exactly 1), i.e. having the
@@ -617,18 +656,36 @@ class _InstanceFactors:
             else:
                 inner = (1.0 - pair_prev) ** len(objs)
             if w21 is not None:
-                pens.append(1.0 - w21 * inner)
+                f = 1.0 - w21 * inner
+                if p * f <= floor:
+                    return None
+                pens.append(f)
             if w12 is not None:
-                pens.append(1.0 - w12 * inner)
+                f = 1.0 - w12 * inner
+                if p * f <= floor:
+                    return None
+                pens.append(f)
         return pens
 
-    def probability(self, x: int, x2: int, factors: list[float]) -> float:
-        """The pair's score from its positive factors: 1 - prod(factors),
-        times the penalties under negative evidence. Not floored at theta."""
+    def probability(
+        self, x: int, x2: int, factors: list[float], floor: float = 0.0
+    ) -> float:
+        """The pair's score from its positive factors: p = 1 - prod(factors),
+        times the penalties under negative evidence.
+
+        The value is exact whenever the score is above `floor`, and not above
+        `floor` otherwise. Penalties are walked only for p > floor, and the
+        walk stops at the first penalty f with p f <= floor. Both cuts are
+        exact: every factor lies in [0, 1] and float multiplication is
+        monotone, so the ascending product of the penalties is at most each
+        of them, and p times it at most p f. With the default floor 0.0 every
+        value is exact, since no score is negative.
+        """
         p = 1.0 - _sorted_product(factors)
-        if self._rel_partners and p > 0.0:
-            p *= _sorted_product(self._penalties(x, x2))
-        return p
+        if not self._weights or p <= floor:
+            return p
+        pens = self._penalties(x, x2, p, floor)
+        return 0.0 if pens is None else p * _sorted_product(pens)
 
 
 def _sorted_product(factors: list[float]) -> float:
@@ -637,20 +694,6 @@ def _sorted_product(factors: list[float]) -> float:
     for f in factors:
         prod *= f
     return prod
-
-
-def _relation_partner_map(state: AlignmentState) -> dict[int, tuple[int, ...]]:
-    """First-ontology relation -> second-ontology relations with any stored
-    inclusion score. Empty during the bootstrap iteration (prior is implicit),
-    so penalties only ever weigh computed alignments."""
-    if state.subrel is None:
-        return {}
-    partners: dict[int, set[int]] = {}
-    for (r1, r2) in state.subrel.o1_to_o2:
-        partners.setdefault(r1, set()).add(r2)
-    for (r2, r1) in state.subrel.o2_to_o1:
-        partners.setdefault(r1, set()).add(r2)
-    return {r1: tuple(sorted(rs)) for r1, rs in partners.items()}
 
 
 def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
@@ -687,7 +730,7 @@ def _instance_rows(
         evaluated += len(acc)
         row: dict[int, float] = {}
         for x2, fs in acc.items():
-            p = factors.probability(x, x2, fs)
+            p = factors.probability(x, x2, fs, theta)
             if p > theta:
                 row[x2] = p
         if row:
@@ -942,9 +985,12 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     """One full iteration: instance sweep, assignment, relation sweep."""
     started = time.perf_counter()
     table, evaluated = update_all_instances(state)
+    swept = time.perf_counter()
     assignment = compute_maximal_assignment(table, state.o1, state.o2)
     changed, tracked = _assignment_change(state.assignment, assignment)
+    assigned = time.perf_counter()
     subrel = update_subrelations(state, table, assignment)
+    finished = time.perf_counter()
     fresh = AlignmentState(
         o1=state.o1, o2=state.o2, config=state.config,
         fun1=state.fun1, fun2=state.fun2, measure=state.measure,
@@ -961,6 +1007,9 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
         subrelations=len(subrel),
         pairs_evaluated=evaluated,
         seconds=time.perf_counter() - started,
+        instance_sweep_seconds=swept - started,
+        assignment_seconds=assigned - swept,
+        relation_sweep_seconds=finished - assigned,
     )
     return fresh, stats
 

@@ -181,6 +181,24 @@ def test_manifest_reports_load_time_and_rejections_per_side(tmp_path):
     assert float(manifest["phase.load.seconds"]) >= 0.0
 
 
+def test_manifest_times_each_phase_of_every_iteration(world):
+    """Each iteration's instance sweep, assignment and relation sweep get a
+    time of their own, within the iteration's time. Each value is written
+    to the millisecond, so the three may exceed the total by at most 2 ms."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    for n in range(1, int(manifest["iterations"]) + 1):
+        phases = [
+            float(manifest[f"iteration.{n}.{phase}.seconds"])
+            for phase in ("instance_sweep", "assignment", "relation_sweep")
+        ]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= float(manifest[f"iteration.{n}.seconds"]) + 0.002
+
+
 @pytest.mark.parametrize("bad_arg", ["predicted", "gold", "facts"])
 def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
     data, out = world

@@ -1,7 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import alice_pair, engine_table_dict, make_ontology, random_world_pair
 from ontoalign.engine import (
@@ -14,6 +17,7 @@ from ontoalign.engine import (
     run_fixpoint,
     step,
     update_all_instances,
+    _sorted_product,
 )
 from ontoalign.store import INSTANCE, Ontology
 
@@ -52,21 +56,23 @@ def hub_world_pair():
     return random_world_pair(random.Random(11), n_inst=30, drop=0.2, hub=True)
 
 
+def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
+    """Each of `steps` sweeps stores every pair whose one-pair score is above
+    theta, at that score, and no other pair."""
+    state = bootstrap(o1, o2, cfg)
+    for _ in range(steps):
+        table, _ = update_all_instances(state)
+        for x in o1.instances():
+            for x2 in o2.instances():
+                p = instance_equivalence(state, x, x2)
+                assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
+        state, _ = step(state)
+
+
 def test_one_pair_operation_agrees_with_sweep_everywhere(alice):
     configs = (AlignmentConfig(), AlignmentConfig(restrict_to_assignment=False))
     for (o1, o2), cfg in itertools.product((alice, hub_world_pair()), configs):
-        state = bootstrap(o1, o2, cfg)
-        for _ in range(2):
-            table, _ = update_all_instances(state)
-            for x in o1.instances():
-                for x2 in o2.instances():
-                    p = instance_equivalence(state, x, x2)
-                    stored = table.get(x, x2)
-                    if p > state.config.theta:
-                        assert stored == p
-                    else:
-                        assert stored == 0.0
-            state, _ = step(state)
+        assert_sweeps_store_one_pair_scores(o1, o2, cfg, 2)
 
 
 def test_fixpoint_saturates_and_converges(alice):
@@ -372,14 +378,51 @@ def test_negative_one_pair_operation_matches_sweep():
         AlignmentConfig(negative_evidence=True, restrict_to_assignment=False),
     )
     for (o1, o2), cfg in itertools.product((conflicting_phone_pair(), hub_world_pair()), configs):
-        state = bootstrap(o1, o2, cfg)
-        for _ in range(3):
-            table, _ = update_all_instances(state)
-            for x in o1.instances():
-                for x2 in o2.instances():
-                    p = instance_equivalence(state, x, x2)
-                    assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
-            state, _ = step(state)
+        assert_sweeps_store_one_pair_scores(o1, o2, cfg, 3)
+
+
+def test_negative_sweep_cuts_exactly_at_theta():
+    """The sweep stops scoring a pair once it can no longer be stored. On
+    ambiguous worlds, for every theta, it must still store exactly the pairs
+    whose one-pair score is above theta, at that score. A two-value pool
+    gives many pairs a score just above theta after a mild penalty, which is
+    where a cut that is not exact shows."""
+    rng = random.Random(5150)
+    for theta, inner, restrict in itertools.product(
+        (0.05, 0.1, 0.3), ("object", "pair"), (True, False)
+    ):
+        cfg = AlignmentConfig(
+            theta=theta, negative_evidence=True, negative_inner=inner,
+            restrict_to_assignment=restrict,
+        )
+        for hub in (False, False, True):
+            o1, o2 = random_world_pair(
+                rng, n_inst=rng.randint(10, 14), n_attr=3, drop=0.3, value_pool=2, hub=hub,
+            )
+            assert_sweeps_store_one_pair_scores(o1, o2, cfg, 3)
+
+
+# factors in [0, 1], with the edges and subnormals drawn often
+UNIT_FLOATS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, sys.float_info.min),
+    st.sampled_from((0.0, 1.0, 5e-324, sys.float_info.min, 1.0 - 2.0**-53)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    factors=st.lists(UNIT_FLOATS, min_size=1, max_size=12),
+    p=UNIT_FLOATS.filter(lambda v: v > 0.0),
+)
+def test_sorted_product_is_at_most_each_factor(factors, p):
+    """The float fact the sweep's cuts at theta rest on: for factors in
+    [0, 1], the ascending product is at most each factor f, and p times the
+    product is at most p f."""
+    prod = _sorted_product(list(factors))
+    for f in factors:
+        assert prod <= f
+        assert p * prod <= p * f
 
 
 def test_negative_inner_pair_mode_uses_previous_pair_probability():
