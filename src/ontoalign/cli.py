@@ -23,6 +23,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .engine import AlignmentConfig, AlignmentResult, run_fixpoint, result_rows
 from .evaluation import evaluate_instances, evaluate_threshold_sweep
 from .functionality import MODES, build_functionality_table
@@ -100,6 +105,13 @@ def _digest(paths) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (2**20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _manifest_lines(
     args: argparse.Namespace,
     result: AlignmentResult,
@@ -111,7 +123,10 @@ def _manifest_lines(
         "converged": str(result.converged).lower(),
         "iterations": len(result.iterations),
         "phase.load.seconds": f"{load_seconds:.3f}",
+        "phase.classes.seconds": f"{result.class_seconds:.3f}",
     }
+    if resource is not None:
+        kv["process.peak_rss_mb"] = f"{_peak_rss_mb():.1f}"
     for side, path, onto in (("left", args.left, result.o1), ("right", args.right, result.o2)):
         kv[f"input.{side}.path"] = path
         kv[f"input.{side}.sha256"] = _digest(path)

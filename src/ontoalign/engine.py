@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,18 +130,17 @@ class EquivalenceTable:
     """Sparse term-equivalence probabilities: the run's literal seeds and one
     sweep's instance rows.
 
-    The seeds are the run's `LiteralShare`, read in place, so a table holds
-    them without copying them. `set` adds instance rows only; they are kept
-    by first-ontology term and by second-ontology term, for the assignment.
-    Seeds pair literals with literals and instance rows pair instances with
-    instances, so the two never share a key. `get`, `pairs` and `len` cover
-    both.
+    The seeds are the sorted partner tuples of the run's `LiteralShare`, read
+    in place, so a table holds them without copying them. `set` adds instance
+    rows only, kept by first-ontology term; the assignment takes both of its
+    directions from these forward rows. Seeds pair literals with literals and
+    instance rows pair instances with instances, so the two never share a
+    key. `get`, `pairs` and `len` cover both.
     """
 
     def __init__(self, literals: LiteralShare) -> None:
-        self._seeds = literals.left
+        self._seeds = literals.left_sorted
         self._fwd: dict[int, dict[int, float]] = {}
-        self._bwd: dict[int, dict[int, float]] = {}
         self._n = 0
 
     def set(self, left: int, right: int, p: float) -> None:
@@ -148,11 +148,14 @@ class EquivalenceTable:
         if right not in row:
             self._n += 1
         row[right] = p
-        self._bwd.setdefault(right, {})[left] = p
 
     def get(self, left: int, right: int) -> float:
-        row = self._fwd.get(left) or self._seeds.get(left, _EMPTY)
-        return row.get(right, 0.0)
+        row = self._fwd.get(left)
+        if row is not None:
+            return row.get(right, 0.0)
+        parts = self._seeds.get(left, ())
+        i = bisect_left(parts, (right,))
+        return parts[i][1] if i < len(parts) and parts[i][0] == right else 0.0
 
     def instance_pairs(self):
         """The pairs `set` stored, in insertion order."""
@@ -162,16 +165,13 @@ class EquivalenceTable:
 
     def pairs(self):
         """Every stored pair: the seeds, then the instance rows."""
-        for left, row in self._seeds.items():
-            for right, p in row.items():
+        for left, parts in self._seeds.items():
+            for right, p in parts:
                 yield left, right, p
         yield from self.instance_pairs()
 
     def __len__(self) -> int:
         return self._n + sum(map(len, self._seeds.values()))
-
-
-_EMPTY: dict[int, float] = {}
 
 
 @dataclass
@@ -211,16 +211,15 @@ Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by
 
 def _partner_maps(
     pairs: list[tuple[int, int, float]],
-) -> tuple[dict[int, dict[int, float]], dict[int, Partners], dict[int, Partners]]:
-    """P by first-ontology term, then partner; and each term's partners, seen
-    from the first ontology and from the second."""
+) -> tuple[dict[int, Partners], dict[int, Partners]]:
+    """Each term's partners, seen from the first ontology and from the
+    second; a pair listed twice keeps its last p."""
     left: dict[int, dict[int, float]] = {}
     right: dict[int, dict[int, float]] = {}
     for a, b, p in pairs:
         left.setdefault(a, {})[b] = p
         right.setdefault(b, {})[a] = p
     return (
-        left,
         {a: tuple(sorted(row.items())) for a, row in left.items()},
         {b: tuple(sorted(row.items())) for b, row in right.items()},
     )
@@ -231,10 +230,11 @@ class LiteralShare(NamedTuple):
     literal share of every equivalence table and every evidence view.
 
     Seeds never change, so `bootstrap` builds this once per run, and every
-    later state, table and view reads it in place.
+    later state, table and view reads it in place. Each map is kept in one
+    form only, as sorted partner tuples: a lookup of one pair's p searches
+    its term's tuple.
     """
 
-    left: dict[int, dict[int, float]]
     left_sorted: dict[int, Partners]
     right_sorted: dict[int, Partners]
 
@@ -263,6 +263,9 @@ class AlignmentState:
 
 @dataclass
 class AlignmentResult:
+    """A finished run. `class_seconds` is the wall time of the class
+    inclusions, computed once after the last iteration."""
+
     o1: Ontology
     o2: Ontology
     config: AlignmentConfig
@@ -272,6 +275,7 @@ class AlignmentResult:
     classes: ClassAlignmentTable
     iterations: list[IterationStats]
     converged: bool
+    class_seconds: float
 
 
 class EvidenceView:
@@ -287,6 +291,9 @@ class EvidenceView:
       `assignment.backward` (whose entries carry the stored p), so an
       instance has at most two partners. With the restriction off, it is
       every instance row of the table.
+
+    Both shares hold sorted partner tuples only, with no dict per term: the
+    penalties find P(y, y2) by a scan of y's tuple (see `_penalties`).
     """
 
     def __init__(
@@ -301,8 +308,7 @@ class EvidenceView:
             pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
         else:
             pairs = list(table.instance_pairs())
-        self._left, self._left_sorted, self._right_sorted = _partner_maps(pairs)
-        self._literal_left = literals.left
+        self._left_sorted, self._right_sorted = _partner_maps(pairs)
         self._literal_left_sorted = literals.left_sorted
         self._literal_right_sorted = literals.right_sorted
 
@@ -312,10 +318,6 @@ class EvidenceView:
 
     def partners_right(self, term: int) -> Partners:
         return self._right_sorted.get(term) or self._literal_right_sorted.get(term, ())
-
-    def row(self, left: int) -> dict[int, float]:
-        """P by second-ontology partner, for a first-ontology term."""
-        return self._left.get(left) or self._literal_left.get(left, _EMPTY)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -374,9 +376,10 @@ _TERM_SLACK = 2.0**-50
 # An aligned relation r2 of a first-ontology relation r and the two penalty
 # weights of a statement of r against it (see `_penalty_weights`).
 PenaltyWeight = tuple[int, float | None, float | None]
-# One candidate-independent part of a pair's penalties: the object's evidence
-# row, the aligned relation and the two penalty weights (see `_penalty_plan`).
-PenaltyTerm = tuple[dict[int, float], int, float | None, float | None]
+# One candidate-independent part of a pair's penalties: the object's sorted
+# partners, the aligned relation and the two penalty weights (see
+# `_penalty_plan`).
+PenaltyTerm = tuple[Partners, int, float | None, float | None]
 
 
 class _InstanceFactors:
@@ -436,7 +439,6 @@ class _InstanceFactors:
         # without it, so no penalties), and the equality each penalty's inner
         # product reads
         self._weights = self._penalty_weights(state.subrel) if cfg.negative_evidence else {}
-        self._evidence_row = ev.row
         self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
         self._objs: dict[int, dict[int, list[int]]] = {}
         self._plan_of: int | None = None  # the instance `_plan` belongs to
@@ -615,10 +617,10 @@ class _InstanceFactors:
     def _penalty_plan(self, x: int) -> list[PenaltyTerm]:
         """The part of x's penalties that does not depend on the candidate:
         one term per statement r(x, y) and entry (r2, w21, w12) of r's
-        penalty weights, holding y's evidence row, r2 and the two weights."""
-        weights, evidence_row = self._weights, self._evidence_row
+        penalty weights, holding y's partners, r2 and the two weights."""
+        weights, partners = self._weights, self._partners
         return [
-            (evidence_row(y), r2, w21, w12)
+            (partners(y), r2, w21, w12)
             for r, y in self._stmts1.get(x, ())
             for r2, w21, w12 in weights.get(r, ())
         ]
@@ -645,14 +647,17 @@ class _InstanceFactors:
                 objs2.setdefault(q, []).append(o)
         pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
         pens: list[float] = []
-        for row, r2, w21, w12 in self._plan:
+        for parts, r2, w21, w12 in self._plan:
             objs = objs2.get(r2, ())
             if pair_prev is None:
                 inner = 1.0
                 for y2 in objs:
-                    pe = row.get(y2)
-                    if pe:
-                        inner *= 1.0 - pe
+                    # y's partners ascend, so the scan stops at y2's place
+                    for b, pe in parts:
+                        if b >= y2:
+                            if b == y2:
+                                inner *= 1.0 - pe
+                            break
             else:
                 inner = (1.0 - pair_prev) ** len(objs)
             if w21 is not None:
@@ -759,32 +764,32 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     return table, evaluated
 
 
-def _argmax(
-    rows: dict[int, dict[int, float]], other: Ontology
-) -> dict[int, tuple[int, float]]:
-    """Best partner (and score) per instance row; ties go to the lexically
-    smallest partner."""
-    out: dict[int, tuple[int, float]] = {}
-    for a, row in rows.items():
-        best: tuple[int, float] | None = None
-        for b, p in row.items():
-            if (
-                best is None
-                or p > best[1]
-                or (p == best[1] and other.lexical(b) < other.lexical(best[0]))
-            ):
-                best = (b, p)
-        if best:
-            out[a] = best
-    return out
-
-
 def compute_maximal_assignment(
     table: EquivalenceTable, o1: Ontology, o2: Ontology
 ) -> MaximalAssignment:
-    """Per-instance argmax over stored scores, both directions. The table's
-    own rows are instance rows only: the seeds are not among them."""
-    return MaximalAssignment(_argmax(table._fwd, o2), _argmax(table._bwd, o1))
+    """Per-instance argmax over stored scores, both directions, from one pass
+    over the table's forward rows. These are instance rows only: the seeds
+    are not among them.
+
+    Each instance's best partner has the highest p, and among equal p the
+    lexically smallest identifier. Lexical forms are unique within an
+    ontology, so this order is total and the result does not depend on the
+    order of the rows; only the key order of `backward` follows it.
+    """
+    lex1, lex2 = o1.lexical, o2.lexical
+    forward: dict[int, tuple[int, float]] = {}
+    backward: dict[int, tuple[int, float]] = {}
+    for a, row in table._fwd.items():
+        best: tuple[int, float] | None = None
+        for b, p in row.items():
+            if best is None or p > best[1] or (p == best[1] and lex2(b) < lex2(best[0])):
+                best = (b, p)
+            back = backward.get(b)
+            if back is None or p > back[1] or (p == back[1] and lex1(a) < lex1(back[0])):
+                backward[b] = (a, p)
+        if best:
+            forward[a] = best
+    return MaximalAssignment(forward, backward)
 
 
 # ------------------------------------------------------------- subrelations
@@ -1035,13 +1040,16 @@ def run_fixpoint(
         if stats.change_fraction < cfg.convergence_fraction:
             converged = True
             break
+    started = time.perf_counter()
     classes = compute_class_alignment(state)
+    class_seconds = time.perf_counter() - started
     if not converged and cfg.max_iterations > 0:
         log.warning("stopped at max_iterations=%d without converging", cfg.max_iterations)
     return AlignmentResult(
         o1=o1, o2=o2, config=cfg, equiv=state.equiv, assignment=state.assignment,
         subrel=state.subrel if state.subrel is not None else SubrelationTable(),
         classes=classes, iterations=history, converged=converged,
+        class_seconds=class_seconds,
     )
 
 

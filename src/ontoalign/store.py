@@ -21,10 +21,14 @@ Each inverse-closed statement s r o is held in exactly three indexes:
   insertion order. It deduplicates statements and answers
   :meth:`Ontology.has_statement` and :meth:`Ontology.relations_between`,
   which returns that tuple itself; the instance and relation sweeps call
-  the latter.
+  the latter. Almost every pair has one relation r, and its tuple ``(r,)``
+  is one object per relation, shared by all of r's statements; only a
+  second relation between the same two terms makes a tuple of its own.
 
 Types are held per instance and per class: :meth:`Ontology.classes_of` and
-:meth:`Ontology.instances_of` return tuples, in insertion order.
+:meth:`Ontology.instances_of` return tuples, in insertion order. A type
+edge added twice is kept once, at its first occurrence; the repeat is
+dropped when the logs are grouped, so no index of type pairs is kept.
 
 Term kinds are one list indexed by term id. :meth:`Ontology.kind` reads one
 entry; :meth:`Ontology.kinds` returns a read-only copy of the whole list,
@@ -87,6 +91,7 @@ class Ontology:
         # relation table: separate id space; ids 2k / 2k+1 are mutual inverses
         self._rel_id: dict[str, int] = {}
         self._rel_lex: list[str] = []
+        self._single: list[tuple[int]] = []  # (r,) per relation r, shared
         # statements, stored in both directions (see the module docstring)
         self._by_subject: dict[int, tuple[tuple[int, int], ...]] = {}
         self.by_relation: dict[int, list[tuple[int, int]]] = {}
@@ -94,7 +99,6 @@ class Ontology:
         # schema
         self._types_of: dict[int, tuple[int, ...]] = {}  # instance -> classes
         self._instances_of: dict[int, tuple[int, ...]] = {}  # class -> instances
-        self._type_pairs: set[tuple[int, int]] = set()
         self.subclass_edges: dict[int, set[int]] = {}
         self.subproperty_edges: dict[int, set[int]] = {}
         # inserts not yet grouped into the per-term tuples: parallel
@@ -134,6 +138,7 @@ class Ontology:
         inv_lex = lexical + INVERSE_MARK
         self._rel_id[inv_lex] = rid + 1
         self._rel_lex.append(inv_lex)
+        self._single += [(rid,), (rid + 1,)]
         return rid
 
     def term_id(self, lexical: str) -> int | None:
@@ -203,7 +208,7 @@ class Ontology:
         key = (s, o)
         rels = self._pair_rels.get(key)
         if rels is None:
-            self._pair_rels[key] = (r,)
+            self._pair_rels[key] = self._single[r]
         elif r in rels:
             return
         else:
@@ -242,9 +247,6 @@ class Ontology:
                 f"type edge needs instance and class, got"
                 f" {self._term_kind[instance]} / {self._term_kind[cls]}"
             )
-        if (instance, cls) in self._type_pairs:
-            return
-        self._type_pairs.add((instance, cls))
         self._typed_log.append(instance)
         self._class_log.append(cls)
 
@@ -261,10 +263,26 @@ class Ontology:
     def _group_logs(self) -> None:
         """Move the logged inserts into the per-term tuples, then clear the logs."""
         _append_grouped(self._by_subject, self._subject_log, self._row_log)
-        _append_grouped(self._types_of, self._typed_log, self._class_log)
+        typed = _append_grouped(self._types_of, self._typed_log, self._class_log)
         _append_grouped(self._instances_of, self._class_log, self._typed_log)
+        self._drop_repeated_types(typed)
         for entries in (self._subject_log, self._row_log, self._typed_log, self._class_log):
             entries.clear()
+
+    def _drop_repeated_types(self, instances: Iterable[int]) -> None:
+        """Keep only the first occurrence of each type edge added more than
+        once. A repeat shows in its instance's tuple, so only tuples of more
+        than one class are checked, and only the classes of a tuple that held
+        a repeat have their instance tuples rebuilt."""
+        types_of = self._types_of
+        repeated: set[int] = set()
+        for inst in instances:
+            classes = types_of[inst]
+            if len(classes) > 1 and len(set(classes)) < len(classes):
+                types_of[inst] = tuple(dict.fromkeys(classes))
+                repeated.update(classes)
+        for cls in repeated:
+            self._instances_of[cls] = tuple(dict.fromkeys(self._instances_of[cls]))
 
     def add_subclass(self, sub: int, sup: int) -> None:
         self.subclass_edges.setdefault(sub, set()).add(sup)
@@ -315,8 +333,11 @@ class Ontology:
                     )
 
 
-def _append_grouped(index: dict[int, tuple], keys: list[int], values: list) -> None:
-    """Append each ``values[i]`` to the tuple of ``keys[i]`` in index.
+def _append_grouped(
+    index: dict[int, tuple], keys: list[int], values: list
+) -> dict[int, None]:
+    """Append each ``values[i]`` to the tuple of ``keys[i]`` in index, and
+    return the keys whose tuples grew.
 
     A stable sort groups the log, so each key's values keep log order; keys
     new to the index are added in order of first appearance, as appending
@@ -327,8 +348,10 @@ def _append_grouped(index: dict[int, tuple], keys: list[int], values: list) -> N
         k: tuple(map(values.__getitem__, run))
         for k, run in groupby(order, keys.__getitem__)
     }
-    for k in dict.fromkeys(keys):
+    grown = dict.fromkeys(keys)
+    for k in grown:
         index[k] = index.get(k, ()) + runs[k]
+    return grown
 
 
 def _reachable(edges: dict[int, set[int]], start: int) -> set[int]:

@@ -181,6 +181,18 @@ def test_manifest_reports_load_time_and_rejections_per_side(tmp_path):
     assert float(manifest["phase.load.seconds"]) >= 0.0
 
 
+def test_manifest_reports_class_time_and_peak_memory(world):
+    """The class inclusions get a time of their own, and the run reports its
+    peak resident memory in MB."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert float(manifest["phase.classes.seconds"]) >= 0.0
+    assert float(manifest["process.peak_rss_mb"]) >= 0.0
+
+
 def test_manifest_times_each_phase_of_every_iteration(world):
     """Each iteration's instance sweep, assignment and relation sweep get a
     time of their own, within the iteration's time. Each value is written
@@ -343,9 +355,9 @@ def test_reader_closing_the_pipe_early_costs_no_traceback(world, tmp_path, comma
         for name in ("instances.tsv", "relations.tsv", "classes.tsv"):
             assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes()
 
-        def stable(path):  # the manifest without output paths and timings
+        def stable(path):  # the manifest without output paths, timings and memory
             lines = path.read_text(encoding="utf-8").splitlines()
             return [l for l in lines if not (l.startswith("output.") and ".path=" in l)
-                    and ".seconds=" not in l]
+                    and ".seconds=" not in l and not l.startswith("process.peak_rss_mb=")]
 
         assert stable(tmp_path / "out" / "manifest.txt") == stable(out / "manifest.txt")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from helpers import alice_pair, engine_table_dict, make_ontology, random_world_pair
 from ontoalign.engine import (
     AlignmentConfig,
+    EquivalenceTable,
+    EvidenceView,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
@@ -168,6 +170,80 @@ def test_assignment_ties_break_toward_smaller_lexical():
     x = o1.term_id("x")
     partner, _ = result.assignment.forward[x]
     assert o2.lexical(partner) == "za"
+
+
+_TIE_PROBABILITIES = (0.25, 0.5, 1.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.permutations(range(6)),
+    st.permutations(range(6)),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(_TIE_PROBABILITIES)),
+        max_size=30,
+    ),
+)
+def test_assignment_is_the_brute_force_argmax_both_ways(order1, order2, entries):
+    """Scores from a tiny set make ties common, and names are interned in a
+    shuffled order, so id order and lexical order differ. Each instance's
+    partner, either way, has the highest p and, among equal p, the
+    lexically smallest name."""
+    o1, o2 = Ontology("first"), Ontology("second")
+    # the k-th name is interned at the position the permutation gives it
+    ids1 = {k: o1.intern_term(f"a{k}", INSTANCE) for k in order1}
+    ids2 = {k: o2.intern_term(f"b{k}", INSTANCE) for k in order2}
+    table = EquivalenceTable(bootstrap(o1, o2).literals)
+    stored: dict[tuple[int, int], float] = {}
+    for i, j, p in entries:
+        table.set(ids1[i], ids2[j], p)
+        stored[(ids1[i], ids2[j])] = p
+    assignment = compute_maximal_assignment(table, o1, o2)
+
+    def brute(own, other, lexical):
+        best = {}
+        for key, p in stored.items():
+            a, b = key[own], key[other]
+            if a not in best or (-p, lexical(b)) < (-best[a][1], lexical(best[a][0])):
+                best[a] = (b, p)
+        return best
+
+    assert assignment.forward == brute(0, 1, o2.lexical)
+    assert assignment.backward == brute(1, 0, o1.lexical)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_seeds_with_several_partners_read_the_same_everywhere(swap):
+    """Under alnum-lower, two punctuated forms of one phone number both match
+    the bare form, so one literal has two partners. The table's lookups, its
+    pair list and count, and an evidence view's partner tuples all agree with
+    the seed list."""
+    side1 = [("p", "phone", '"213-467-1108"'), ("q", "phone", '"213/467/1108"')]
+    side2 = [("r", "tel", '"2134671108"')]
+    if swap:
+        side1, side2 = side2, side1
+    o1, o2 = make_ontology("first", side1), make_ontology("second", side2)
+    state = bootstrap(o1, o2, AlignmentConfig(literal_mode="alnum-lower"))
+    seeds = {(a, b): p for a, b, p in state.literal_seeds}
+    assert len(seeds) == 2
+    table = state.equiv
+    assert sorted(table.pairs()) == sorted((a, b, p) for (a, b), p in seeds.items())
+    assert len(table) == len(seeds)
+    assert all(table.get(a, b) == p for (a, b), p in seeds.items())
+    literals1, literals2 = o1.literals(), o2.literals()
+    for a in literals1:
+        for b in literals2:
+            assert table.get(a, b) == seeds.get((a, b), 0.0)
+        assert table.get(a, max(literals2) + 1) == 0.0
+    view = EvidenceView(state.literals, table, state.assignment, True)
+    for a in literals1:
+        assert view.partners_left(a) == tuple(sorted(
+            (b, p) for (a2, b), p in seeds.items() if a2 == a
+        ))
+    for b in literals2:
+        assert view.partners_right(b) == tuple(sorted(
+            (a, p) for (a, b2), p in seeds.items() if b2 == b
+        ))
 
 
 def test_restriction_limits_evidence_to_the_assignment():

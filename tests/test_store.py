@@ -312,6 +312,23 @@ def test_tracked_objects_do_not_grow_with_the_ontology(tmp_path):
     assert tracked_after_load(400) <= small + 50
 
 
+def test_single_relation_pairs_share_one_tuple_per_relation(tmp_path):
+    """Almost every pair of terms has one relation between them. Its tuple is
+    one object per relation, shared by every such statement, not one per
+    statement."""
+    generate_pair(tmp_path, instances=400, seed=1)
+    for name in ("left.nt", "right.nt"):
+        onto = load_ontology(tmp_path / name)
+        objects: dict[int, set[int]] = {}
+        for r in onto.relation_ids():
+            for s, o in onto.by_relation.get(r, ()):
+                rels = onto.relations_between(s, o)
+                if len(rels) == 1:
+                    objects.setdefault(rels[0], set()).add(id(rels))
+        assert len(objects) > 2
+        assert all(len(ids) == 1 for ids in objects.values())
+
+
 _INCREMENTS = st.lists(
     st.one_of(
         st.tuples(st.just("statement"), st.integers(0, 3), st.integers(0, 1),
