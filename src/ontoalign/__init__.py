@@ -43,7 +43,7 @@ from .ntriples import (
     read_alignment,
     write_alignment,
 )
-from .store import Ontology, Vocabulary, ontology_from_triples
+from .store import Ontology, ontology_from_triples
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "Ontology",
     "ParseError",
     "SubrelationTable",
-    "Vocabulary",
     "bootstrap",
     "build_functionality_table",
     "compute_class_alignment",

@@ -74,8 +74,6 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--functionality-mode", choices=MODES, default="harmonic-mean")
     p.add_argument("--class-threshold", type=float, default=0.4,
                    help="reporting floor for class rows")
-    p.add_argument("--class-ceiling", type=int, default=None,
-                   help="drop class rows for classes with more instances than this")
     p.add_argument("--all-probabilities", action="store_true",
                    help="write every stored instance pair, not just the maximal assignment")
     p.add_argument("--strict", action="store_true",
@@ -94,14 +92,17 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         literal_mode=args.literal_mode,
         functionality_mode=args.functionality_mode,
         class_score_threshold=args.class_threshold,
-        class_instance_ceiling=args.class_ceiling,
     )
 
 
 def _digest(paths) -> str:
+    """SHA-256 of the inputs' bytes, read in chunks: a whole file in memory
+    would raise the process's peak after it has been recorded."""
     h = hashlib.sha256()
     for f in _expand_paths(paths):
-        h.update(Path(f).read_bytes())
+        with open(f, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 

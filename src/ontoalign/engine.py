@@ -56,7 +56,6 @@ class AlignmentConfig:
     literal_mode: str = "strict"
     functionality_mode: str = "harmonic-mean"
     class_score_threshold: float = 0.4  # reporting floor for class rows
-    class_instance_ceiling: int | None = None  # drop class rows for classes larger than this
 
     def __post_init__(self) -> None:
         """Reject out-of-range settings with a ValueError naming the field."""
@@ -74,11 +73,6 @@ class AlignmentConfig:
         if not 0.0 <= self.class_score_threshold <= 1.0:
             problems.append(
                 f"class_score_threshold must be in [0, 1], got {self.class_score_threshold!r}"
-            )
-        if self.class_instance_ceiling is not None and self.class_instance_ceiling < 0:
-            problems.append(
-                f"class_instance_ceiling must be None or >= 0,"
-                f" got {self.class_instance_ceiling!r}"
             )
         if self.negative_inner not in ("object", "pair"):
             problems.append(
@@ -1063,8 +1057,7 @@ def result_rows(
 
     Instance rows are the forward maximal assignment. Relation and class rows
     keep the first ontology's term on the left and encode the inclusion
-    direction explicitly; class rows respect the reporting threshold and the
-    optional instance-count ceiling.
+    direction explicitly; class rows respect the reporting threshold.
     """
     o1, o2, cfg = result.o1, result.o2, result.config
     instances = [
@@ -1086,22 +1079,14 @@ def result_rows(
         for (r2, r1), p in result.subrel.o2_to_o1.items()
     ]
 
-    def class_ok(c1: int, c2: int) -> bool:
-        ceiling = cfg.class_instance_ceiling
-        if ceiling is None:
-            return True
-        return (
-            len(o1.instances_of(c1)) <= ceiling and len(o2.instances_of(c2)) <= ceiling
-        )
-
     classes = [
         AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "left_in_right")
         for (c1, c2), (p, _) in result.classes.o1_to_o2.items()
-        if p >= cfg.class_score_threshold and class_ok(c1, c2)
+        if p >= cfg.class_score_threshold
     ]
     classes += [
         AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "right_in_left")
         for (c2, c1), (p, _) in result.classes.o2_to_o1.items()
-        if p >= cfg.class_score_threshold and class_ok(c1, c2)
+        if p >= cfg.class_score_threshold
     ]
     return instances, relations, classes

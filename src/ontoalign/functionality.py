@@ -64,9 +64,7 @@ def global_functionality(onto: Ontology, relation: int, mode: str = "harmonic-me
 class FunctionalityTable:
     """Per-relation functionality for one ontology, inverses included."""
 
-    mode: str
-    values: list[float]
-    unused: list[bool]  # relations with no statements (reported as 1.0)
+    values: list[float]  # a relation with no statements reads 1.0
 
     def fun(self, relation: int) -> float:
         return self.values[relation]
@@ -78,10 +76,6 @@ class FunctionalityTable:
 def build_functionality_table(onto: Ontology, mode: str = "harmonic-mean") -> FunctionalityTable:
     if mode not in MODES:
         raise ValueError(f"unknown functionality mode {mode!r}; choose from {MODES}")
-    values: list[float] = []
-    unused: list[bool] = []
-    for rid in onto.relation_ids():
-        empty = not onto.by_relation.get(rid)
-        unused.append(empty)
-        values.append(1.0 if empty else global_functionality(onto, rid, mode))
-    return FunctionalityTable(mode=mode, values=values, unused=unused)
+    return FunctionalityTable([
+        global_functionality(onto, rid, mode) for rid in onto.relation_ids()
+    ])

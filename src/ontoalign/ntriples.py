@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .store import Ontology, Vocabulary, ontology_from_triples
+from .store import Ontology, ontology_from_triples
 
 log = logging.getLogger("ontoalign.ntriples")
 
@@ -147,7 +147,6 @@ def parse_ntriples(
 def load_ontology(
     paths: str | Path | Iterable[str | Path],
     origin: str = "first",
-    vocab: Vocabulary | None = None,
     max_skip_fraction: float = 0.01,
 ) -> Ontology:
     """Load and schema-close one ontology from N-Triples files.
@@ -175,7 +174,7 @@ def load_ontology(
         )
     if stats.skipped:
         log.warning("skipped %d malformed lines out of %d", stats.skipped, total)
-    onto = ontology_from_triples(triples, origin=origin, vocab=vocab)
+    onto = ontology_from_triples(triples, origin=origin)
     log.info(
         "loaded %s: %d terms, %d statements (inverse-closed), %d rejected",
         origin, onto.term_count(), onto.statement_count(), onto.rejected_statements,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from ontoalign.store import CLASS, INSTANCE, LITERAL, Ontology
+from ontoalign.store import RDF_TYPE, RDFS_SUBCLASSOF, Ontology, ontology_from_triples
 
 
 def make_ontology(
@@ -18,19 +18,10 @@ def make_ontology(
     Object names starting with a double quote are literals; everything else is
     an instance. Schema is closed before returning.
     """
-    onto = Ontology(origin)
-
-    def term(name: str) -> int:
-        return onto.intern_term(name, LITERAL if name.startswith('"') else INSTANCE)
-
-    for s, r, o in statements:
-        onto.add_statement(term(s), onto.intern_relation(r), term(o))
-    for sub, sup in subclasses:
-        onto.add_subclass(onto.intern_term(sub, CLASS), onto.intern_term(sup, CLASS))
-    for inst, cls in types:
-        onto.add_type(term(inst), onto.intern_term(cls, CLASS))
-    onto.close_under_schema()
-    return onto
+    triples = list(statements)
+    triples += [(sub, RDFS_SUBCLASSOF, sup) for sub, sup in subclasses]
+    triples += [(inst, RDF_TYPE, cls) for inst, cls in types]
+    return ontology_from_triples(triples, origin=origin)
 
 
 def alice_statements(label: str, born: str, married: str, names: list[str]):

@@ -239,7 +239,6 @@ def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
         ["--pair-cap", "0"],
         ["--class-threshold", "-0.1"],
         ["--class-threshold", "1.5"],
-        ["--class-ceiling", "-1"],
     ],
 )
 def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):

@@ -10,7 +10,7 @@ from ontoalign.functionality import (
     global_functionality,
     local_functionality,
 )
-from ontoalign.store import INSTANCE, Ontology
+from ontoalign.store import RDFS_SUBPROPERTYOF, ontology_from_triples
 
 
 def bornin_ontology():
@@ -44,12 +44,13 @@ def test_unknown_mode_rejected():
         global_functionality(onto, onto.relation_id("bornIn"), "median")
 
 
-def test_empty_relation_defaults_to_one_and_is_flagged():
-    onto = Ontology("first")
-    r = onto.intern_relation("unused")
+def test_empty_relation_defaults_to_one():
+    # a subPropertyOf edge names two relations and makes no statement
+    onto = ontology_from_triples([("unused", RDFS_SUBPROPERTYOF, "alsoUnused")])
+    r = onto.relation_id("unused")
     table = build_functionality_table(onto)
     assert table.fun(r) == 1.0
-    assert table.unused[r]
+    assert table.values == [1.0] * 4  # both relations and their inverses
 
 
 def test_inverse_fun_reads_the_partner_id():
@@ -81,20 +82,20 @@ def test_arg_ratio_is_clamped_to_one():
 
 def test_modes_agree_with_exact_rationals_on_random_relations():
     rng = random.Random(42)
-    onto = Ontology("first")
+    triples = []
     specs = []
     for i in range(60):
-        r = onto.intern_relation(f"r{i}")
         stmts = []
         for s in range(rng.randrange(1, 6)):
-            sid = onto.intern_term(f"s{i}-{s}", INSTANCE)
             for o in range(rng.randrange(1, 5)):
-                oid = onto.intern_term(f"o{i}-{rng.randrange(6)}", INSTANCE)
-                if not onto.has_statement(sid, r, oid):
-                    onto.add_statement(sid, r, oid)
-                    stmts.append((sid, oid))
-        specs.append((r, stmts))
-    for r, stmts in specs:
+                pair = (f"s{i}-{s}", f"o{i}-{rng.randrange(6)}")
+                if pair not in stmts:
+                    stmts.append(pair)
+        triples += [(s, f"r{i}", o) for s, o in stmts]
+        specs.append((f"r{i}", stmts))
+    onto = ontology_from_triples(triples)
+    for name, stmts in specs:
+        r = onto.relation_id(name)
         per_subject: dict[int, int] = {}
         for s, _ in stmts:
             per_subject[s] = per_subject.get(s, 0) + 1

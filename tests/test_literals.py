@@ -9,7 +9,7 @@ from ontoalign.literals import (
     literal_equality,
     literal_text,
 )
-from ontoalign.store import INSTANCE, LITERAL, Ontology
+from ontoalign.store import ontology_from_triples
 
 
 def test_literal_text_strips_quotes_and_tags():
@@ -40,11 +40,12 @@ def test_get_measure_rejects_unknown_names():
 
 
 def test_key_index_groups_by_key_and_drops_empty_keys():
-    onto = Ontology("first")
-    a = onto.intern_term('"Alice"', LITERAL)
-    b = onto.intern_term('"Alice"@en', LITERAL)
-    onto.intern_term('"  "', LITERAL)  # empty after trimming: anchors nothing
-    onto.intern_term("x", INSTANCE)
+    onto = ontology_from_triples([
+        ("x", "label", '"Alice"'),
+        ("x", "label", '"Alice"@en'),
+        ("x", "label", '"  "'),  # empty after trimming: anchors nothing
+    ])
+    a, b = onto.term_id('"Alice"'), onto.term_id('"Alice"@en')
     idx = build_key_index(onto, get_measure("strict"))
     assert idx == {"Alice": [a, b]}
 

@@ -12,119 +12,113 @@ from ontoalign.store import (
     INVERSE_MARK,
     LITERAL,
     RDF_TYPE,
+    RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
-    Ontology,
     ontology_from_triples,
 )
 
 
 def test_intern_is_idempotent_and_kind_stable():
-    onto = Ontology("first")
-    a = onto.intern_term("x", INSTANCE)
-    assert onto.intern_term("x", INSTANCE) == a
-    with pytest.raises(ValueError):
-        onto.intern_term("x", LITERAL)
+    """A lexical form is one term however often it appears, and a class
+    stays a class where a statement puts it in instance position."""
+    onto = ontology_from_triples([
+        ("x", "knows", "y"), ("y", "knows", "x"),
+        ("x", RDF_TYPE, "Person"), ("x", "knows", "Person"),
+    ])
+    assert onto.term_count() == 3
+    x, y = onto.term_id("x"), onto.term_id("y")
+    r = onto.relation_id("knows")
+    assert onto.has_statement(x, r, y) and onto.has_statement(y, r, x)
+    assert onto.kind(x) == INSTANCE
+    assert onto.kind(onto.term_id("Person")) == CLASS
+    assert onto.rejected_statements == 1
 
 
 def test_relations_come_in_inverse_pairs():
-    onto = Ontology("first")
-    r = onto.intern_relation("knows")
+    onto = ontology_from_triples(
+        [("a", "knows", "b"), ("b", "knows" + INVERSE_MARK, "c")]
+    )
+    r = onto.relation_id("knows")
     assert onto.inverse(r) == r + 1
     assert onto.inverse(onto.inverse(r)) == r
     assert onto.relation_lexical(onto.inverse(r)) == "knows" + INVERSE_MARK
-    # interning again returns the same base id
-    assert onto.intern_relation("knows") == r
+    # the inverse's name reads the same relation, not a second one
+    assert onto.relation_id("knows" + INVERSE_MARK) == onto.inverse(r)
+    assert list(onto.relation_ids()) == [r, r + 1]
 
 
 def test_statements_are_stored_in_both_directions():
-    onto = Ontology("first")
-    r = onto.intern_relation("bornIn")
-    a = onto.intern_term("alice", INSTANCE)
-    p = onto.intern_term("paris", INSTANCE)
-    onto.add_statement(a, r, p)
+    # idempotent: the repeated triple is stored once
+    onto = ontology_from_triples([("alice", "bornIn", "paris")] * 2)
+    r = onto.relation_id("bornIn")
+    a, p = onto.term_id("alice"), onto.term_id("paris")
     assert onto.has_statement(a, r, p)
     assert onto.has_statement(p, onto.inverse(r), a)
-    assert onto.statement_count() == 2
-    # idempotent
-    onto.add_statement(a, r, p)
     assert onto.statement_count() == 2
 
 
 def test_subject_constraints():
     """Literals may appear as subjects only through the automatic inverse."""
-    onto = Ontology("first")
-    r = onto.intern_relation("label")
-    a = onto.intern_term("alice", INSTANCE)
-    lit = onto.intern_term('"Alice"', LITERAL)
-    with pytest.raises(ValueError):
-        onto.add_statement(lit, r, a)
-    onto.add_statement(a, r, lit)
+    onto = ontology_from_triples(
+        [('"Alice"', "label", "alice"), ("alice", "label", '"Alice"')]
+    )
+    r = onto.relation_id("label")
+    a, lit = onto.term_id("alice"), onto.term_id('"Alice"')
+    assert onto.rejected_statements == 1
     assert onto.by_subject[lit] == ((onto.inverse(r), a),)
 
 
 def test_classes_cannot_join_ordinary_statements():
-    onto = Ontology("first")
-    r = onto.intern_relation("at")
-    a = onto.intern_term("alice", INSTANCE)
-    c = onto.intern_term("Person", CLASS)
-    with pytest.raises(ValueError):
-        onto.add_statement(a, r, c)
-    with pytest.raises(ValueError):
-        onto.add_statement(c, r, a)
+    onto = ontology_from_triples([
+        ("alice", RDF_TYPE, "Person"),
+        ("alice", "at", "Person"),
+        ("Person", "at", "alice"),
+    ])
+    assert onto.rejected_statements == 2
+    assert onto.statement_count() == 0
 
 
 def test_query_indexes_are_consistent():
-    onto = Ontology("first")
-    r = onto.intern_relation("bornIn")
-    a = onto.intern_term("a", INSTANCE)
-    b = onto.intern_term("b", INSTANCE)
-    p = onto.intern_term("p", INSTANCE)
-    onto.add_statement(a, r, p)
-    onto.add_statement(b, r, p)
+    onto = ontology_from_triples([("a", "bornIn", "p"), ("b", "bornIn", "p")])
+    r = onto.relation_id("bornIn")
+    a, b, p = (onto.term_id(n) for n in ("a", "b", "p"))
     assert sorted(onto.by_relation[r]) == sorted([(a, p), (b, p)])
     assert list(onto.relations_between(a, p)) == [r]
     assert list(onto.relations_between(p, a)) == [onto.inverse(r)]
 
 
 def test_schema_closure_materializes_superclass_members():
-    onto = Ontology("first")
-    person = onto.intern_term("Person", CLASS)
-    agent = onto.intern_term("Agent", CLASS)
-    onto.add_subclass(person, agent)
-    x = onto.intern_term("x", INSTANCE)
-    onto.add_type(x, person)
-    onto.close_under_schema()
+    onto = ontology_from_triples([
+        ("Person", RDFS_SUBCLASSOF, "Agent"),
+        ("x", RDF_TYPE, "Person"),
+        ("x", RDF_TYPE, "Agent"),  # given and also derived
+    ])
+    person, agent, x = (onto.term_id(n) for n in ("Person", "Agent", "x"))
     assert x in onto.instances_of(agent)
     assert set(onto.classes_of(x)) == {person, agent}
-    # calling again must not duplicate anything
-    onto.close_under_schema()
+    # the derived type must not duplicate the given one
     assert onto.instances_of(agent).count(x) == 1
 
 
 def test_schema_closure_materializes_superproperty_statements():
-    onto = Ontology("first")
-    sub = onto.intern_relation("capital")
-    sup = onto.intern_relation("cityOf")
-    onto.add_subproperty(sub, sup)
-    a = onto.intern_term("berlin", INSTANCE)
-    b = onto.intern_term("germany", INSTANCE)
-    onto.add_statement(a, sub, b)
-    onto.close_under_schema()
+    onto = ontology_from_triples([
+        ("capital", RDFS_SUBPROPERTYOF, "cityOf"),
+        ("berlin", "capital", "germany"),
+    ])
+    sup = onto.relation_id("cityOf")
+    a, b = onto.term_id("berlin"), onto.term_id("germany")
     assert onto.has_statement(a, sup, b)
     assert onto.has_statement(b, onto.inverse(sup), a)
 
 
 def test_subclass_cycles_collapse_with_warning(caplog):
-    onto = Ontology("first")
-    c1 = onto.intern_term("A", CLASS)
-    c2 = onto.intern_term("B", CLASS)
-    onto.add_subclass(c1, c2)
-    onto.add_subclass(c2, c1)
-    x = onto.intern_term("x", INSTANCE)
-    onto.add_type(x, c1)
     with caplog.at_level("WARNING"):
-        onto.close_under_schema()
-    assert x in onto.instances_of(c2)
+        onto = ontology_from_triples([
+            ("A", RDFS_SUBCLASSOF, "B"),
+            ("B", RDFS_SUBCLASSOF, "A"),
+            ("x", RDF_TYPE, "A"),
+        ])
+    assert onto.term_id("x") in onto.instances_of(onto.term_id("B"))
     assert any("cycle" in r.message.lower() for r in caplog.records)
 
 
@@ -214,14 +208,6 @@ def test_literal_subproperty_endpoint_is_rejected():
     assert names(onto) == names(plain)
     assert onto.statement_count() == plain.statement_count()
     assert onto.rejected_statements == 2
-
-
-def test_inverse_subproperty_edges_follow_base_edges():
-    onto = Ontology("first")
-    sub = onto.intern_relation("capital")
-    sup = onto.intern_relation("cityOf")
-    onto.add_subproperty(sub, sup)
-    assert onto.inverse(sup) in onto.subproperty_edges.get(onto.inverse(sub), set())
 
 
 _ENTITIES = ("e0", "e1", "e2", "e3")
@@ -329,56 +315,66 @@ def test_single_relation_pairs_share_one_tuple_per_relation(tmp_path):
         assert all(len(ids) == 1 for ids in objects.values())
 
 
-_INCREMENTS = st.lists(
-    st.one_of(
-        st.tuples(st.just("statement"), st.integers(0, 3), st.integers(0, 1),
-                  st.integers(0, 5)),
-        st.tuples(st.just("type"), st.integers(0, 3), st.integers(0, 2)),
-        st.just(("read",)),
-    ),
-    max_size=30,
-)
+_CLASSES = ("C0", "C1", "C2")
 
 
 @settings(max_examples=80, deadline=None)
-@given(_INCREMENTS)
-def test_reads_see_every_insert_in_insertion_order(ops):
-    """Reads between inserts, and after closing, see each statement and type
-    once, in insertion order, with subjects in order of first appearance."""
-    onto = Ontology("first")
-    instances = [onto.intern_term(f"e{i}", INSTANCE) for i in range(4)]
-    objects = instances + [onto.intern_term(f'"v{i}"', LITERAL) for i in range(2)]
-    relations = [onto.intern_relation(f"r{i}") for i in range(2)]
-    classes = [onto.intern_term(f"C{i}", CLASS) for i in range(3)]
-    # brute-force logs in insertion order
+@given(
+    st.lists(st.tuples(st.sampled_from(_ENTITIES), st.sampled_from(("r0", "r1")),
+                       st.sampled_from(_OBJECTS)), max_size=20),
+    st.lists(st.tuples(st.sampled_from(_ENTITIES), st.sampled_from(_CLASSES)),
+             max_size=12),
+    st.lists(st.tuples(st.sampled_from(_CLASSES), st.sampled_from(_CLASSES)),
+             max_size=3),
+)
+def test_reads_see_every_insert_in_insertion_order(statements, types, subclasses):
+    """by_subject, classes_of and instances_of hold each statement and type
+    once, in input order, with subjects in order of first appearance. The
+    types the subclass closure derives come after an instance's given ones,
+    and after a class's given members, in order of the instances' first
+    type edge."""
+    onto = ontology_from_triples(
+        statements
+        + [(a, RDFS_SUBCLASSOF, b) for a, b in subclasses]
+        + [(x, RDF_TYPE, c) for x, c in types]
+    )
+    tid = onto.term_id
     rows: dict[int, list[tuple[int, int]]] = {}
-    types: dict[int, list[int]] = {}
-    members: dict[int, list[int]] = {}
 
     def log_statement(s, r, o):
         if (r, o) not in rows.setdefault(s, []):
             rows[s].append((r, o))
 
-    def check():
-        assert list(onto.by_subject.items()) == [(s, tuple(v)) for s, v in rows.items()]
-        for t in range(onto.term_count()):
-            assert onto.classes_of(t) == tuple(types.get(t, ()))
-            assert onto.instances_of(t) == tuple(members.get(t, ()))
+    for s, r, o in statements:
+        rid = onto.relation_id(r)
+        log_statement(tid(s), rid, tid(o))
+        log_statement(tid(o), rid ^ 1, tid(s))
+    assert list(onto.by_subject.items()) == [(s, tuple(v)) for s, v in rows.items()]
 
-    for op in ops:
-        if op[0] == "statement":
-            s, r, o = instances[op[1]], relations[op[2]], objects[op[3]]
-            onto.add_statement(s, r, o)
-            log_statement(s, r, o)
-            log_statement(o, r ^ 1, s)
-        elif op[0] == "type":
-            x, c = instances[op[1]], classes[op[2]]
-            onto.add_type(x, c)
-            if c not in types.setdefault(x, []):
-                types[x].append(c)
-                members.setdefault(c, []).append(x)
+    above = {c: set() for c in _CLASSES}  # classes reachable over >= 1 edge
+    for _ in _CLASSES:  # enough rounds to follow the longest chain
+        for a, b in subclasses:
+            above[a] |= {b} | above[b]
+    given: dict[str, list[str]] = {}
+    members: dict[str, list[str]] = {}
+    for x, c in types:
+        if c not in given.setdefault(x, []):
+            given[x].append(c)
+            members.setdefault(c, []).append(x)
+    derived = {x: set().union(*(above[c] for c in cs)) - set(cs) for x, cs in given.items()}
+    for x, ds in derived.items():  # instances in order of their first type edge
+        for d in ds:
+            members.setdefault(d, []).append(x)
+
+    classes_of = {tid(x): cs for x, cs in given.items()}
+    for t in range(onto.term_count()):
+        listed = onto.classes_of(t)
+        if t in classes_of:
+            x = onto.lexical(t)
+            n = len(given[x])
+            assert listed[:n] == tuple(map(tid, given[x]))
+            assert sorted(listed[n:]) == sorted(map(tid, derived[x]))
         else:
-            check()
-    check()
-    onto.close_under_schema()
-    check()
+            assert listed == ()
+        names = members.get(onto.lexical(t), ()) if onto.kind(t) == CLASS else ()
+        assert onto.instances_of(t) == tuple(map(tid, names))
