@@ -23,12 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
-
-from .engine import AlignmentConfig, AlignmentResult, run_fixpoint, result_rows
+from .engine import AlignmentConfig, AlignmentResult, peak_rss_mb, result_rows, run_fixpoint
 from .evaluation import evaluate_instances, evaluate_threshold_sweep
 from .functionality import MODES, build_functionality_table
 from .literals import MEASURES
@@ -106,18 +101,12 @@ def _digest(paths) -> str:
     return h.hexdigest()
 
 
-def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far, in MB (2**20 bytes)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # kilobytes on Linux, bytes on macOS
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
-
-
 def _manifest_lines(
     args: argparse.Namespace,
     result: AlignmentResult,
     outputs: dict[str, tuple[Path, int]],
     load_seconds: float,
+    load_peak: float | None,
 ) -> list[str]:
     cfg = result.config
     kv: dict[str, object] = {
@@ -126,8 +115,11 @@ def _manifest_lines(
         "phase.load.seconds": f"{load_seconds:.3f}",
         "phase.classes.seconds": f"{result.class_seconds:.3f}",
     }
-    if resource is not None:
-        kv["process.peak_rss_mb"] = f"{_peak_rss_mb():.1f}"
+    peak = peak_rss_mb()
+    if peak is not None:
+        kv["process.peak_rss_mb"] = f"{peak:.1f}"
+    if load_peak is not None:
+        kv["phase.load.peak_rss_mb"] = f"{load_peak:.1f}"
     for side, path, onto in (("left", args.left, result.o1), ("right", args.right, result.o2)):
         kv[f"input.{side}.path"] = path
         kv[f"input.{side}.sha256"] = _digest(path)
@@ -148,6 +140,8 @@ def _manifest_lines(
         kv[f"{base}.instance_sweep.seconds"] = f"{s.instance_sweep_seconds:.3f}"
         kv[f"{base}.assignment.seconds"] = f"{s.assignment_seconds:.3f}"
         kv[f"{base}.relation_sweep.seconds"] = f"{s.relation_sweep_seconds:.3f}"
+        if s.peak_rss_mb is not None:
+            kv[f"{base}.peak_rss_mb"] = f"{s.peak_rss_mb:.1f}"
     for name, (path, count) in outputs.items():
         kv[f"output.{name}.path"] = str(path)
         kv[f"output.{name}.rows"] = count
@@ -168,6 +162,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     load_seconds = time.perf_counter() - started
+    load_peak = peak_rss_mb()
     result = run_fixpoint(o1, o2, config)
     instances, relations, classes = result_rows(result)
     if args.all_probabilities:
@@ -186,7 +181,8 @@ def cmd_align(args: argparse.Namespace) -> int:
             outputs[name] = (path, write_alignment(rows, path))
         manifest = out / "manifest.txt"
         manifest.write_text(
-            "\n".join(_manifest_lines(args, result, outputs, load_seconds)) + "\n",
+            "\n".join(_manifest_lines(args, result, outputs, load_seconds, load_peak))
+            + "\n",
             encoding="utf-8",
         )
     except OSError as exc:
@@ -264,7 +260,7 @@ def cmd_functionality(args: argparse.Namespace) -> int:
     table = build_functionality_table(onto, args.mode)
     rows = []
     for rid in range(0, len(table.values), 2):  # base relations; odd ids are inverses
-        stmts = len(onto.by_relation.get(rid, ()))
+        stmts = len(onto.relation_subjects[rid])
         if not stmts:
             continue
         rows.append(

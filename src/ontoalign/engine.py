@@ -29,15 +29,22 @@ on which ontology is called "first" when the two roles are swapped.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .functionality import MODES, FunctionalityTable, build_functionality_table
 from .literals import MEASURES, LiteralMeasure, build_key_index, get_measure
 from .ntriples import AlignmentRow
 from .store import INSTANCE, Ontology
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 log = logging.getLogger("ontoalign.engine")
 
@@ -105,6 +112,8 @@ class IterationStats:
     `seconds` is the whole iteration's wall time. The three phase times
     within it are the instance sweep and the relation sweep, each with the
     build of its evidence view, and the assignment with its change count.
+    `peak_rss_mb` is the process's peak resident memory at the iteration's
+    end (see `peak_rss_mb`), None without the `resource` module.
     """
 
     iteration: int
@@ -118,6 +127,17 @@ class IterationStats:
     instance_sweep_seconds: float
     assignment_seconds: float
     relation_sweep_seconds: float
+    peak_rss_mb: float | None
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MB (2**20 bytes);
+    None on a platform without the `resource` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 class EquivalenceTable:
@@ -412,9 +432,11 @@ class _InstanceFactors:
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
         cfg = state.config
         self._partners = ev.partners_left
-        self._stmts1 = state.o1.by_subject
-        self._stmts2 = state.o2.by_subject
-        self._rels2 = state.o2.relations_between
+        self._rels1 = state.o1.subject_relations
+        self._objs1 = state.o1.subject_objects
+        self._rels2 = state.o2.subject_relations
+        self._objs2 = state.o2.subject_objects
+        self._between2 = state.o2.relations_between
         self._kinds2 = state.o2.kinds()
         self._fun1 = state.fun1.fun
         self._fun2 = state.fun2.fun
@@ -478,10 +500,10 @@ class _InstanceFactors:
         kinds2 = self._kinds2
         for y2, pyy in parts:
             if among is None:
-                hits = self._stmts2.get(y2, ())
+                hits = zip(self._rels2[y2], self._objs2[y2])
             else:
-                rels2 = self._rels2
-                hits = [(q, x2) for x2 in among for q in rels2(y2, x2)]
+                between = self._between2
+                hits = [(q, x2) for x2 in among for q in between(y2, x2)]
             for q, x2 in hits:
                 if kinds2[x2] != INSTANCE:
                     continue
@@ -495,7 +517,10 @@ class _InstanceFactors:
         landing = self._landings.get(y2)
         if landing is None:
             kinds2 = self._kinds2
-            rels = [q for q, x2 in self._stmts2.get(y2, ()) if kinds2[x2] == INSTANCE]
+            rels = [
+                q for q, x2 in zip(self._rels2[y2], self._objs2[y2])
+                if kinds2[x2] == INSTANCE
+            ]
             landing = self._landings[y2] = (len(rels), tuple(dict.fromkeys(rels)))
         return landing
 
@@ -516,8 +541,8 @@ class _InstanceFactors:
         key = (r, y)
         if key in self._bounds:
             return self._bounds[key]
-        stmts2 = self._stmts2
-        if all(len(stmts2.get(y2, ())) <= 1 for y2, _ in parts):
+        objs2 = self._objs2
+        if all(len(objs2[y2]) <= 1 for y2, _ in parts):
             return None  # fast path: such partners cannot repeat a relation
         landings = [(pyy, self._landing(y2)) for y2, pyy in parts]
         if sum(n for _, (n, _) in landings) <= sum(len(qs) for _, (_, qs) in landings):
@@ -544,7 +569,7 @@ class _InstanceFactors:
         """Factors per candidate partner of x that could score above theta."""
         acc: dict[int, list[float]] = {}
         weak = []
-        for r, y in self._stmts1.get(x, ()):
+        for r, y in zip(self._rels1[x], self._objs1[x]):
             parts = self._partners(y)
             if not parts:
                 continue
@@ -573,7 +598,7 @@ class _InstanceFactors:
     def of_pair(self, x: int, x2: int) -> list[float]:
         """Every factor of the pair (x, x2), by lookup over all of x's statements."""
         acc: dict[int, list[float]] = {}
-        for r, y in self._stmts1.get(x, ()):
+        for r, y in zip(self._rels1[x], self._objs1[x]):
             self._add_factors(acc, r, self._partners(y), (x2,))
         return acc.get(x2, [])
 
@@ -615,7 +640,7 @@ class _InstanceFactors:
         weights, partners = self._weights, self._partners
         return [
             (partners(y), r2, w21, w12)
-            for r, y in self._stmts1.get(x, ())
+            for r, y in zip(self._rels1[x], self._objs1[x])
             for r2, w21, w12 in weights.get(r, ())
         ]
 
@@ -637,7 +662,7 @@ class _InstanceFactors:
         objs2 = self._objs.get(x2)
         if objs2 is None:
             objs2 = self._objs[x2] = {}
-            for q, o in self._stmts2.get(x2, ()):
+            for q, o in zip(self._rels2[x2], self._objs2[x2]):
                 objs2.setdefault(q, []).append(o)
         pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
         pens: list[float] = []
@@ -722,8 +747,8 @@ def _instance_rows(
     kinds1 = state.o1.kinds()
     rows: list[tuple[int, dict[int, float]]] = []
     evaluated = 0
-    for x in sorted(state.o1.by_subject):
-        if kinds1[x] != INSTANCE:
+    for x, rels in enumerate(state.o1.subject_relations):
+        if not rels or kinds1[x] != INSTANCE:
             continue
         acc = factors.candidates(x)
         evaluated += len(acc)
@@ -839,7 +864,7 @@ def _subrel_rows(
     den = 0.0
     inv_num: dict[int, float] | None = None  # the inverse's own sums, once they part
     inv_den = 0.0
-    for x, y in side.by_relation.get(relation, ())[:pair_cap]:
+    for x, y in islice(side.pairs(relation), pair_cap):
         ex = partners(x)
         if not ex:
             continue
@@ -899,9 +924,9 @@ def update_subrelations(
         (state.o1, state.o2, ev.partners_left, out.o1_to_o2),
         (state.o2, state.o1, ev.partners_right, out.o2_to_o1),
     ):
-        for r in sorted(side.by_relation):
-            if r & 1:
-                continue  # an inverse: scored with r ^ 1
+        for r in side.relation_ids()[::2]:  # each inverse is scored with r
+            if not side.relation_subjects[r]:
+                continue
             rows = _subrel_rows(side, other, partners, r, cfg.pair_cap)
             for rel, row in zip((r, r ^ 1), rows):
                 for q, p in row.items():
@@ -1009,6 +1034,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
         instance_sweep_seconds=swept - started,
         assignment_seconds=assigned - swept,
         relation_sweep_seconds=finished - assigned,
+        peak_rss_mb=peak_rss_mb(),
     )
     return fresh, stats
 

@@ -11,6 +11,7 @@ directions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .store import Ontology
@@ -20,7 +21,7 @@ MODES = ("harmonic-mean", "pair-ratio", "arg-ratio", "arithmetic-mean")
 
 def local_functionality(onto: Ontology, relation: int, subject: int) -> float:
     """1 / number of objects the subject has under the relation."""
-    count = sum(1 for r, _ in onto.by_subject.get(subject, ()) if r == relation)
+    count = onto.subject_relations[subject].count(relation)
     if count == 0:
         raise ValueError(
             f"{onto.relation_lexical(relation)} has no statement with subject"
@@ -39,22 +40,18 @@ def global_functionality(onto: Ontology, relation: int, mode: str = "harmonic-me
                     statements distribute over the subjects
     arithmetic-mean plain average of the local functionalities
     """
-    pairs = onto.by_relation.get(relation, ())
-    if not pairs:
+    subjects = onto.relation_subjects[relation]
+    if not subjects:
         return 1.0
-    per_subject: dict[int, int] = {}
-    objects: set[int] = set()
-    for s, o in pairs:
-        per_subject[s] = per_subject.get(s, 0) + 1
-        objects.add(o)
-    n_stmt = len(pairs)
+    per_subject = Counter(subjects)
+    n_stmt = len(subjects)
     n_subj = len(per_subject)
     if mode == "harmonic-mean":
         return n_subj / n_stmt
     if mode == "pair-ratio":
         return n_stmt / sum(k * k for k in per_subject.values())
     if mode == "arg-ratio":
-        return min(1.0, n_subj / len(objects))
+        return min(1.0, n_subj / len(set(onto.relation_objects[relation])))
     if mode == "arithmetic-mean":
         return sum(1.0 / k for k in per_subject.values()) / n_subj
     raise ValueError(f"unknown functionality mode {mode!r}; choose from {MODES}")

@@ -160,12 +160,8 @@ def load_ontology(
     if not files:
         raise ParseError(f"no N-Triples input found at {paths!r}")
     stats = ParseStats()
-    triples: list[tuple[str, str, str]] = []
-    for f in files:
-        try:
-            triples.extend(parse_ntriples(read_utf8_lines(f), stats))
-        except OSError as exc:
-            raise ParseError(f"cannot read {f}: {exc}") from exc
+    # the store reads the parser's triples as they come; none is kept whole
+    onto = ontology_from_triples(_parse_files(files, stats), origin=origin)
     total = stats.parsed + stats.skipped
     if total and stats.skipped / total > max_skip_fraction:
         raise ParseError(
@@ -174,12 +170,19 @@ def load_ontology(
         )
     if stats.skipped:
         log.warning("skipped %d malformed lines out of %d", stats.skipped, total)
-    onto = ontology_from_triples(triples, origin=origin)
     log.info(
         "loaded %s: %d terms, %d statements (inverse-closed), %d rejected",
         origin, onto.term_count(), onto.statement_count(), onto.rejected_statements,
     )
     return onto
+
+
+def _parse_files(files: list[Path], stats: ParseStats) -> Iterator[tuple[str, str, str]]:
+    for f in files:
+        try:
+            yield from parse_ntriples(read_utf8_lines(f), stats)
+        except OSError as exc:
+            raise ParseError(f"cannot read {f}: {exc}") from exc
 
 
 def _expand_paths(paths: str | Path | Iterable[str | Path]) -> list[Path]:

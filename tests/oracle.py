@@ -41,7 +41,7 @@ def naive_functionality(onto: Ontology, mode: str) -> dict[int, float]:
     """Global functionality per relation id, recomputed from raw statements."""
     out: dict[int, float] = {}
     for rid in onto.relation_ids():
-        stmts = onto.by_relation.get(rid, [])
+        stmts = list(onto.pairs(rid))
         if not stmts:
             out[rid] = 1.0
             continue
@@ -175,8 +175,8 @@ def oracle_instance_sweep(
             if o2.kind(x2) != INSTANCE:
                 continue
             factors = []
-            for r, y in o1.by_subject.get(x, ()):
-                for r2, y2 in o2.by_subject.get(x2, ()):
+            for r, y in o1.rows(x):
+                for r2, y2 in o2.rows(x2):
                     pyy = ev.p(y, y2)
                     if pyy <= 0.0:
                         continue
@@ -190,13 +190,13 @@ def oracle_instance_sweep(
             if negative and p > 0.0:
                 pens = []
                 prev_pair = prev_equiv.get((x, x2), 0.0)
-                for r, y in o1.by_subject.get(x, ()):
+                for r, y in o1.rows(x):
                     for r2 in penalty_rels.get(r, ()):
                         s21 = sub21(r2, r)
                         s12 = sub12(r, r2)
                         if s21 <= 0.0 and s12 <= 0.0:
                             continue
-                        objs = [o for q, o in o2.by_subject.get(x2, ()) if q == r2]
+                        objs = [o for q, o in o2.rows(x2) if q == r2]
                         if negative_inner == "pair":
                             inner = (1.0 - prev_pair) ** len(objs)
                         else:
@@ -253,10 +253,10 @@ def oracle_subrelations(
 
     def one_side(side, other, partners, all_other_rels):
         out: dict[tuple[int, int], float] = {}
-        for r in side.by_relation:
+        for r in side.relation_ids():
             num: dict[int, float] = {}
             den = 0.0
-            for x, y in side.by_relation[r][:pair_cap]:
+            for x, y in list(side.pairs(r))[:pair_cap]:
                 ex = partners.get(x, ())
                 ey = partners.get(y, ())
                 if not ex or not ey:
@@ -279,8 +279,8 @@ def oracle_subrelations(
                         out[(r, r2)] = v / den
         return out
 
-    rels2 = sorted(o2.by_relation)
-    rels1 = sorted(o1.by_relation)
+    rels2 = [r for r in o2.relation_ids() if o2.relation_subjects[r]]
+    rels1 = [r for r in o1.relation_ids() if o1.relation_subjects[r]]
     return (
         one_side(o1, o2, ev.left, rels2),
         one_side(o2, o1, ev.right, rels1),

@@ -171,7 +171,7 @@ def test_mirrored_inclusions_match_oracle_exactly():
             ev = EvidenceView(state.literals, state.equiv, state.assignment, False)
             several += sum(
                 len(ev.partners_left(x)) > 1 and len(ev.partners_left(y)) > 1
-                for rows in o1.by_relation.values() for x, y in rows
+                for r in o1.relation_ids() for x, y in o1.pairs(r)
             )
     assert several > 1000
     assert time.perf_counter() - started < 5.0

@@ -193,6 +193,24 @@ def test_manifest_reports_class_time_and_peak_memory(world):
     assert float(manifest["process.peak_rss_mb"]) >= 0.0
 
 
+def test_manifest_reports_peak_memory_per_phase(world):
+    """The peak after loading and at the end of each iteration only grow,
+    up to the process's peak: the first phase to reach it is where it
+    happened."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    iterations = int(manifest["iterations"])
+    assert iterations >= 1
+    peaks = [float(manifest["phase.load.peak_rss_mb"])]
+    peaks += [float(manifest[f"iteration.{i}.peak_rss_mb"]) for i in range(1, iterations + 1)]
+    peaks.append(float(manifest["process.peak_rss_mb"]))
+    assert 0.0 < peaks[0]
+    assert peaks == sorted(peaks)
+
+
 def test_manifest_times_each_phase_of_every_iteration(world):
     """Each iteration's instance sweep, assignment and relation sweep get a
     time of their own, within the iteration's time. Each value is written
@@ -357,6 +375,6 @@ def test_reader_closing_the_pipe_early_costs_no_traceback(world, tmp_path, comma
         def stable(path):  # the manifest without output paths, timings and memory
             lines = path.read_text(encoding="utf-8").splitlines()
             return [l for l in lines if not (l.startswith("output.") and ".path=" in l)
-                    and ".seconds=" not in l and not l.startswith("process.peak_rss_mb=")]
+                    and ".seconds=" not in l and ".peak_rss_mb=" not in l]
 
         assert stable(tmp_path / "out" / "manifest.txt") == stable(out / "manifest.txt")

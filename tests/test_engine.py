@@ -540,3 +540,31 @@ def test_result_rows_class_threshold():
     full = run_fixpoint(o1, o2, AlignmentConfig(class_score_threshold=0.0))
     _, _, classes = result_rows(full)
     assert len(classes) == 2  # one class pair, both directions
+
+
+def test_result_rows_drop_class_rows_below_the_threshold():
+    """Two of four persons align, so each class includes the other with a
+    score p < 1: its row is kept at thresholds up to p and dropped above."""
+    o1 = make_ontology(
+        "first",
+        [(f"a{i}", "label", f'"L{i}"') for i in range(4)],
+        types=[(f"a{i}", "Person") for i in range(4)],
+    )
+    o2 = make_ontology(
+        "second",
+        [(f"b{i}", "name", f'"L{i}"' if i < 2 else f'"M{i}"') for i in range(4)],
+        types=[(f"b{i}", "Human") for i in range(4)],
+    )
+
+    def class_rows(threshold):
+        result = run_fixpoint(o1, o2, AlignmentConfig(class_score_threshold=threshold))
+        return {(r.left, r.right, r.direction): r.score for r in result_rows(result)[2]}
+
+    scores = class_rows(0.0)
+    assert set(scores) == {("Person", "Human", "left_in_right"),
+                           ("Person", "Human", "right_in_left")}
+    for key, p in scores.items():
+        assert 0.0 < p < 1.0
+        assert key in class_rows(p)
+        assert key in class_rows(p / 2)
+        assert key not in class_rows((p + 1.0) / 2)

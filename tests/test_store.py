@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +66,7 @@ def test_subject_constraints():
     r = onto.relation_id("label")
     a, lit = onto.term_id("alice"), onto.term_id('"Alice"')
     assert onto.rejected_statements == 1
-    assert onto.by_subject[lit] == ((onto.inverse(r), a),)
+    assert list(onto.rows(lit)) == [(onto.inverse(r), a)]
 
 
 def test_classes_cannot_join_ordinary_statements():
@@ -82,7 +83,7 @@ def test_query_indexes_are_consistent():
     onto = ontology_from_triples([("a", "bornIn", "p"), ("b", "bornIn", "p")])
     r = onto.relation_id("bornIn")
     a, b, p = (onto.term_id(n) for n in ("a", "b", "p"))
-    assert sorted(onto.by_relation[r]) == sorted([(a, p), (b, p)])
+    assert sorted(onto.pairs(r)) == sorted([(a, p), (b, p)])
     assert list(onto.relations_between(a, p)) == [r]
     assert list(onto.relations_between(p, a)) == [onto.inverse(r)]
 
@@ -148,7 +149,7 @@ def test_from_triples_rejects_statements_on_schema_terms():
     ]
     onto = ontology_from_triples(triples)
     assert onto.rejected_statements == 1
-    assert not onto.by_relation.get(onto.relation_id("likes"))
+    assert not list(onto.pairs(onto.relation_id("likes")))
 
 
 def test_from_triples_relation_wins_over_class(caplog):
@@ -181,7 +182,7 @@ def test_literal_subject_is_rejected_in_either_order(order):
     lit, a = onto.term_id('"x"'), onto.term_id("http://a")
     assert onto.kind(lit) == LITERAL
     assert onto.statement_count() == 2
-    assert onto.by_subject[lit] == ((onto.inverse(onto.relation_id("http://p")), a),)
+    assert list(onto.rows(lit)) == [(onto.inverse(onto.relation_id("http://p")), a)]
 
 
 def test_type_edge_from_a_literal_is_dropped():
@@ -255,16 +256,16 @@ def test_store_matches_brute_force_statement_set(plain, subprops):
         for o in terms:
             for r in onto.relation_ids():
                 assert onto.has_statement(s, r, o) == ((s, r, o) in expected)
-    from_subject = [(s, r, o) for s, rows in onto.by_subject.items() for r, o in rows]
-    from_relation = [(s, r, o) for r, rows in onto.by_relation.items() for s, o in rows]
+    from_subject = [(s, r, o) for s in terms for r, o in onto.rows(s)]
+    from_relation = [(s, r, o) for r in onto.relation_ids() for s, o in onto.pairs(r)]
     from_pairs = [(s, r, o) for s in terms for o in terms
                   for r in onto.relations_between(s, o)]
     for listed in (from_subject, from_relation, from_pairs):
         assert sorted(listed) == sorted(expected)
     # the relation sweep scores each relation's inverse from this mirror
     for r in onto.relation_ids():
-        mirrored = [(o, s) for s, o in onto.by_relation.get(r, [])]
-        assert onto.by_relation.get(r ^ 1, []) == mirrored
+        mirrored = [(o, s) for s, o in onto.pairs(r)]
+        assert list(onto.pairs(r ^ 1)) == mirrored
 
 
 def test_store_tracks_few_objects_per_statement(tmp_path):
@@ -299,20 +300,106 @@ def test_tracked_objects_do_not_grow_with_the_ontology(tmp_path):
 
 
 def test_single_relation_pairs_share_one_tuple_per_relation(tmp_path):
-    """Almost every pair of terms has one relation between them. Its tuple is
-    one object per relation, shared by every such statement, not one per
-    statement."""
+    """Almost every pair of terms has one relation between them. Reading it,
+    from either end, returns one tuple per relation, shared by every such
+    statement, not one per call."""
     generate_pair(tmp_path, instances=400, seed=1)
     for name in ("left.nt", "right.nt"):
         onto = load_ontology(tmp_path / name)
         objects: dict[int, set[int]] = {}
         for r in onto.relation_ids():
-            for s, o in onto.by_relation.get(r, ()):
-                rels = onto.relations_between(s, o)
-                if len(rels) == 1:
-                    objects.setdefault(rels[0], set()).add(id(rels))
+            for s, o in onto.pairs(r):
+                for rels in (onto.relations_between(s, o), onto.relations_between(o, s)):
+                    if len(rels) == 1:
+                        objects.setdefault(rels[0], set()).add(id(rels))
         assert len(objects) > 2
         assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_store_keeps_few_bytes_per_statement(tmp_path):
+    """The statements live in flat columns of shared ints, and the load
+    keeps no list of string triples: per inverse-closed statement the store
+    holds about 141 bytes, terms included, and loading it peaks at about
+    153. The row-tuple store with its pair dict held 302 and peaked at 509."""
+    generate_pair(tmp_path, instances=400, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        onto = load_ontology(tmp_path / "left.nt")
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    statements = onto.statement_count()
+    assert live / statements < 176
+    assert peak / statements < 192
+
+
+_HUB_SUBJECTS = tuple(f"h{i}" for i in range(1_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_ENTITIES + _HUB_SUBJECTS[:2]),
+                       st.sampled_from(_RELATIONS),
+                       st.sampled_from(_OBJECTS + ('"true"',))), max_size=25),
+    st.lists(st.tuples(st.sampled_from(_RELATIONS), st.sampled_from(_RELATIONS)),
+             max_size=3),
+)
+@example(  # two relations on one pair, from both ends, one of them via the hub
+    plain=[("e0", "r0", "e1"), ("e0", "r1", "e1"), ("e1", "r2", "e0"),
+           ("e0", "active", '"true"'), ("e0", "r3", '"true"'), ("e0", "r0", "e1")],
+    subprops=[],
+)
+@example(
+    plain=[("e0", "r0", "e1"), ("e2", "r1", '"true"'), ("e1", "r2", "e0")],
+    subprops=[("r0", "r1"), ("r1", "r2"), ("r2", "r3")],
+)
+def test_relations_between_matches_brute_force_on_a_skewed_world(plain, subprops):
+    """relations_between and has_statement scan the shorter of two terms'
+    columns. A hub object with a thousand subjects makes one side long; both
+    argument orders must read the relations a brute-force insertion log
+    gives, in insertion order."""
+    hub = [(h, "active", '"true"') for h in _HUB_SUBJECTS]
+    triples = hub + plain + [(a, RDFS_SUBPROPERTYOF, b) for a, b in subprops]
+    onto = ontology_from_triples(triples)
+    assert len(onto.subject_objects[onto.term_id('"true"')]) >= 1_000
+    rid = onto.relation_id
+    # r below s puts r's inverse below s's inverse
+    edges = [(rid(a), rid(b)) for a, b in subprops]
+    edges += [(a ^ 1, b ^ 1) for a, b in edges]
+    above = {r: {r} for r in onto.relation_ids()}
+    for _ in above:  # enough rounds to follow the longest chain
+        for a, b in edges:
+            for r in above:
+                if a in above[r]:
+                    above[r].add(b)
+    between: dict[tuple[int, int], list[int]] = {}  # in insertion order
+
+    def insert(s, r, o):
+        if r not in between.setdefault((s, o), []):
+            between[(s, o)].append(r)
+
+    for s, r, o in hub + plain:
+        sid, oid = onto.term_id(s), onto.term_id(o)
+        insert(sid, rid(r), oid)
+        insert(oid, rid(r) ^ 1, sid)
+    closed = {key: set(rels) for key, rels in between.items()}
+    for (s, o), rels in between.items():
+        for r in rels:
+            closed[(s, o)].update(above[r])
+
+    names = set(_ENTITIES + _OBJECTS + _HUB_SUBJECTS[:3]) | {'"true"'}
+    terms = [t for t in map(onto.term_id, sorted(names)) if t is not None]
+    for s in terms:
+        for o in terms:
+            got = onto.relations_between(s, o)
+            assert set(got) == closed.get((s, o), set())
+            # the direct statements come first, in insertion order
+            direct = between.get((s, o), [])
+            assert list(got[:len(direct)]) == direct
+            assert got == tuple(r for r, x in onto.rows(s) if x == o)
+            for r in onto.relation_ids():
+                assert onto.has_statement(s, r, o) == (r in closed.get((s, o), ()))
 
 
 _CLASSES = ("C0", "C1", "C2")
@@ -328,8 +415,8 @@ _CLASSES = ("C0", "C1", "C2")
              max_size=3),
 )
 def test_reads_see_every_insert_in_insertion_order(statements, types, subclasses):
-    """by_subject, classes_of and instances_of hold each statement and type
-    once, in input order, with subjects in order of first appearance. The
+    """rows, classes_of and instances_of hold each statement and type once,
+    in input order. The
     types the subclass closure derives come after an instance's given ones,
     and after a class's given members, in order of the instances' first
     type edge."""
@@ -349,7 +436,8 @@ def test_reads_see_every_insert_in_insertion_order(statements, types, subclasses
         rid = onto.relation_id(r)
         log_statement(tid(s), rid, tid(o))
         log_statement(tid(o), rid ^ 1, tid(s))
-    assert list(onto.by_subject.items()) == [(s, tuple(v)) for s, v in rows.items()]
+    for t in range(onto.term_count()):
+        assert list(onto.rows(t)) == rows.get(t, [])
 
     above = {c: set() for c in _CLASSES}  # classes reachable over >= 1 edge
     for _ in _CLASSES:  # enough rounds to follow the longest chain
