@@ -33,7 +33,6 @@ from .functionality import (
     global_functionality,
     local_functionality,
 )
-from .literals import get_measure, literal_equality
 from .ntriples import (
     AlignmentRow,
     ParseError,
@@ -68,10 +67,8 @@ __all__ = [
     "compute_maximal_assignment",
     "evaluate_instances",
     "evaluate_threshold_sweep",
-    "get_measure",
     "global_functionality",
     "instance_equivalence",
-    "literal_equality",
     "load_gold",
     "load_ontology",
     "local_functionality",

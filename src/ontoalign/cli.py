@@ -38,6 +38,7 @@ from .ntriples import (
     read_utf8_lines,
     write_alignment,
 )
+from .store import RDF_TYPE, RDFS_SUBCLASSOF
 
 log = logging.getLogger("ontoalign.cli")
 
@@ -285,9 +286,6 @@ _LAST = (
     "Shannon", "Turing",
 )
 
-_RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-_RDFS_SUBCLASS = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
-
 # first-ontology name -> second-ontology name
 _REL_NAMES = {
     "hasCode": "code",
@@ -424,17 +422,17 @@ def generate_pair(
 
     def side_lines(side: int) -> list[str]:
         lines = [
-            _nt_line(cls(side, "Person"), _RDFS_SUBCLASS, cls(side, "Agent")),
-            _nt_line(cls(side, "City"), _RDFS_SUBCLASS, cls(side, "Place")),
+            _nt_line(cls(side, "Person"), RDFS_SUBCLASSOF, cls(side, "Agent")),
+            _nt_line(cls(side, "City"), RDFS_SUBCLASSOF, cls(side, "Place")),
         ]
         for j, city in enumerate(cities):
             s = entity(side, city["local"])
-            lines.append(_nt_line(s, _RDF_TYPE, cls(side, "City")))
+            lines.append(_nt_line(s, RDF_TYPE, cls(side, "City")))
             lines.append(_nt_line(s, rel(side, "hasCode"), city["code"], literal=True))
             lines.append(_nt_line(s, rel(side, "hasName"), city["name"], literal=True))
         for k, org in enumerate(orgs):
             s = entity(side, org["local"])
-            lines.append(_nt_line(s, _RDF_TYPE, cls(side, "Organization")))
+            lines.append(_nt_line(s, RDF_TYPE, cls(side, "Organization")))
             lines.append(_nt_line(s, rel(side, "hasCode"), org["code"], literal=True))
             lines.append(_nt_line(s, rel(side, "hasName"), org["name"], literal=True))
             lines.append(
@@ -443,7 +441,7 @@ def generate_pair(
         for i, person in enumerate(people):
             s = entity(side, person["local"])
             drop, scrambled, perturb = noise[i]
-            lines.append(_nt_line(s, _RDF_TYPE, cls(side, "Person")))
+            lines.append(_nt_line(s, RDF_TYPE, cls(side, "Person")))
             lines.append(_nt_line(s, rel(side, "hasCode"), person["code"], literal=True))
             lines.append(_nt_line(s, rel(side, "hasName"), person["name"], literal=True))
             phone = person["phone"]

@@ -34,10 +34,10 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .functionality import MODES, FunctionalityTable, build_functionality_table
-from .literals import MEASURES, LiteralMeasure, build_key_index, get_measure
+from .literals import MEASURES, build_key_index
 from .ntriples import AlignmentRow
 from .store import INSTANCE, Ontology
 
@@ -266,7 +266,6 @@ class AlignmentState:
     config: AlignmentConfig
     fun1: FunctionalityTable
     fun2: FunctionalityTable
-    measure: LiteralMeasure
     literal_seeds: list[tuple[int, int, float]]
     literals: LiteralShare
     equiv: EquivalenceTable
@@ -338,23 +337,13 @@ class EvidenceView:
 
 
 def literal_seed_pairs(
-    o1: Ontology, o2: Ontology, measure: LiteralMeasure, theta: float
+    o1: Ontology, o2: Ontology, key: Callable[[str], str]
 ) -> list[tuple[int, int, float]]:
-    """Cross-ontology literal matches through the shared normalization key."""
-    idx1 = build_key_index(o1, measure)
-    idx2 = build_key_index(o2, measure)
-    seeds: list[tuple[int, int, float]] = []
-    for key, ids1 in idx1.items():
-        ids2 = idx2.get(key)
-        if not ids2:
-            continue
-        for a in ids1:
-            la = o1.lexical(a)
-            for b in ids2:
-                p = measure.probability(la, o2.lexical(b))
-                if p > theta:
-                    seeds.append((a, b, p))
-    return seeds
+    """Every pair of cross-ontology literals that share a normalization key,
+    at p = 1."""
+    idx1 = build_key_index(o1, key)
+    idx2 = build_key_index(o2, key)
+    return [(a, b, 1.0) for k, ids1 in idx1.items() for a in ids1 for b in idx2.get(k, ())]
 
 
 def bootstrap(
@@ -366,13 +355,12 @@ def bootstrap(
 ) -> AlignmentState:
     """Initial state: clamped literal matches, uniform relation prior theta."""
     config = config or AlignmentConfig()
-    measure = get_measure(config.literal_mode)
     fun1 = fun1 or build_functionality_table(o1, config.functionality_mode)
     fun2 = fun2 or build_functionality_table(o2, config.functionality_mode)
-    seeds = literal_seed_pairs(o1, o2, measure, config.theta)
+    seeds = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
     literals = LiteralShare(*_partner_maps(seeds))
     return AlignmentState(
-        o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2, measure=measure,
+        o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literal_seeds=seeds, literals=literals, equiv=EquivalenceTable(literals),
         assignment=MaximalAssignment(), subrel=None, iteration=0,
     )
@@ -972,16 +960,13 @@ def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     cfg = state.config
     ev = EvidenceView(state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment)
     out = ClassAlignmentTable()
-    for c1 in sorted(state.o1.classes()):
-        for c2, entry in _class_rows(
-            state.o1, state.o2, ev.partners_left, c1, cfg.pair_cap
-        ).items():
-            out.o1_to_o2[(c1, c2)] = entry
-    for c2 in sorted(state.o2.classes()):
-        for c1, entry in _class_rows(
-            state.o2, state.o1, ev.partners_right, c2, cfg.pair_cap
-        ).items():
-            out.o2_to_o1[(c2, c1)] = entry
+    for side, other, partners, scores in (
+        (state.o1, state.o2, ev.partners_left, out.o1_to_o2),
+        (state.o2, state.o1, ev.partners_right, out.o2_to_o1),
+    ):
+        for c in sorted(side.classes()):
+            for c_other, entry in _class_rows(side, other, partners, c, cfg.pair_cap).items():
+                scores[(c, c_other)] = entry
     return out
 
 
@@ -1017,7 +1002,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     finished = time.perf_counter()
     fresh = AlignmentState(
         o1=state.o1, o2=state.o2, config=state.config,
-        fun1=state.fun1, fun2=state.fun2, measure=state.measure,
+        fun1=state.fun1, fun2=state.fun2,
         literal_seeds=state.literal_seeds, literals=state.literals,
         equiv=table, assignment=assignment, subrel=subrel,
         iteration=state.iteration + 1,

@@ -1,16 +1,15 @@
-"""Literal equality through normalization keys.
+"""Literal normalization keys and the value index.
 
-Literal-to-literal equality is decided lazily through a shared-normalized-value
-index: two literals can match only if they normalize to the same key, so the
-engine never materializes an all-pairs literal table. The built-in measures are
-identity-after-normalization and return 0 or 1; fancier measures can subclass
-:class:`LiteralMeasure`, but they must still block on a key (compare only
-within a key group).
+Two literals are equal, with probability 1, exactly when they share a
+nonempty normalization key, and otherwise unequal. The engine finds equal
+pairs through an index from key to literals, so it never materializes an
+all-pairs literal table.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 _TAG = re.compile(r'^"(?P<text>.*)"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>]*>)?$', re.S)
 
@@ -21,58 +20,28 @@ def literal_text(lexical: str) -> str:
     return m.group("text") if m else lexical
 
 
-class LiteralMeasure:
-    """Base equality measure: same normalization key means probability 1."""
-
-    name = "strict"
-
-    def key(self, lexical: str) -> str:
-        """Normalization key: tag and quotes stripped, whitespace trimmed."""
-        return literal_text(lexical).strip()
-
-    def probability(self, a: str, b: str) -> float:
-        """Equality probability for two literals *with the same key*."""
-        return 1.0
+def strict_key(lexical: str) -> str:
+    """Tag and quotes stripped, outer whitespace trimmed."""
+    return literal_text(lexical).strip()
 
 
-class AlnumLowerMeasure(LiteralMeasure):
-    """Case- and punctuation-insensitive: keeps alphanumerics, lowercased.
+def alnum_lower_key(lexical: str) -> str:
+    """Alphanumerics only, lowercased and kept in sequence.
 
     Makes '"213/467-1108"' and '"213-467-1108"' equal while keeping
-    '"Sugata Sanshirô"' distinct from '"Sanshiro Sugata"' (word order
-    still matters because characters are kept in sequence).
+    '"Sugata Sanshirô"' distinct from '"Sanshiro Sugata"'.
     """
-
-    name = "alnum-lower"
-
-    def key(self, lexical: str) -> str:
-        text = literal_text(lexical)
-        return "".join(ch for ch in text if ch.isalnum()).lower()
+    return "".join(ch for ch in literal_text(lexical) if ch.isalnum()).lower()
 
 
-MEASURES: dict[str, type[LiteralMeasure]] = {
-    "strict": LiteralMeasure,
-    "alnum-lower": AlnumLowerMeasure,
+# --literal-mode name -> normalization key
+MEASURES: dict[str, Callable[[str], str]] = {
+    "strict": strict_key,
+    "alnum-lower": alnum_lower_key,
 }
 
 
-def get_measure(name: str) -> LiteralMeasure:
-    try:
-        return MEASURES[name]()
-    except KeyError:
-        raise ValueError(f"unknown literal mode {name!r}; choose from {sorted(MEASURES)}")
-
-
-def literal_equality(a: str, b: str, measure: LiteralMeasure | None = None) -> float:
-    """Pairwise equality of two literal lexical forms under a measure."""
-    measure = measure or LiteralMeasure()
-    ka, kb = measure.key(a), measure.key(b)
-    if ka != kb:
-        return 0.0
-    return measure.probability(a, b)
-
-
-def build_key_index(ontology, measure: LiteralMeasure) -> dict[str, list[int]]:
+def build_key_index(ontology, key: Callable[[str], str]) -> dict[str, list[int]]:
     """Group an ontology's literal term ids by normalization key.
 
     Empty keys are dropped: a literal that normalizes to nothing anchors
@@ -80,7 +49,7 @@ def build_key_index(ontology, measure: LiteralMeasure) -> dict[str, list[int]]:
     """
     index: dict[str, list[int]] = {}
     for tid in ontology.literals():
-        k = measure.key(ontology.lexical(tid))
+        k = key(ontology.lexical(tid))
         if k:
             index.setdefault(k, []).append(tid)
     return index

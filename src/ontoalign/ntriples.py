@@ -37,58 +37,29 @@ class ParseStats:
 
 
 # IRIs are captured without their angle brackets. As in N-Triples, an IRI
-# holds no '<', '>' or '"', so no IRI reads like a literal. An object is an
-# IRI, a blank node label or a token starting with a quote, which _LITERAL
-# checks.
+# holds no '<', '>' or '"', so no IRI reads like a literal. A literal's text
+# admits only the N-Triples escapes: one of \t \b \n \r \f \" \' \\, \u with
+# exactly 4 hex digits, or \U with exactly 8 and at most U+10FFFF. Its tag is
+# kept whole.
 _LINE = re.compile(
     r'^(?:<(?P<s>[^<>"]*)>|(?P<sb>_:\S+))\s+'
     r'<(?P<p>[^<>"]*)>\s+'
-    r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:\S+)|(?P<ol>".*?))\s*\.\s*$'
+    r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:\S+)'
+    r'|"(?P<text>[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}'
+    r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\]*)*)"'
+    r'(?P<tag>@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>"]*>)?)\s*\.\s*$'
 )
-_LITERAL = re.compile(
-    r'^"(?P<text>(?:[^"\\]|\\.)*)"'
-    r'(?:@(?P<lang>[A-Za-z][A-Za-z0-9-]*)|\^\^(?P<dt><[^<>"]*>))?$'
-)
+_ESCAPE = re.compile(r"\\(u.{4}|U.{8}|.)")
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
 
 
-def _unescape(text: str) -> str:
-    if "\\" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling backslash")
-        nxt = text[i + 1]
-        if nxt in _ESCAPES:
-            out.append(_ESCAPES[nxt])
-            i += 2
-        elif nxt == "u":
-            if i + 6 > n:
-                raise ValueError("truncated \\u escape")
-            out.append(chr(int(text[i + 2 : i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            if i + 10 > n:
-                raise ValueError("truncated \\U escape")
-            cp = int(text[i + 2 : i + 10], 16)
-            if cp > 0x10FFFF:
-                raise ValueError("code point out of range")
-            out.append(chr(cp))
-            i += 10
-        else:
-            raise ValueError(f"bad escape \\{nxt}")
-    return "".join(out)
+def _unescape_one(m: re.Match) -> str:
+    """Decode one escape of a literal text that `_LINE` admitted."""
+    esc = m.group(1)
+    return _ESCAPES[esc] if len(esc) == 1 else chr(int(esc[1:], 16))
 
 
 def read_utf8_lines(path: str | Path) -> Iterator[str]:
@@ -122,24 +93,13 @@ def parse_ntriples(
         if not m:
             stats.skip(line)
             continue
-        subj, blank, pred, obj, blank_obj, literal = m.groups()
-        if obj is None:
+        subj, blank, pred, obj, blank_obj, text, tag = m.groups()
+        if text is not None:
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape_one, text)
+            obj = f'"{text}"{tag or ""}'
+        elif obj is None:
             obj = blank_obj
-        if literal is not None:
-            lm = _LITERAL.match(literal)
-            if not lm:
-                stats.skip(line)
-                continue
-            try:
-                text = _unescape(lm.group("text"))
-            except ValueError:
-                stats.skip(line)
-                continue
-            obj = f'"{text}"'
-            if lm.group("lang"):
-                obj += f"@{lm.group('lang')}"
-            elif lm.group("dt"):
-                obj += f"^^{lm.group('dt')}"
         stats.parsed += 1
         yield (blank if subj is None else subj), pred, obj
 

@@ -14,7 +14,7 @@ an epsilon.
 
 from __future__ import annotations
 
-from ontoalign.literals import get_measure
+from ontoalign.literals import MEASURES
 from ontoalign.store import INSTANCE, LITERAL, Ontology
 
 
@@ -71,14 +71,14 @@ def naive_functionality(onto: Ontology, mode: str) -> dict[int, float]:
 class OracleEvidence:
     """All usable equality evidence, computed by scanning every term pair.
 
-    Literal equality is recomputed from the measure definition (nonempty
-    normalization keys must match and the pair must clear theta). Instance
-    equality comes from the previous table, and under the assignment
-    restriction only pairs present in the forward or backward argmax count.
+    Literal equality is recomputed from the key definition: p = 1 when the
+    two normalization keys are equal and nonempty. Instance equality comes
+    from the previous table, and under the assignment restriction only pairs
+    present in the forward or backward argmax count.
     """
 
-    def __init__(self, o1, o2, equiv, fwd, bwd, restrict, measure_name, theta):
-        measure = get_measure(measure_name)
+    def __init__(self, o1, o2, equiv, fwd, bwd, restrict, measure_name):
+        key = MEASURES[measure_name]
         self.pairs: dict[tuple[int, int], float] = {}
         for a in range(o1.term_count()):
             ka = o1.kind(a)
@@ -86,11 +86,9 @@ class OracleEvidence:
                 kb = o2.kind(b)
                 p = 0.0
                 if ka == LITERAL and kb == LITERAL:
-                    key_a = measure.key(o1.lexical(a))
-                    if key_a and key_a == measure.key(o2.lexical(b)):
-                        p = measure.probability(o1.lexical(a), o2.lexical(b))
-                    if p <= theta:
-                        p = 0.0
+                    key_a = key(o1.lexical(a))
+                    if key_a and key_a == key(o2.lexical(b)):
+                        p = 1.0
                 elif ka == INSTANCE and kb == INSTANCE:
                     p = equiv.get((a, b), 0.0)
                     if restrict and p > 0.0:
@@ -112,9 +110,9 @@ class OracleEvidence:
         return self.pairs.get((a, b), 0.0)
 
 
-def oracle_seeds(o1, o2, measure_name, theta) -> dict[tuple[int, int], float]:
+def oracle_seeds(o1, o2, measure_name) -> dict[tuple[int, int], float]:
     """Literal-literal matches, the bootstrap equivalence table."""
-    ev = OracleEvidence(o1, o2, {}, {}, {}, False, measure_name, theta)
+    ev = OracleEvidence(o1, o2, {}, {}, {}, False, measure_name)
     return {
         (a, b): p
         for (a, b), p in ev.pairs.items()
@@ -151,9 +149,7 @@ def oracle_instance_sweep(
     negative_inner="object",
 ) -> dict[tuple[int, int], float]:
     """One instance sweep over the full cross product of instances."""
-    ev = OracleEvidence(
-        o1, o2, prev_equiv, prev_fwd, prev_bwd, restrict, measure_name, theta
-    )
+    ev = OracleEvidence(o1, o2, prev_equiv, prev_fwd, prev_bwd, restrict, measure_name)
     sub12, sub21 = _sub_getters(prev_subrel, theta)
     if prev_subrel is None:
         penalty_rels: dict[int, list[int]] = {}
@@ -165,9 +161,7 @@ def oracle_instance_sweep(
             rels.setdefault(r1, set()).add(r2)
         penalty_rels = {r1: sorted(v) for r1, v in rels.items()}
 
-    new: dict[tuple[int, int], float] = dict(
-        oracle_seeds(o1, o2, measure_name, theta)
-    )
+    new: dict[tuple[int, int], float] = dict(oracle_seeds(o1, o2, measure_name))
     for x in range(o1.term_count()):
         if o1.kind(x) != INSTANCE:
             continue
@@ -246,10 +240,10 @@ def oracle_change(prev_fwd, prev_bwd, fwd, bwd):
 
 
 def oracle_subrelations(
-    o1, o2, equiv, fwd, bwd, restrict, theta, pair_cap=10_000, measure_name="strict"
+    o1, o2, equiv, fwd, bwd, restrict, pair_cap=10_000, measure_name="strict"
 ):
     """Relation-inclusion sweep, both directions, by full enumeration."""
-    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name, theta)
+    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name)
 
     def one_side(side, other, partners, all_other_rels):
         out: dict[tuple[int, int], float] = {}
@@ -288,10 +282,10 @@ def oracle_subrelations(
 
 
 def oracle_classes(
-    o1, o2, equiv, fwd, bwd, restrict, theta, pair_cap=10_000, measure_name="strict"
+    o1, o2, equiv, fwd, bwd, restrict, pair_cap=10_000, measure_name="strict"
 ):
     """Class-inclusion sweep, both directions, by full enumeration."""
-    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name, theta)
+    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name)
 
     def one_side(side, other, partners):
         out: dict[tuple[int, int], tuple[float, int]] = {}
@@ -339,7 +333,7 @@ def oracle_run(
     """
     fun1 = naive_functionality(o1, functionality_mode)
     fun2 = naive_functionality(o2, functionality_mode)
-    equiv = dict(oracle_seeds(o1, o2, measure_name, theta))
+    equiv = dict(oracle_seeds(o1, o2, measure_name))
     fwd: dict[int, tuple[int, float]] = {}
     bwd: dict[int, tuple[int, float]] = {}
     subrel = None
@@ -354,7 +348,7 @@ def oracle_run(
         changed, tracked = oracle_change(fwd, bwd, new_fwd, new_bwd)
         fraction = changed / tracked if tracked else 0.0
         subrel = oracle_subrelations(
-            o1, o2, new_equiv, new_fwd, new_bwd, restrict, theta, pair_cap, measure_name
+            o1, o2, new_equiv, new_fwd, new_bwd, restrict, pair_cap, measure_name
         )
         equiv, fwd, bwd = new_equiv, new_fwd, new_bwd
         history.append((equiv, fwd, bwd, subrel, fraction))
@@ -362,6 +356,6 @@ def oracle_run(
             converged = True
             break
     classes = oracle_classes(
-        o1, o2, equiv, fwd, bwd, restrict, theta, pair_cap, measure_name
+        o1, o2, equiv, fwd, bwd, restrict, pair_cap, measure_name
     )
     return history, classes, converged

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ontoalign.cli import EXIT_BROKEN_PIPE, main
+from ontoalign.cli import EXIT_BROKEN_PIPE, generate_pair, main
 from ontoalign.ntriples import read_alignment
 from ontoalign.store import RDF_TYPE
 
@@ -39,6 +39,33 @@ def test_generate_is_seed_deterministic(tmp_path):
     assert same[0] == same[1]
     assert (tmp_path / "a" / "right.nt").read_bytes() == (tmp_path / "b" / "right.nt").read_bytes()
     assert (tmp_path / "c" / "left.nt").read_bytes() != same[0]
+
+
+# SHA-256 of every file generate_pair writes for instances=200, seed=4. The
+# benchmark builds its inputs with the checkout's own generator, so a silent
+# change to this output would give two checkouts different inputs.
+_GENERATED_SHA256 = {
+    "gold_classes.tsv": "fbf64dc62446670459bba7277416ec6e51812a43d020189bb24e0f49da8b7805",
+    "gold_instances.tsv": "acf15dd94d20a6f960f676622490ea1e3d8254eecc6df7cc5d9a975170401129",
+    "gold_relations.tsv": "faa9e4a2bf60644e929db722c7985e0a05857d60f4383d21fd085d448e16842c",
+    "left.nt": "f2f03f6b5b082d83d1a0544e54efca6cf6f24088a7afe984c9cce2908a38a9a0",
+    "right.nt": "e6b00589891911555697339c9f985065981e97faeff799fda8309a442786b74e",
+}
+_NOISY = dict(attribute_drop=0.2, perturb_literals=0.3, scramble_phones=0.1,
+              split_relation=True, merge_relations=True)
+_NOISY_SHA256 = {
+    **_GENERATED_SHA256,
+    "gold_relations.tsv": "e7195117f032690eb935cd14eeaba7ceb4eecc0d77e5ea88c3199938abba89b5",
+    "right.nt": "4a21837b599051ae59b1a00893eb4ca5ad10b5a0df9a8e3f9c2e470df8ecd5a6",
+}
+
+
+@pytest.mark.parametrize("knobs, expected", [({}, _GENERATED_SHA256), (_NOISY, _NOISY_SHA256)],
+                         ids=["clean", "noisy"])
+def test_generator_output_is_pinned(tmp_path, knobs, expected):
+    generate_pair(tmp_path, instances=200, seed=4, **knobs)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == expected
 
 
 def test_align_writes_outputs_and_manifest(world):

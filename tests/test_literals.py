@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ontoalign.engine import AlignmentConfig
 from ontoalign.literals import (
     MEASURES,
+    alnum_lower_key,
     build_key_index,
-    get_measure,
-    literal_equality,
     literal_text,
+    strict_key,
 )
 from ontoalign.store import ontology_from_triples
 
@@ -20,23 +21,22 @@ def test_literal_text_strips_quotes_and_tags():
 
 def test_strict_measure_matches_same_text_across_tags():
     """Tags are presentation, not content: "Paris"@fr equals "Paris"."""
-    assert literal_equality('"Paris"@fr', '"Paris"') == 1.0
-    assert literal_equality('"Paris"', '"paris"') == 0.0
-    assert literal_equality('" Paris  "', '"Paris"') == 1.0  # whitespace trimmed
+    assert strict_key('"Paris"@fr') == strict_key('"Paris"')
+    assert strict_key('"Paris"') != strict_key('"paris"')
+    assert strict_key('" Paris  "') == strict_key('"Paris"')  # whitespace trimmed
 
 
 def test_alnum_lower_measure_bridges_formatting():
-    m = get_measure("alnum-lower")
-    assert literal_equality('"213/467-1108"', '"213-467-1108"', m) == 1.0
-    assert literal_equality('"Alice"', '"ALICE"', m) == 1.0
+    assert alnum_lower_key('"213/467-1108"') == alnum_lower_key('"213-467-1108"')
+    assert alnum_lower_key('"Alice"') == alnum_lower_key('"ALICE"')
     # word order still matters: characters are kept in sequence
-    assert literal_equality('"Sugata Sanshiro"', '"Sanshiro Sugata"', m) == 0.0
+    assert alnum_lower_key('"Sugata Sanshiro"') != alnum_lower_key('"Sanshiro Sugata"')
 
 
-def test_get_measure_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        get_measure("soundex")
-    assert set(MEASURES) == {"strict", "alnum-lower"}
+def test_unknown_literal_modes_are_rejected():
+    assert MEASURES == {"strict": strict_key, "alnum-lower": alnum_lower_key}
+    with pytest.raises(ValueError, match="literal_mode"):
+        AlignmentConfig(literal_mode="soundex")
 
 
 def test_key_index_groups_by_key_and_drops_empty_keys():
@@ -46,19 +46,18 @@ def test_key_index_groups_by_key_and_drops_empty_keys():
         ("x", "label", '"  "'),  # empty after trimming: anchors nothing
     ])
     a, b = onto.term_id('"Alice"'), onto.term_id('"Alice"@en')
-    idx = build_key_index(onto, get_measure("strict"))
-    assert idx == {"Alice": [a, b]}
+    assert build_key_index(onto, strict_key) == {"Alice": [a, b]}
 
 
 @given(st.text(min_size=0, max_size=40))
 def test_alnum_key_is_alnum_and_lowercase(text):
-    key = get_measure("alnum-lower").key(f'"{text}"' if '"' not in text else text)
+    key = alnum_lower_key(f'"{text}"' if '"' not in text else text)
     assert all(ch.isalnum() for ch in key)
     assert key == key.lower()
 
 
 @given(st.text(alphabet=st.characters(blacklist_characters='"\\'), max_size=30))
 def test_strict_equality_is_reflexive_after_quoting(text):
-    assert literal_equality(f'"{text}"', f'"{text}"') in (0.0, 1.0)
-    if text.strip():
-        assert literal_equality(f'"{text}"', f'"{text}"') == 1.0
+    """A quoted text matches itself exactly when its trimmed text is
+    nonempty: empty keys are dropped from the index."""
+    assert strict_key(f'"{text}"') == text.strip()

@@ -43,8 +43,11 @@ def test_parse_language_and_datatype_tags_are_kept():
 
 
 def test_parse_unescapes_literal_text():
-    out = parse('<u:x> <u:l> "line\\nbreak \\u00e9 \\"quoted\\"" .')
-    assert out[0][2] == '"line\nbreak é "quoted""'
+    out = parse('<u:x> <u:l> "line\\nbreak \\u00e9 \\"quoted\\" \\U0001F600" .')
+    assert out[0][2] == '"line\nbreak é "quoted" \U0001F600"'
+    # a \U escape names at most the last code point, U+10FFFF
+    assert parse('<u:x> <u:l> "\\U0010FFFF" .') == [("u:x", "u:l", '"\U0010FFFF"')]
+    assert parse('<u:x> <u:l> "\\U00110000" .') == []
 
 
 def test_parse_blank_nodes_and_comments():
@@ -64,12 +67,16 @@ def test_malformed_lines_are_skipped_and_counted():
         '<u:x> <u:p> "broken\\q" .\n'  # bad escape
         '<u:x> <u:p> "truncated\\u00" .\n'
         "<u:x> <u:p> <u:a> <u:b> .\n"  # two object IRIs
-        "<u:x> <u:p> <u:a<b> .\n",  # '<' inside an IRI
+        "<u:x> <u:p> <u:a<b> .\n"  # '<' inside an IRI
+        # \u takes exactly 4 hex digits, even where int(_, 16) reads "A"
+        '<u:x> <u:p> "\\u+041" .\n'
+        '<u:x> <u:p> "\\u 041" .\n'
+        '<u:x> <u:p> "\\u0_41" .\n',
         stats,
     )
     assert len(out) == 1
     assert stats.parsed == 1
-    assert stats.skipped == 5
+    assert stats.skipped == 8
     assert len(stats.samples) == 5
 
 
