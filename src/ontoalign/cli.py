@@ -114,6 +114,8 @@ def _manifest_lines(
         "converged": str(result.converged).lower(),
         "iterations": len(result.iterations),
         "phase.load.seconds": f"{load_seconds:.3f}",
+        "phase.functionality.seconds": f"{result.functionality_seconds:.3f}",
+        "phase.seed.seconds": f"{result.seed_seconds:.3f}",
         "phase.classes.seconds": f"{result.class_seconds:.3f}",
     }
     peak = peak_rss_mb()

@@ -32,7 +32,9 @@ import logging
 import sys
 import time
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -145,47 +147,44 @@ class EquivalenceTable:
     sweep's instance rows.
 
     The seeds are the sorted partner tuples of the run's `LiteralShare`, read
-    in place, so a table holds them without copying them. `set` adds instance
-    rows only, kept by first-ontology term; the assignment takes both of its
-    directions from these forward rows. Seeds pair literals with literals and
-    instance rows pair instances with instances, so the two never share a
-    key. `get`, `pairs` and `len` cover both.
+    in place, so a table holds them without copying them; `get` takes
+    first-ontology terms only. The instance rows, kept by first-ontology
+    term, are adopted as they are given (a sweep hands over its own); the
+    assignment takes both of its directions from these forward rows. Seeds pair literals with literals and instance rows
+    pair instances with instances, so the two never share a key. `get`,
+    `pairs` and `len` cover both.
     """
 
-    def __init__(self, literals: LiteralShare) -> None:
+    def __init__(
+        self, literals: LiteralShare, rows: dict[int, dict[int, float]] | None = None
+    ) -> None:
         self._seeds = literals.left_sorted
-        self._fwd: dict[int, dict[int, float]] = {}
-        self._n = 0
-
-    def set(self, left: int, right: int, p: float) -> None:
-        row = self._fwd.setdefault(left, {})
-        if right not in row:
-            self._n += 1
-        row[right] = p
+        self._fwd: dict[int, dict[int, float]] = {} if rows is None else rows
+        self._n = sum(map(len, self._fwd.values()))
 
     def get(self, left: int, right: int) -> float:
         row = self._fwd.get(left)
         if row is not None:
             return row.get(right, 0.0)
-        parts = self._seeds.get(left, ())
+        parts = self._seeds[left]
         i = bisect_left(parts, (right,))
         return parts[i][1] if i < len(parts) and parts[i][0] == right else 0.0
 
     def instance_pairs(self):
-        """The pairs `set` stored, in insertion order."""
+        """The instance rows' pairs, in row order."""
         for left, row in self._fwd.items():
             for right, p in row.items():
                 yield left, right, p
 
     def pairs(self):
         """Every stored pair: the seeds, then the instance rows."""
-        for left, parts in self._seeds.items():
+        for left, parts in enumerate(self._seeds):
             for right, p in parts:
                 yield left, right, p
         yield from self.instance_pairs()
 
     def __len__(self) -> int:
-        return self._n + sum(map(len, self._seeds.values()))
+        return self._n + sum(map(len, self._seeds))
 
 
 @dataclass
@@ -194,11 +193,45 @@ class MaximalAssignment:
 
     forward maps first-ontology instances to their best second-ontology
     partner (and score); backward is the mirror. Ties break toward the
-    lexically smallest partner identifier.
+    lexically smallest partner identifier. A pair that is best both ways
+    carries the same p in both maps, the p of its table row. Treat as
+    immutable: `partners` is built from the two maps once.
     """
 
     forward: dict[int, tuple[int, float]] = field(default_factory=dict)
     backward: dict[int, tuple[int, float]] = field(default_factory=dict)
+
+    @cached_property
+    def partners(self) -> tuple[dict[int, Partners], dict[int, Partners]]:
+        """The assignment's pairs, forward and backward, as partner maps seen
+        from the first ontology and from the second (as `_partner_maps`
+        gives them). Built on first use, then shared by every evidence view
+        over this assignment."""
+        return (
+            _assignment_partners(self.forward, self.backward),
+            _assignment_partners(self.backward, self.forward),
+        )
+
+
+def _assignment_partners(
+    best: dict[int, tuple[int, float]], mirror: dict[int, tuple[int, float]]
+) -> dict[int, Partners]:
+    """Each term's partners in an assignment: its own best, from `best`, and
+    every term whose best it is, from `mirror`. A term is usually its best's
+    best, so most terms get the one-entry tuple of their best, shared with
+    `best`; only the others are sorted."""
+    out: dict[int, Partners] = {t: (entry,) for t, entry in best.items()}
+    more: dict[int, list[tuple[int, float]]] = {}
+    for u, (t, p) in mirror.items():
+        own = best.get(t)
+        if own is None or own[0] != u:
+            more.setdefault(t, []).append((u, p))
+    for t, extra in more.items():
+        own = best.get(t)
+        if own is not None:
+            extra.append(own)
+        out[t] = tuple(sorted(extra))
+    return out
 
 
 @dataclass
@@ -239,18 +272,27 @@ def _partner_maps(
     )
 
 
+def _by_term(base: list[Partners], partners: dict[int, Partners]) -> list[Partners]:
+    """A copy of `base`, a list of partner tuples indexed by term id, with
+    the entries of `partners` written over it."""
+    out = base.copy()
+    for term, parts in partners.items():
+        out[term] = parts
+    return out
+
+
 class LiteralShare(NamedTuple):
-    """The clamped seed pairs' partner maps (see `_partner_maps`): the
-    literal share of every equivalence table and every evidence view.
+    """The clamped seed pairs' partner tuples (see `_partner_maps`), per
+    ontology a list indexed by term id, with () for a term without seeds:
+    the literal share of every equivalence table and every evidence view.
 
     Seeds never change, so `bootstrap` builds this once per run, and every
-    later state, table and view reads it in place. Each map is kept in one
-    form only, as sorted partner tuples: a lookup of one pair's p searches
-    its term's tuple.
+    later state, table and view reads it in place. A lookup of one pair's p
+    searches its term's tuple.
     """
 
-    left_sorted: dict[int, Partners]
-    right_sorted: dict[int, Partners]
+    left_sorted: list[Partners]
+    right_sorted: list[Partners]
 
 
 @dataclass
@@ -276,8 +318,10 @@ class AlignmentState:
 
 @dataclass
 class AlignmentResult:
-    """A finished run. `class_seconds` is the wall time of the class
-    inclusions, computed once after the last iteration."""
+    """A finished run. `functionality_seconds` is the wall time of both
+    functionality tables, `seed_seconds` that of the rest of `bootstrap`
+    (the literal seeds and their partner maps), and `class_seconds` that of
+    the class inclusions, computed once after the last iteration."""
 
     o1: Ontology
     o2: Ontology
@@ -289,23 +333,29 @@ class AlignmentResult:
     iterations: list[IterationStats]
     converged: bool
     class_seconds: float
+    functionality_seconds: float = 0.0
+    seed_seconds: float = 0.0
 
 
 class EvidenceView:
-    """Equality evidence readable during one sweep.
+    """Equality evidence readable during one sweep: `left[t]` is the sorted
+    (partner, p) tuple of a first-ontology term t, `right[t]` that of a
+    second-ontology term, and () means no partner.
 
-    Two shares whose keys never meet: seeds pair literals with literals only,
-    and sweep rows pair instances with instances only.
+    Each list joins two shares whose terms never meet: seeds pair literals
+    with literals only, and sweep rows pair instances with instances only.
 
-    * The literal share is the run's `LiteralShare`, read in place: seeds are
-      clamped, so every view sees them all.
-    * The instance share is built per view. By default it is the previous
-      maximal assignment alone, taken from `assignment.forward` and
-      `assignment.backward` (whose entries carry the stored p), so an
-      instance has at most two partners. With the restriction off, it is
-      every instance row of the table.
+    * The literal share is the run's `LiteralShare`: seeds are clamped, so
+      every view sees them all.
+    * The instance share is, by default, the previous maximal assignment
+      alone (`assignment.partners`, whose entries carry the stored p), so an
+      instance's best partner is among its partners. The assignment builds
+      it once, so the relation sweep that follows the assignment, the next
+      instance sweep and the class phase read one build. With the
+      restriction off, the share is every instance row of the table, built
+      per view.
 
-    Both shares hold sorted partner tuples only, with no dict per term: the
+    The lists hold partner tuples only, with no dict per term: the
     penalties find P(y, y2) by a scan of y's tuple (see `_penalties`).
     """
 
@@ -317,20 +367,11 @@ class EvidenceView:
         restrict: bool,
     ) -> None:
         if restrict:
-            pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
-            pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
+            left, right = assignment.partners
         else:
-            pairs = list(table.instance_pairs())
-        self._left_sorted, self._right_sorted = _partner_maps(pairs)
-        self._literal_left_sorted = literals.left_sorted
-        self._literal_right_sorted = literals.right_sorted
-
-    def partners_left(self, term: int) -> Partners:
-        """(second-ontology partner, probability) pairs for a first-ontology term."""
-        return self._left_sorted.get(term) or self._literal_left_sorted.get(term, ())
-
-    def partners_right(self, term: int) -> Partners:
-        return self._right_sorted.get(term) or self._literal_right_sorted.get(term, ())
+            left, right = _partner_maps(list(table.instance_pairs()))
+        self.left = _by_term(literals.left_sorted, left)
+        self.right = _by_term(literals.right_sorted, right)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -358,7 +399,10 @@ def bootstrap(
     fun1 = fun1 or build_functionality_table(o1, config.functionality_mode)
     fun2 = fun2 or build_functionality_table(o2, config.functionality_mode)
     seeds = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
-    literals = LiteralShare(*_partner_maps(seeds))
+    left, right = _partner_maps(seeds)
+    literals = LiteralShare(
+        _by_term([()] * o1.term_count(), left), _by_term([()] * o2.term_count(), right)
+    )
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literal_seeds=seeds, literals=literals, equiv=EquivalenceTable(literals),
@@ -373,6 +417,13 @@ def bootstrap(
 # its share of 1 - prod(factors) can add to a computed p (a few units of
 # 2**-53), so the bound still holds for computed values, whatever theta is.
 _TERM_SLACK = 2.0**-50
+
+# A weak statement's partner y2 is walked when it has at most this many
+# statements per candidate; otherwise each candidate's statements with y2 are
+# looked up. On the benchmark's three inputs a walked statement costs
+# 0.06-0.2 us and a looked-up candidate 0.7-1.2 us (medians), and the summed
+# cost of the two choices is flat for ratios from 3 to 8.
+_WALK_PER_LOOKUP = 4
 
 
 # An aligned relation r2 of a first-ontology relation r and the two penalty
@@ -419,7 +470,7 @@ class _InstanceFactors:
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
         cfg = state.config
-        self._partners = ev.partners_left
+        self._left = ev.left
         self._rels1 = state.o1.subject_relations
         self._objs1 = state.o1.subject_objects
         self._rels2 = state.o2.subject_relations
@@ -451,22 +502,18 @@ class _InstanceFactors:
         # their bounds, so it cannot be stored. The relative margin keeps
         # rounding in those float sums from letting such a pair over theta.
         self._limit = cfg.theta * (1.0 - 1e-9)
-        self._coefs: dict[int, dict[int, tuple[float, float]]] = {}
+        # per relation r of x's statements and relation q of a second-ontology
+        # statement q(y2, x2), the two weights of their factor before
+        # P(y, y2); filled on first use (see `_coefficient`)
+        self._coefs: defaultdict[int, dict[int, tuple[float, float]]] = defaultdict(dict)
         self._landings: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._bounds: dict[tuple[int, int], float | None] = {}
-
-    def _coefficients(self, r: int) -> dict[int, tuple[float, float]]:
-        """Per relation q of a second-ontology statement q(y2, x2), the two
-        weights of its factor with statement r(x, y), before P(y, y2).
-        Filled on first use."""
-        coefs = self._coefs.get(r)
-        if coefs is None:
-            coefs = self._coefs[r] = {}
-        return coefs
 
     def _coefficient(
         self, coefs: dict[int, tuple[float, float]], r: int, q: int
     ) -> tuple[float, float]:
+        """The two weights of statement r(x, y) against q(y2, x2), kept in
+        r's entry of `_coefs`."""
         r2 = q ^ 1  # the statement r2(x2, y2) seen from its object side
         c = coefs[q] = (
             self._sub21(r2, r) * self._inv_fun1(r),
@@ -474,30 +521,47 @@ class _InstanceFactors:
         )
         return c
 
+    def _add_hits(
+        self, acc: dict[int, list[float]], r: int, pyy: float, hits
+    ) -> None:
+        """Append to each candidate x2 the factor of statement r(x, y) with
+        the second-ontology statement q(y2, x2), for every (q, x2) in `hits`,
+        where pyy is P(y, y2): the one place a factor is formed."""
+        coefs = self._coefs[r]
+        kinds2 = self._kinds2
+        for q, x2 in hits:
+            if kinds2[x2] != INSTANCE:
+                continue
+            c = coefs.get(q) or self._coefficient(coefs, r, q)
+            if c[0] or c[1]:
+                acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
+
     def _add_factors(
         self,
         acc: dict[int, list[float]],
         r: int,
-        parts: tuple[tuple[int, float], ...],
-        among: list[int] | tuple[int, ...] | None = None,
+        parts: Partners,
+        among: dict[int, list[float]] | tuple[int, ...] | None = None,
     ) -> None:
         """Append the factors of statement r(x, y), whose object has the
         partners `parts`, to every candidate they land on, or, given `among`,
-        to those candidates only, found by lookup."""
-        coefs = self._coefficients(r)
-        kinds2 = self._kinds2
+        to those candidates only.
+
+        With `among`, each partner y2's statements are walked and kept where
+        they land in `among`, unless they outnumber it more than
+        `_WALK_PER_LOOKUP` times; then each candidate's statements with y2
+        are looked up instead. Both find the same statements q(y2, x2), each
+        once; only their order differs, and factors are multiplied sorted."""
+        rels2, objs2 = self._rels2, self._objs2
         for y2, pyy in parts:
-            if among is None:
-                hits = zip(self._rels2[y2], self._objs2[y2])
-            else:
-                between = self._between2
-                hits = [(q, x2) for x2 in among for q in between(y2, x2)]
-            for q, x2 in hits:
-                if kinds2[x2] != INSTANCE:
-                    continue
-                c = coefs.get(q) or self._coefficient(coefs, r, q)
-                if c[0] or c[1]:
-                    acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
+            hits = zip(rels2[y2], objs2[y2])
+            if among is not None:
+                if len(objs2[y2]) <= _WALK_PER_LOOKUP * len(among):
+                    hits = [(q, x2) for q, x2 in hits if x2 in among]
+                else:
+                    between = self._between2
+                    hits = [(q, x2) for x2 in among for q in between(y2, x2)]
+            self._add_hits(acc, r, pyy, hits)
 
     def _landing(self, y2: int) -> tuple[int, tuple[int, ...]]:
         """How many instance statements q(y2, x2) there are, and their
@@ -535,7 +599,7 @@ class _InstanceFactors:
         landings = [(pyy, self._landing(y2)) for y2, pyy in parts]
         if sum(n for _, (n, _) in landings) <= sum(len(qs) for _, (_, qs) in landings):
             return None
-        coefs = self._coefficients(r)
+        coefs = self._coefs[r]
         bound: float | None = None
         mass = 0.0
         terms = 0
@@ -554,12 +618,23 @@ class _InstanceFactors:
         return bound
 
     def candidates(self, x: int) -> dict[int, list[float]]:
-        """Factors per candidate partner of x that could score above theta."""
+        """Factors per candidate partner of x that could score above theta.
+
+        Most statements have one partner that lands on at most one
+        statement, such as a literal seed of a unique value. No relation
+        repeats there, so there is nothing to bound (see `_bound`): their
+        factor is added straight away.
+        """
         acc: dict[int, list[float]] = {}
         weak = []
+        left, rels2, objs2 = self._left, self._rels2, self._objs2
         for r, y in zip(self._rels1[x], self._objs1[x]):
-            parts = self._partners(y)
+            parts = left[y]
             if not parts:
+                continue
+            if len(parts) == 1 and len(objs2[parts[0][0]]) <= 1:
+                y2, pyy = parts[0]
+                self._add_hits(acc, r, pyy, zip(rels2[y2], objs2[y2]))
                 continue
             bound = self._bound(r, y, parts)
             if bound is None:
@@ -578,16 +653,16 @@ class _InstanceFactors:
                     self._add_factors(acc, r, parts)
                 del weak[i:]
                 break
-        among = list(acc)
         for _, r, _, parts in weak:
-            self._add_factors(acc, r, parts, among)
+            self._add_factors(acc, r, parts, acc)
         return acc
 
     def of_pair(self, x: int, x2: int) -> list[float]:
         """Every factor of the pair (x, x2), by lookup over all of x's statements."""
         acc: dict[int, list[float]] = {}
+        left = self._left
         for r, y in zip(self._rels1[x], self._objs1[x]):
-            self._add_factors(acc, r, self._partners(y), (x2,))
+            self._add_factors(acc, r, left[y], (x2,))
         return acc.get(x2, [])
 
     def _penalty_weights(
@@ -625,9 +700,9 @@ class _InstanceFactors:
         """The part of x's penalties that does not depend on the candidate:
         one term per statement r(x, y) and entry (r2, w21, w12) of r's
         penalty weights, holding y's partners, r2 and the two weights."""
-        weights, partners = self._weights, self._partners
+        weights, left = self._weights, self._left
         return [
-            (partners(y), r2, w21, w12)
+            (left[y], r2, w21, w12)
             for r, y in zip(self._rels1[x], self._objs1[x])
             for r2, w21, w12 in weights.get(r, ())
         ]
@@ -727,13 +802,13 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
 
 def _instance_rows(
     state: AlignmentState, ev: EvidenceView
-) -> tuple[list[tuple[int, dict[int, float]]], int]:
+) -> tuple[dict[int, dict[int, float]], int]:
     """Stored-pair rows per first-ontology instance, and the number of
     candidate pairs evaluated."""
     theta = state.config.theta
     factors = _InstanceFactors(state, ev)
     kinds1 = state.o1.kinds()
-    rows: list[tuple[int, dict[int, float]]] = []
+    rows: dict[int, dict[int, float]] = {}
     evaluated = 0
     for x, rels in enumerate(state.o1.subject_relations):
         if not rels or kinds1[x] != INSTANCE:
@@ -746,7 +821,7 @@ def _instance_rows(
             if p > theta:
                 row[x2] = p
         if row:
-            rows.append((x, row))
+            rows[x] = row
     return rows, evaluated
 
 
@@ -761,14 +836,8 @@ def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
     ev = EvidenceView(
         state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
     )
-    # rows first: the sweep's caches are gone before the table is built,
-    # which keeps the sweep's peak memory down
     rows, evaluated = _instance_rows(state, ev)
-    table = EquivalenceTable(state.literals)
-    for x, row in rows:
-        for x2, p in row.items():
-            table.set(x, x2, p)
-    return table, evaluated
+    return EquivalenceTable(state.literals, rows), evaluated
 
 
 def compute_maximal_assignment(
@@ -828,12 +897,13 @@ def _ratios(num: dict[int, float], den: float) -> dict[int, float]:
 def _subrel_rows(
     side: Ontology,
     other: Ontology,
-    partners,
+    partners: list[Partners],
     relation: int,
     pair_cap: int,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Inclusion scores of a relation r and of its inverse into every
     candidate of the other side, from one pass over r's statements.
+    `partners` is the evidence view's list for `side`.
 
     Per statement r(x, y): the chance that (x, y) transported through known
     equalities lands on an r'(x', y') statement (numerator, per candidate r'),
@@ -853,10 +923,10 @@ def _subrel_rows(
     inv_num: dict[int, float] | None = None  # the inverse's own sums, once they part
     inv_den = 0.0
     for x, y in islice(side.pairs(relation), pair_cap):
-        ex = partners(x)
+        ex = partners[x]
         if not ex:
             continue
-        ey = partners(y)
+        ey = partners[y]
         if not ey:
             continue
         if len(ex) == 1 and len(ey) == 1:
@@ -909,8 +979,8 @@ def update_subrelations(
     ev = EvidenceView(state.literals, table, assignment, cfg.restrict_to_assignment)
     out = SubrelationTable()
     for side, other, partners, scores in (
-        (state.o1, state.o2, ev.partners_left, out.o1_to_o2),
-        (state.o2, state.o1, ev.partners_right, out.o2_to_o1),
+        (state.o1, state.o2, ev.left, out.o1_to_o2),
+        (state.o2, state.o1, ev.right, out.o2_to_o1),
     ):
         for r in side.relation_ids()[::2]:  # each inverse is scored with r
             if not side.relation_subjects[r]:
@@ -928,7 +998,7 @@ def update_subrelations(
 def _class_rows(
     side: Ontology,
     other: Ontology,
-    partners,
+    partners: list[Partners],
     cls: int,
     pair_cap: int,
 ) -> dict[int, tuple[float, int]]:
@@ -943,7 +1013,7 @@ def _class_rows(
     support: dict[int, int] = {}
     for x in insts:
         prods: dict[int, float] = {}
-        for x2, p in partners(x):
+        for x2, p in partners[x]:
             for c2 in other.classes_of(x2):
                 prods[c2] = prods.get(c2, 1.0) * (1.0 - p)
         for c2, prod in prods.items():
@@ -961,8 +1031,8 @@ def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     ev = EvidenceView(state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment)
     out = ClassAlignmentTable()
     for side, other, partners, scores in (
-        (state.o1, state.o2, ev.partners_left, out.o1_to_o2),
-        (state.o2, state.o1, ev.partners_right, out.o2_to_o1),
+        (state.o1, state.o2, ev.left, out.o1_to_o2),
+        (state.o2, state.o1, ev.right, out.o2_to_o1),
     ):
         for c in sorted(side.classes()):
             for c_other, entry in _class_rows(side, other, partners, c, cfg.pair_cap).items():
@@ -1028,8 +1098,14 @@ def run_fixpoint(
     o1: Ontology, o2: Ontology, config: AlignmentConfig | None = None
 ) -> AlignmentResult:
     """Align two ontologies end to end."""
-    state = bootstrap(o1, o2, config)
-    cfg = state.config
+    cfg = config or AlignmentConfig()
+    started = time.perf_counter()
+    fun1 = build_functionality_table(o1, cfg.functionality_mode)
+    fun2 = build_functionality_table(o2, cfg.functionality_mode)
+    functionality_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    state = bootstrap(o1, o2, cfg, fun1, fun2)
+    seed_seconds = time.perf_counter() - started
     history: list[IterationStats] = []
     converged = False
     for _ in range(cfg.max_iterations):
@@ -1054,7 +1130,8 @@ def run_fixpoint(
         o1=o1, o2=o2, config=cfg, equiv=state.equiv, assignment=state.assignment,
         subrel=state.subrel if state.subrel is not None else SubrelationTable(),
         classes=classes, iterations=history, converged=converged,
-        class_seconds=class_seconds,
+        class_seconds=class_seconds, functionality_seconds=functionality_seconds,
+        seed_seconds=seed_seconds,
     )
 
 

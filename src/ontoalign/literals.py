@@ -15,7 +15,14 @@ _TAG = re.compile(r'^"(?P<text>.*)"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>]*>)?$', r
 
 
 def literal_text(lexical: str) -> str:
-    """Strip quotes and any datatype/language tag from a stored literal form."""
+    """Strip quotes and any datatype/language tag from a stored literal form.
+
+    A form that starts and ends with a quote has no tag, since no tag ends
+    in a quote, so its text is what lies between the two; only the others
+    need `_TAG`.
+    """
+    if len(lexical) > 1 and lexical[0] == '"' and lexical[-1] == '"':
+        return lexical[1:-1]
     m = _TAG.match(lexical)
     return m.group("text") if m else lexical
 
@@ -26,12 +33,15 @@ def strict_key(lexical: str) -> str:
 
 
 def alnum_lower_key(lexical: str) -> str:
-    """Alphanumerics only, lowercased and kept in sequence.
+    """Lowercased, then alphanumerics only, kept in sequence.
 
     Makes '"213/467-1108"' and '"213-467-1108"' equal while keeping
-    '"Sugata Sanshirô"' distinct from '"Sanshiro Sugata"'.
+    '"Sugata Sanshirô"' distinct from '"Sanshiro Sugata"'. Lowercasing
+    comes first because it can add characters that are not alphanumeric:
+    'İ' lowercases to 'i' and a combining dot, so '"İstanbul"' and
+    '"Istanbul"' share the key 'istanbul'.
     """
-    return "".join(ch for ch in literal_text(lexical) if ch.isalnum()).lower()
+    return "".join(ch for ch in literal_text(lexical).lower() if ch.isalnum())
 
 
 # --literal-mode name -> normalization key

@@ -170,7 +170,7 @@ def test_mirrored_inclusions_match_oracle_exactly():
             assert state.subrel.o2_to_o1 == sub21, f"iteration {i} inclusions 2->1"
             ev = EvidenceView(state.literals, state.equiv, state.assignment, False)
             several += sum(
-                len(ev.partners_left(x)) > 1 and len(ev.partners_left(y)) > 1
+                len(ev.left[x]) > 1 and len(ev.left[y]) > 1
                 for r in o1.relation_ids() for x, y in o1.pairs(r)
             )
     assert several > 1000

@@ -220,6 +220,18 @@ def test_manifest_reports_class_time_and_peak_memory(world):
     assert float(manifest["process.peak_rss_mb"]) >= 0.0
 
 
+def test_manifest_times_the_bootstrap_phases(world):
+    """The functionality tables and the literal seeds each get a time of
+    their own."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert float(manifest["phase.functionality.seconds"]) >= 0.0
+    assert float(manifest["phase.seed.seconds"]) >= 0.0
+
+
 def test_manifest_reports_peak_memory_per_phase(world):
     """The peak after loading and at the end of each iteration only grow,
     up to the process's peak: the first phase to reach it is where it

@@ -3,14 +3,16 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import alice_pair, engine_table_dict, make_ontology, random_world_pair
+from ontoalign import engine
 from ontoalign.engine import (
     AlignmentConfig,
     EquivalenceTable,
     EvidenceView,
+    MaximalAssignment,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
@@ -19,6 +21,7 @@ from ontoalign.engine import (
     run_fixpoint,
     step,
     update_all_instances,
+    _partner_maps,
     _sorted_product,
 )
 from ontoalign.store import INSTANCE
@@ -196,11 +199,12 @@ def test_assignment_is_the_brute_force_argmax_both_ways(order1, order2, entries)
     o2 = make_ontology("second", [], types=[(f"b{k}", "C") for k in order2])
     ids1 = {k: o1.term_id(f"a{k}") for k in order1}
     ids2 = {k: o2.term_id(f"b{k}") for k in order2}
-    table = EquivalenceTable(bootstrap(o1, o2).literals)
+    rows: dict[int, dict[int, float]] = {}
     stored: dict[tuple[int, int], float] = {}
     for i, j, p in entries:
-        table.set(ids1[i], ids2[j], p)
+        rows.setdefault(ids1[i], {})[ids2[j]] = p
         stored[(ids1[i], ids2[j])] = p
+    table = EquivalenceTable(bootstrap(o1, o2).literals, rows)
     assignment = compute_maximal_assignment(table, o1, o2)
 
     def brute(own, other, lexical):
@@ -213,6 +217,78 @@ def test_assignment_is_the_brute_force_argmax_both_ways(order1, order2, entries)
 
     assert assignment.forward == brute(0, 1, o2.lexical)
     assert assignment.backward == brute(1, 0, o1.lexical)
+
+
+# a0 and a1 share b0 as their best, and b1 and b2 share a2 as theirs; the
+# backward best of b3 is a3, whose own best is b4
+_SHARED_BESTS = [
+    (0, 0, 1.0), (1, 0, 0.5),
+    (2, 1, 1.0), (2, 2, 0.5),
+    (3, 3, 0.25), (3, 4, 1.0),
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.permutations(range(6)),
+    st.permutations(range(6)),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(_TIE_PROBABILITIES)),
+        max_size=30,
+    ),
+)
+@example(range(6), range(6), _SHARED_BESTS)
+@example(range(6)[::-1], range(6)[::-1], _SHARED_BESTS)
+@example(range(6), range(6), [(j, i, p) for i, j, p in _SHARED_BESTS])
+def test_assignment_partner_maps_equal_the_maps_of_its_pair_list(order1, order2, entries):
+    """The assignment's own partner maps equal `_partner_maps` over its
+    forward pairs followed by its backward pairs, also where several
+    instances share one best partner, on either side."""
+    o1 = make_ontology("first", [], types=[(f"a{k}", "C") for k in order1])
+    o2 = make_ontology("second", [], types=[(f"b{k}", "C") for k in order2])
+    ids1 = {k: o1.term_id(f"a{k}") for k in order1}
+    ids2 = {k: o2.term_id(f"b{k}") for k in order2}
+    rows: dict[int, dict[int, float]] = {}
+    for i, j, p in entries:
+        rows.setdefault(ids1[i], {})[ids2[j]] = p
+    assignment = compute_maximal_assignment(
+        EquivalenceTable(bootstrap(o1, o2).literals, rows), o1, o2
+    )
+    pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
+    pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
+    assert assignment.partners == _partner_maps(pairs)
+    if entries == _SHARED_BESTS:
+        left, right = assignment.partners
+        assert len(right[ids2[0]]) == 2 and len(left[ids1[2]]) == 2
+        assert len(left[ids1[3]]) == 2
+
+
+def test_views_over_one_assignment_share_its_maps(monkeypatch):
+    """The relation sweep, the next instance sweep and the class phase read
+    the one build of an assignment's partner maps; each view joins it with
+    the literal share, whose terms it never meets."""
+    o1, o2 = alice_pair()
+    state, _ = step(bootstrap(o1, o2))
+    builds = []
+    monkeypatch.setattr(
+        engine, "_assignment_partners", lambda *maps: builds.append(maps) or {}
+    )
+    assignment = MaximalAssignment(state.assignment.forward, state.assignment.backward)
+    for _ in range(3):
+        EvidenceView(state.literals, state.equiv, assignment, True)
+    assert len(builds) == 2
+    monkeypatch.undo()
+    left, right = state.assignment.partners
+    assert left and right
+    view = EvidenceView(state.literals, state.equiv, state.assignment, True)
+    for own, literal, joined, o in (
+        (left, state.literals.left_sorted, view.left, o1),
+        (right, state.literals.right_sorted, view.right, o2),
+    ):
+        assert len(literal) == o.term_count() and any(literal)
+        assert not any(literal[t] for t in own)
+        assert joined == [own.get(t) or literal[t] for t in range(o.term_count())]
+    assert MaximalAssignment().partners == ({}, {})
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -240,11 +316,11 @@ def test_seeds_with_several_partners_read_the_same_everywhere(swap):
         assert table.get(a, max(literals2) + 1) == 0.0
     view = EvidenceView(state.literals, table, state.assignment, True)
     for a in literals1:
-        assert view.partners_left(a) == tuple(sorted(
+        assert view.left[a] == tuple(sorted(
             (b, p) for (a2, b), p in seeds.items() if a2 == a
         ))
     for b in literals2:
-        assert view.partners_right(b) == tuple(sorted(
+        assert view.right[b] == tuple(sorted(
             (a, p) for (a, b2), p in seeds.items() if b2 == b
         ))
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ontoalign.engine import AlignmentConfig
 from ontoalign.literals import (
+    _TAG,
     MEASURES,
     alnum_lower_key,
     build_key_index,
@@ -31,6 +32,13 @@ def test_alnum_lower_measure_bridges_formatting():
     assert alnum_lower_key('"Alice"') == alnum_lower_key('"ALICE"')
     # word order still matters: characters are kept in sequence
     assert alnum_lower_key('"Sugata Sanshiro"') != alnum_lower_key('"Sanshiro Sugata"')
+
+
+def test_alnum_lower_key_lowercases_before_it_keeps_alphanumerics():
+    """'İ' lowercases to 'i' and a combining dot, which is not alphanumeric;
+    a capital sigma that ends a word lowercases to the final form."""
+    assert alnum_lower_key('"İstanbul"') == alnum_lower_key('"Istanbul"') == "istanbul"
+    assert alnum_lower_key('"ΟΔΟΣ ΑΘΗΝΑΣ"') == alnum_lower_key('"οδος αθηνας"')
 
 
 def test_unknown_literal_modes_are_rejected():
@@ -61,3 +69,19 @@ def test_strict_equality_is_reflexive_after_quoting(text):
     """A quoted text matches itself exactly when its trimmed text is
     nonempty: empty keys are dropped from the index."""
     assert strict_key(f'"{text}"') == text.strip()
+
+
+_FORM_PARTS = ('"', '""', "a", " ", "\n", "@", "en", "-", "^^", "<", ">", "x:t", "é")
+
+
+@given(
+    st.lists(st.sampled_from(_FORM_PARTS), max_size=8).map("".join),
+    st.sampled_from(("", '"', "@en", "@en-US", "@1", "^^<x:t>", "^^<a<b>", "\n", '"\n')),
+    st.booleans(),
+)
+def test_literal_text_agrees_with_the_tag_regex(body, tail, quoted):
+    """Forms with tags, inner quotes, '""', a lone '"' and a trailing newline
+    get the text the `_TAG` regex gives, or stay as they are."""
+    form = (f'"{body}"' if quoted else body) + tail
+    m = _TAG.match(form)
+    assert literal_text(form) == (m.group("text") if m else form)
