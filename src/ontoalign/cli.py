@@ -123,6 +123,8 @@ def _manifest_lines(
         kv["process.peak_rss_mb"] = f"{peak:.1f}"
     if load_peak is not None:
         kv["phase.load.peak_rss_mb"] = f"{load_peak:.1f}"
+    if result.seed_peak_rss_mb is not None:
+        kv["phase.seed.peak_rss_mb"] = f"{result.seed_peak_rss_mb:.1f}"
     for side, path, onto in (("left", args.left, result.o1), ("right", args.right, result.o2)):
         kv[f"input.{side}.path"] = path
         kv[f"input.{side}.sha256"] = _digest(path)

@@ -35,7 +35,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .functionality import MODES, FunctionalityTable, build_functionality_table
@@ -261,15 +262,22 @@ def _partner_maps(
 ) -> tuple[dict[int, Partners], dict[int, Partners]]:
     """Each term's partners, seen from the first ontology and from the
     second; a pair listed twice keeps its last p."""
-    left: dict[int, dict[int, float]] = {}
-    right: dict[int, dict[int, float]] = {}
-    for a, b, p in pairs:
-        left.setdefault(a, {})[b] = p
-        right.setdefault(b, {})[a] = p
-    return (
-        {a: tuple(sorted(row.items())) for a, row in left.items()},
-        {b: tuple(sorted(row.items())) for b, row in right.items()},
-    )
+    return _grouped_partners(pairs, 0, 1), _grouped_partners(pairs, 1, 0)
+
+
+def _grouped_partners(
+    pairs: list[tuple[int, int, float]], term: int, partner: int
+) -> dict[int, Partners]:
+    """The partners of each term at position `term` of the pairs. A stable
+    sort groups the pairs by term and partner, with no dict per term kept
+    alive: a term with several partners is deduplicated by a dict of its
+    own, which keeps each partner's place and its last p."""
+    out: dict[int, Partners] = {}
+    ordered = sorted(pairs, key=itemgetter(term, partner))
+    for t, run in groupby(ordered, itemgetter(term)):
+        parts = [(pair[partner], pair[2]) for pair in run]
+        out[t] = tuple(parts) if len(parts) == 1 else tuple(dict(parts).items())
+    return out
 
 
 def _by_term(base: list[Partners], partners: dict[int, Partners]) -> list[Partners]:
@@ -321,7 +329,9 @@ class AlignmentResult:
     """A finished run. `functionality_seconds` is the wall time of both
     functionality tables, `seed_seconds` that of the rest of `bootstrap`
     (the literal seeds and their partner maps), and `class_seconds` that of
-    the class inclusions, computed once after the last iteration."""
+    the class inclusions, computed once after the last iteration.
+    `seed_peak_rss_mb` is the process's peak resident memory right after
+    `bootstrap` (see `peak_rss_mb`)."""
 
     o1: Ontology
     o2: Ontology
@@ -335,6 +345,7 @@ class AlignmentResult:
     class_seconds: float
     functionality_seconds: float = 0.0
     seed_seconds: float = 0.0
+    seed_peak_rss_mb: float | None = None
 
 
 class EvidenceView:
@@ -1106,6 +1117,7 @@ def run_fixpoint(
     started = time.perf_counter()
     state = bootstrap(o1, o2, cfg, fun1, fun2)
     seed_seconds = time.perf_counter() - started
+    seed_peak = peak_rss_mb()
     history: list[IterationStats] = []
     converged = False
     for _ in range(cfg.max_iterations):
@@ -1131,7 +1143,7 @@ def run_fixpoint(
         subrel=state.subrel if state.subrel is not None else SubrelationTable(),
         classes=classes, iterations=history, converged=converged,
         class_seconds=class_seconds, functionality_seconds=functionality_seconds,
-        seed_seconds=seed_seconds,
+        seed_seconds=seed_seconds, seed_peak_rss_mb=seed_peak,
     )
 
 

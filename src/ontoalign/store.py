@@ -40,17 +40,21 @@ statements. :meth:`Ontology.has_statement` reads the same scan.
 
 Every column slot holds the one int object of its term or relation id, the
 one the term table holds, so the columns add 8 bytes per slot and no int
-object per statement. On the benchmark's ``clean`` side (10k persons,
-118 824 inverse-closed statements, 47 289 terms) a statement costs about
-137 bytes: 54 in subject columns (two slots and, per term, two tuple headers
-and two list slots), 8 in relation columns, 11 in the id ints, 50 in the
-term tables with their strings and 12 in the types. The build peaks about
-20 bytes per statement above that. CSR columns (one ``array`` of relations
-and one of objects per ontology, with offsets per term) would save about
-10 MB more on the ``clean`` pair, but a slice per term to read them costs
-more than the tuples: three full passes over one side's rows took 0.16 s
-with array slices, against 0.10 s with the column tuples and 0.04 s with a
-tuple per row.
+object per statement. Terms with equal relation sequences share one tuple,
+as do instances with equal class sequences. On the benchmark's ``clean``
+side (10k persons, 118 824 inverse-closed statements, 47 289 terms, 1 316
+distinct relation sequences) a statement costs about 98 bytes: 32 in
+subject columns (an object slot and, per term, an object tuple header and
+two list slots), 8 in relation columns, 11 in the id ints, 34 in the term
+tables with their strings, 7 in the types and 6 in the rest. The load peaks
+about 24 bytes per statement above that. The store keeps no index from
+lexical form to term id: :meth:`Ontology.term_id` builds one on its first
+call, and the run never calls it. CSR object columns (one ``array`` per
+ontology, with offsets per term) would save about 4 MB more on the
+``clean`` pair, but a slice per term to read them costs more than the
+tuples: three full passes over one side's rows took 0.16 s with array
+slices, against 0.10 s with the column tuples and 0.04 s with a tuple per
+row.
 
 Types are held per instance and per class: :meth:`Ontology.classes_of` and
 :meth:`Ontology.instances_of` return tuples, in insertion order, with the
@@ -75,6 +79,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate, groupby, islice
 from typing import Iterable, Iterator
 
@@ -101,7 +106,6 @@ class Ontology:
     def __init__(self, origin: str):
         self.origin = origin
         # term tables: instances, literals, classes share one id space
-        self._term_id: dict[str, int] = {}
         self._term_lex: list[str] = []
         self._term_kind: list[str] = []
         # relation table: separate id space; ids 2k / 2k+1 are mutual inverses
@@ -121,6 +125,11 @@ class Ontology:
         self.rejected_statements = 0
 
     # ------------------------------------------------------------------ terms
+
+    @cached_property
+    def _term_id(self) -> dict[str, int]:
+        # built on the first lookup; the run never makes one
+        return {lex: t for t, lex in enumerate(self._term_lex)}
 
     def term_id(self, lexical: str) -> int | None:
         return self._term_id.get(lexical)
@@ -303,6 +312,8 @@ def ontology_from_triples(
     for lex, cid in class_id.items():
         if lex in seen:
             tid[seen[lex]] = cid
+    # the first-sight table is not kept; its bound setdefault would keep it
+    del seen, see
 
     def new_term(pid: int, kind: str) -> int:
         t = tid[pid] = len(term_lex)
@@ -355,14 +366,6 @@ def ontology_from_triples(
         kept += 1
     del typed[kept:], typed_as[kept:]
 
-    # the first-sight table becomes the term table: terms only, final ids
-    for pid, lex in enumerate(lexical):
-        if tid[pid] is None:
-            del seen[lex]
-        else:
-            seen[lex] = tid[pid]
-    seen.update(class_id)
-    onto._term_id = seen
     del lexical, position_kind, tid
 
     superclasses: dict[int, set[int]] = {}
@@ -482,9 +485,13 @@ def _fill_columns(
         rows_r[i] = inverse[r]
         rows_o[i] = s
     del free
-    # each sorted column is freed once its tuples are cut
+    # Each sorted column is freed once its tuples are cut. Terms with equal
+    # relation sequences share one tuple, and a single-row term holds the
+    # (r,) that relations_between returns.
+    shared = {rels: rels for rels in onto._single}
+    intern = shared.setdefault
     rows = iter(rows_r)
-    rels_of = [tuple(islice(rows, n)) for n in counts]
+    rels_of = [intern(rels, rels) for rels in (tuple(islice(rows, n)) for n in counts)]
     del rows, rows_r
     rows = iter(rows_o)
     objs_of = [tuple(islice(rows, n)) for n in counts]
@@ -496,7 +503,8 @@ def _fill_columns(
             stored = Counter(zip(rels_of[s], objs))
             if len(stored) == len(objs):
                 continue  # several relations between the same two terms
-            rels_of[s] = tuple(r for r, _ in stored)
+            rels = tuple(r for r, _ in stored)
+            rels_of[s] = intern(rels, rels)
             objs_of[s] = tuple(o for _, o in stored)
             for (r, o), n in stored.items():
                 if n > 1:  # kept under the even relation of the two
@@ -561,6 +569,10 @@ def _group_types(onto: Ontology, typed_log: list[int], class_log: list[int]) -> 
             repeated.update(classes)
     for cls in repeated:
         instances_of[cls] = tuple(dict.fromkeys(instances_of[cls]))
+    # instances with equal class sequences share one tuple
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for inst, classes in types_of.items():
+        types_of[inst] = shared.setdefault(classes, classes)
     typed_log.clear()
     class_log.clear()
 

@@ -250,6 +250,20 @@ def test_manifest_reports_peak_memory_per_phase(world):
     assert peaks == sorted(peaks)
 
 
+def test_manifest_reports_peak_memory_after_the_seeds(world):
+    """The peak right after the literal seeds lies between the peak after
+    loading and the first iteration's, and so at most at the process's."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    seed = float(manifest["phase.seed.peak_rss_mb"])
+    assert float(manifest["phase.load.peak_rss_mb"]) <= seed
+    assert seed <= float(manifest["iteration.1.peak_rss_mb"])
+    assert seed <= float(manifest["process.peak_rss_mb"])
+
+
 def test_manifest_times_each_phase_of_every_iteration(world):
     """Each iteration's instance sweep, assignment and relation sweep get a
     time of their own, within the iteration's time. Each value is written

@@ -180,6 +180,43 @@ def test_assignment_ties_break_toward_smaller_lexical():
 _TIE_PROBABILITIES = (0.25, 0.5, 1.0)
 
 
+def _reference_partner_maps(pairs):
+    """`_partner_maps` with a dict per term: later pairs overwrite earlier
+    ones, and each term's partners are sorted at the end."""
+    left: dict[int, dict[int, float]] = {}
+    right: dict[int, dict[int, float]] = {}
+    for a, b, p in pairs:
+        left.setdefault(a, {})[b] = p
+        right.setdefault(b, {})[a] = p
+    return (
+        {a: tuple(sorted(row.items())) for a, row in left.items()},
+        {b: tuple(sorted(row.items())) for b, row in right.items()},
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6),
+                  st.sampled_from((0.125, 0.25, 0.5, 1.0))),
+        max_size=40,
+    )
+)
+@example([(1, 2, 0.25), (0, 2, 1.0), (1, 2, 0.5), (1, 0, 1.0), (1, 2, 0.125)])
+def test_partner_maps_group_by_sorting_like_a_dict_per_term(pairs):
+    """The sort-grouped partner maps equal a dict per term: every term's
+    partners ascend, and a pair listed more than once keeps its last p."""
+    left, right = _partner_maps(pairs)
+    assert (left, right) == _reference_partner_maps(pairs)
+    for side in (left, right):
+        for parts in side.values():
+            partners = [b for b, _ in parts]
+            assert partners == sorted(set(partners))
+    last = {(a, b): p for a, b, p in pairs}
+    for (a, b), p in last.items():
+        assert (b, p) in left[a] and (a, p) in right[b]
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     st.permutations(range(6)),

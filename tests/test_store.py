@@ -317,10 +317,13 @@ def test_single_relation_pairs_share_one_tuple_per_relation(tmp_path):
 
 
 def test_store_keeps_few_bytes_per_statement(tmp_path):
-    """The statements live in flat columns of shared ints, and the load
-    keeps no list of string triples: per inverse-closed statement the store
-    holds about 141 bytes, terms included, and loading it peaks at about
-    153. The row-tuple store with its pair dict held 302 and peaked at 509."""
+    """The statements live in flat columns of shared ints and shared
+    relation tuples, the load keeps no list of string triples, and no
+    lexical index of the terms stays resident: per inverse-closed statement
+    the store holds about 127 bytes, terms included, and loading it peaks
+    at about 143. With a resident term index and a relation tuple per term
+    it held 141 and peaked at 154; the row-tuple store with its pair dict
+    held 302 and peaked at 509."""
     generate_pair(tmp_path, instances=400, seed=1)
     gc.collect()
     tracemalloc.start()
@@ -330,8 +333,47 @@ def test_store_keeps_few_bytes_per_statement(tmp_path):
     finally:
         tracemalloc.stop()
     statements = onto.statement_count()
-    assert live / statements < 176
-    assert peak / statements < 192
+    assert live / statements < 158
+    assert peak / statements < 178
+
+
+def test_equal_relation_and_class_sequences_share_one_tuple(tmp_path):
+    """Terms with equal relation sequences hold one tuple object, a
+    single-row term holds the (r,) that relations_between returns, and
+    instances with equal class sequences share their class tuple."""
+    generate_pair(tmp_path, instances=400, seed=1)
+    for name in ("left.nt", "right.nt"):
+        onto = load_ontology(tmp_path / name)
+        by_value: dict[tuple[int, ...], set[int]] = {}
+        for rels in onto.subject_relations:
+            by_value.setdefault(rels, set()).add(id(rels))
+        assert len(by_value) < len(onto.subject_relations) / 10
+        assert all(len(ids) == 1 for ids in by_value.values())
+        singles = 0
+        for s, rels in enumerate(onto.subject_relations):
+            if len(rels) == 1:
+                o = onto.subject_objects[s][0]
+                assert rels is onto.relations_between(s, o)
+                singles += 1
+        assert singles > 0
+        classes: dict[tuple[int, ...], set[int]] = {}
+        for x in onto.instances():
+            cs = onto.classes_of(x)
+            classes.setdefault(cs, set()).add(id(cs))
+        assert len(classes) > 1
+        assert all(len(ids) == 1 for ids in classes.values())
+
+
+def test_term_id_finds_every_term_by_its_lexical_form(tmp_path):
+    """The lexical index is built on the first lookup; it maps every term
+    back to its id, and a form that names no term to None."""
+    generate_pair(tmp_path, instances=40, seed=1)
+    onto = load_ontology(tmp_path / "left.nt")
+    assert onto.term_count() > 0
+    for t in range(onto.term_count()):
+        assert onto.term_id(onto.lexical(t)) == t
+    assert onto.term_id("http://nowhere.example/none") is None
+    assert onto.term_id(onto.relation_lexical(0)) is None
 
 
 _HUB_SUBJECTS = tuple(f"h{i}" for i in range(1_000))
