@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .functionality import MODES, FunctionalityTable, build_functionality_table
 from .literals import MEASURES, build_key_index
@@ -110,7 +110,11 @@ class IterationStats:
     lift a pair over theta, by a landing with a nonzero weight. Pairs reached
     only through weak statements, such as those naming a hub value, or only
     through zero-weight landings are never scored, since they could never
-    be stored.
+    be stored. Under negative evidence, an instance with a decisive penalty
+    has only the candidates that escape it scored, and none where the
+    penalty's object has no partner: a penalty alone would take every other
+    candidate to theta or below (see `_InstanceFactors`). So the count
+    drops under negative evidence, while every stored pair stays the same.
 
     `seconds` is the whole iteration's wall time. The three phase times
     within it are the instance sweep and the relation sweep, each with the
@@ -255,6 +259,8 @@ class ClassAlignmentTable:
 
 
 Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by partner
+# Per second-ontology instance, its objects per relation (see `_penalty_index`).
+PenaltyIndex = dict[int, dict[int, list[int]]]
 
 
 def _partner_maps(
@@ -308,7 +314,8 @@ class AlignmentState:
     """Everything one iteration reads; treat as an immutable snapshot.
 
     `literal_seeds` and their partner maps in `literals` are built once, by
-    `bootstrap`, and passed on unchanged from state to state.
+    `bootstrap`, and passed on unchanged from state to state; so is the
+    `penalty_index` (see `_penalty_index`), empty without negative evidence.
     """
 
     o1: Ontology
@@ -318,6 +325,7 @@ class AlignmentState:
     fun2: FunctionalityTable
     literal_seeds: list[tuple[int, int, float]]
     literals: LiteralShare
+    penalty_index: PenaltyIndex
     equiv: EquivalenceTable
     assignment: MaximalAssignment
     subrel: SubrelationTable | None  # None means the uniform bootstrap prior
@@ -398,6 +406,19 @@ def literal_seed_pairs(
     return [(a, b, 1.0) for k, ids1 in idx1.items() for a in ids1 for b in idx2.get(k, ())]
 
 
+def _penalty_index(o2: Ontology) -> PenaltyIndex:
+    """Each second-ontology instance's objects, grouped by relation: all that
+    a penalty reads of a candidate (see `_InstanceFactors._penalties`)."""
+    index: PenaltyIndex = {}
+    kinds = o2.kinds()
+    for x2, rels in enumerate(o2.subject_relations):
+        if rels and kinds[x2] == INSTANCE:
+            objs = index[x2] = {}
+            for q, o in zip(rels, o2.subject_objects[x2]):
+                objs.setdefault(q, []).append(o)
+    return index
+
+
 def bootstrap(
     o1: Ontology,
     o2: Ontology,
@@ -416,7 +437,9 @@ def bootstrap(
     )
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
-        literal_seeds=seeds, literals=literals, equiv=EquivalenceTable(literals),
+        literal_seeds=seeds, literals=literals,
+        penalty_index=_penalty_index(o2) if config.negative_evidence else {},
+        equiv=EquivalenceTable(literals),
         assignment=MaximalAssignment(), subrel=None, iteration=0,
     )
 
@@ -473,10 +496,25 @@ class _InstanceFactors:
     Under negative evidence, the penalty weights are built once per sweep
     (see `_penalty_weights`) and the part of x's penalties that does not
     depend on the candidate once per x (see `_penalty_plan`), so each
-    candidate x2 costs only the walk over its own objects. The sweep scores
+    candidate x2 costs only the walk over its own objects, grouped by
+    relation once per run (`AlignmentState.penalty_index`). The sweep scores
     x's candidates one after another; one plan is kept at a time. Penalties
     are walked only for a pair that can still be stored, and the walk stops
     as soon as one penalty rules it out (see `probability`).
+
+    A penalty can also rule candidates out before they are scored. With the
+    default object inner form, the penalty of statement r(x, y) against an
+    aligned relation r2 is decisive when one of its weights w has
+    1 - w <= theta (see `_decisive_relations`). A candidate x2 with no
+    statement r2(x2, y2) for a partner y2 of y has the inner product exactly
+    1.0, so the factor 1 - w, and every positive score p <= 1 has
+    p (1 - w) <= theta: such a pair is never stored. An instance with
+    decisive penalties therefore has only the candidates that escape all of
+    them scored, with the full factor list each (see `_escaping`), so every
+    stored value is unchanged. The other instances, every instance of the
+    first iteration and every run without negative evidence take the bounded
+    path above. The pair inner form reads the previous P(x, x2), not y's
+    partners, so it has no decisive penalties and is never cut this way.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -506,7 +544,10 @@ class _InstanceFactors:
         # product reads
         self._weights = self._penalty_weights(state.subrel) if cfg.negative_evidence else {}
         self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
-        self._objs: dict[int, dict[int, list[int]]] = {}
+        self._decisive = (
+            self._decisive_relations(cfg.theta) if self._pair_prev is None else {}
+        )
+        self._objs = state.penalty_index
         self._plan_of: int | None = None  # the instance `_plan` belongs to
         self._plan: list[PenaltyTerm] = []
         # A pair reached only through weak statements has p <= the sum of
@@ -552,7 +593,7 @@ class _InstanceFactors:
         acc: dict[int, list[float]],
         r: int,
         parts: Partners,
-        among: dict[int, list[float]] | tuple[int, ...] | None = None,
+        among: Collection[int] | None = None,
     ) -> None:
         """Append the factors of statement r(x, y), whose object has the
         partners `parts`, to every candidate they land on, or, given `among`,
@@ -631,15 +672,24 @@ class _InstanceFactors:
     def candidates(self, x: int) -> dict[int, list[float]]:
         """Factors per candidate partner of x that could score above theta.
 
-        Most statements have one partner that lands on at most one
-        statement, such as a literal seed of a unique value. No relation
-        repeats there, so there is nothing to bound (see `_bound`): their
-        factor is added straight away.
+        Where x has a decisive penalty, only the candidates that escape it
+        are scored (see `_escaping`). Otherwise, most statements have one
+        partner that lands on at most one statement, such as a literal seed
+        of a unique value. No relation repeats there, so there is nothing to
+        bound (see `_bound`): their factor is added straight away.
         """
+        left, rels1, objs1 = self._left, self._rels1[x], self._objs1[x]
+        decisive = self._decisive
+        if decisive:
+            terms = [
+                (left[y], r2) for r, y in zip(rels1, objs1) for r2 in decisive.get(r, ())
+            ]
+            if terms:
+                return self._escaping(x, terms)
         acc: dict[int, list[float]] = {}
         weak = []
-        left, rels2, objs2 = self._left, self._rels2, self._objs2
-        for r, y in zip(self._rels1[x], self._objs1[x]):
+        rels2, objs2 = self._rels2, self._objs2
+        for r, y in zip(rels1, objs1):
             parts = left[y]
             if not parts:
                 continue
@@ -666,6 +716,41 @@ class _InstanceFactors:
                 break
         for _, r, _, parts in weak:
             self._add_factors(acc, r, parts, acc)
+        return acc
+
+    def _escaping(
+        self, x: int, terms: list[tuple[Partners, int]]
+    ) -> dict[int, list[float]]:
+        """Factors per candidate partner x2 of x that escapes each of x's
+        decisive penalties: each term (parts, r2), from a statement r(x, y)
+        with y's partners `parts`, needs a statement r2(x2, y2) with y2 among
+        them. No other candidate can be stored (see `_decisive_relations`),
+        so x has none where a term's y has no partner.
+
+        The term whose partners have the fewest statements is walked for its
+        candidates; each other term keeps those it finds a statement for, by
+        lookup. Every survivor then gets the factors of all of x's
+        statements, as enumeration gives them, so its value is unchanged."""
+        if not all(parts for parts, _ in terms):
+            return {}
+        rels2, objs2, between = self._rels2, self._objs2, self._between2
+        terms.sort(key=lambda term: sum(len(objs2[y2]) for y2, _ in term[0]))
+        (parts, r2), rest = terms[0], terms[1:]
+        q = r2 ^ 1  # r2(x2, y2) seen from its object side
+        escape = dict.fromkeys(
+            x2 for y2, _ in parts for q2, x2 in zip(rels2[y2], objs2[y2]) if q2 == q
+        )
+        for parts, r2 in rest:
+            escape = dict.fromkeys(
+                x2 for x2 in escape if any(r2 in between(x2, y2) for y2, _ in parts)
+            )
+        acc: dict[int, list[float]] = {}
+        if escape:
+            left = self._left
+            for r, y in zip(self._rels1[x], self._objs1[x]):
+                parts = left[y]
+                if parts:
+                    self._add_factors(acc, r, parts, escape)
         return acc
 
     def of_pair(self, x: int, x2: int) -> list[float]:
@@ -707,6 +792,24 @@ class _InstanceFactors:
             weights[r] = tuple(entries)
         return weights
 
+    def _decisive_relations(self, theta: float) -> dict[int, tuple[int, ...]]:
+        """Per first-ontology relation r, the aligned relations r2 against
+        which a statement r(x, y) has a decisive penalty: one of its two
+        weights w has 1 - w <= theta. A candidate x2 with no statement
+        r2(x2, y2) for a partner y2 of y has the inner product 1.0, so the
+        factor 1 - w, and for every positive score p <= 1, p (1 - w) <= theta,
+        as float multiplication is monotone: the pair can never be stored.
+        Only the object inner form reads partners this way."""
+        decisive: dict[int, tuple[int, ...]] = {}
+        for r, entries in self._weights.items():
+            r2s = tuple(
+                r2 for r2, w21, w12 in entries
+                if any(w is not None and 1.0 - w <= theta for w in (w21, w12))
+            )
+            if r2s:
+                decisive[r] = r2s
+        return decisive
+
     def _penalty_plan(self, x: int) -> list[PenaltyTerm]:
         """The part of x's penalties that does not depend on the candidate:
         one term per statement r(x, y) and entry (r2, w21, w12) of r's
@@ -733,11 +836,7 @@ class _InstanceFactors:
         """
         if x != self._plan_of:
             self._plan_of, self._plan = x, self._penalty_plan(x)
-        objs2 = self._objs.get(x2)
-        if objs2 is None:
-            objs2 = self._objs[x2] = {}
-            for q, o in zip(self._rels2[x2], self._objs2[x2]):
-                objs2.setdefault(q, []).append(o)
+        objs2 = self._objs[x2]
         pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
         pens: list[float] = []
         for parts, r2, w21, w12 in self._plan:
@@ -1085,6 +1184,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
         o1=state.o1, o2=state.o2, config=state.config,
         fun1=state.fun1, fun2=state.fun2,
         literal_seeds=state.literal_seeds, literals=state.literals,
+        penalty_index=state.penalty_index,
         equiv=table, assignment=assignment, subrel=subrel,
         iteration=state.iteration + 1,
     )

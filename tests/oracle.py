@@ -247,6 +247,7 @@ def oracle_subrelations(
 
     def one_side(side, other, partners, all_other_rels):
         out: dict[tuple[int, int], float] = {}
+        statements = {(s, r2, o) for r2 in all_other_rels for s, o in other.pairs(r2)}
         for r in side.relation_ids():
             num: dict[int, float] = {}
             den = 0.0
@@ -262,7 +263,7 @@ def oracle_subrelations(
                         miss = 1.0 - px * py
                         den_factors.append(miss)
                         for r2 in all_other_rels:
-                            if other.has_statement(x2, r2, y2):
+                            if (x2, r2, y2) in statements:
                                 nfactors.setdefault(r2, []).append(miss)
                 den += 1.0 - seq_product(den_factors)
                 for r2, fl in nfactors.items():

@@ -63,15 +63,22 @@ def hub_world_pair():
 
 def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
     """Each of `steps` sweeps stores every pair whose one-pair score is above
-    theta, at that score, and no other pair."""
+    theta, at that score, and no other pair. Returns how many of the sweeps
+    had decisive penalties (see `engine._InstanceFactors`)."""
     state = bootstrap(o1, o2, cfg)
+    decisive = 0
     for _ in range(steps):
+        ev = EvidenceView(
+            state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment
+        )
+        decisive += bool(engine._InstanceFactors(state, ev)._decisive)
         table, _ = update_all_instances(state)
         for x in o1.instances():
             for x2 in o2.instances():
                 p = instance_equivalence(state, x, x2)
                 assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
         state, _ = step(state)
+    return decisive
 
 
 def test_one_pair_operation_agrees_with_sweep_everywhere(alice):
@@ -443,22 +450,40 @@ def test_candidates_come_from_shared_evidence_not_cross_product():
     assert len(state.assignment.forward) == 60
 
 
+class _WalkCountingTuple(tuple):
+    """A tuple that counts the items walked over it."""
+
+    walked = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            type(self).walked += 1
+            yield item
+
+
 def test_hub_value_adds_no_candidates():
     """A value every instance holds on both sides could reach all 3 600
-    pairs, but it can never lift a pair over theta on its own."""
+    pairs, but it can never lift a pair over theta on its own. Its holders
+    are never walked per instance, with or without negative evidence."""
     statements1 = [(f"a{i}", "code", f'"K{i}"') for i in range(60)]
     statements1 += [(f"a{i}", "active", '"true"') for i in range(60)]
     statements2 = [(f"b{i}", "ref", f'"K{i}"') for i in range(60)]
     statements2 += [(f"b{i}", "enabled", '"true"') for i in range(60)]
-    o1 = make_ontology("first", statements1)
-    o2 = make_ontology("second", statements2)
-    state = bootstrap(o1, o2)
-    total = 0
-    for _ in range(2):
-        state, stats = step(state)
-        total += stats.pairs_evaluated
-    assert total <= 60 * 4
-    assert len(state.assignment.forward) == 60
+    for negative in (False, True):
+        o1 = make_ontology("first", statements1)
+        o2 = make_ontology("second", statements2)
+        hub = o2.term_id('"true"')
+        state = bootstrap(o1, o2, AlignmentConfig(negative_evidence=negative))
+        o2.subject_objects[hub] = _WalkCountingTuple(o2.subject_objects[hub])
+        total = 0
+        for _ in range(2):
+            _WalkCountingTuple.walked = 0
+            update_all_instances(state)
+            assert _WalkCountingTuple.walked <= 60  # one bound per sweep
+            state, stats = step(state)
+            total += stats.pairs_evaluated
+        assert total <= 60 * 4
+        assert len(state.assignment.forward) == 60
 
 
 @pytest.mark.parametrize(
@@ -591,6 +616,81 @@ def test_negative_sweep_cuts_exactly_at_theta():
                 rng, n_inst=rng.randint(10, 14), n_attr=3, drop=0.3, value_pool=2, hub=hub,
             )
             assert_sweeps_store_one_pair_scores(o1, o2, cfg, 3)
+
+
+def shared_city_pair(keyless: int = 0):
+    """Six persons per side, each with a key of its own and all in one city,
+    a literal. On the second side the first `keyless` keys match nothing."""
+    statements1, statements2 = [], []
+    for i in range(6):
+        statements1 += [(f"a{i}", "key", f'"K{i}"'), (f"a{i}", "city", '"Paris"')]
+        other = f'"Z{i}"' if i < keyless else f'"K{i}"'
+        statements2 += [(f"b{i}", "ref", other), (f"b{i}", "town", '"Paris"')]
+    return make_ontology("first", statements1), make_ontology("second", statements2)
+
+
+def test_decisive_penalty_rules_out_city_mates():
+    """After the first iteration the unique keys are aligned at 1, so a key
+    penalty alone takes any pair whose keys differ to 0. A city-mate's
+    positive score is above theta, yet under negative evidence it is never
+    stored and never scored: each person has one candidate left."""
+    o1, o2 = shared_city_pair()
+    x, mate = o1.term_id("a0"), o2.term_id("b1")
+    negative, _ = step(bootstrap(o1, o2, AlignmentConfig(negative_evidence=True)))
+    plain, _ = step(bootstrap(o1, o2))
+    factors = engine._InstanceFactors(negative, EvidenceView(
+        negative.literals, negative.equiv, negative.assignment, True,
+    ))
+    assert o1.relation_id("key") in factors._decisive
+    assert 1.0 - _sorted_product(factors.of_pair(x, mate)) > 0.3
+    negative, stats = step(negative)
+    assert stats.pairs_evaluated == 6
+    assert negative.equiv.get(x, mate) == 0.0
+    assert negative.assignment.forward[x][0] == o2.term_id("b0")
+    plain, plain_stats = step(plain)
+    assert plain_stats.pairs_evaluated == 6 * 6
+    assert plain.equiv.get(x, mate) > 0.3
+
+
+def test_key_without_a_partner_gives_no_row():
+    """Where a person's key literal has no seed, its key penalty rules out
+    every candidate, so it gets no row and no candidate is scored for it."""
+    o1, o2 = shared_city_pair(keyless=2)
+    cfg = AlignmentConfig(negative_evidence=True)
+    state, _ = step(bootstrap(o1, o2, cfg))
+    fresh, stats = step(state)
+    assert stats.pairs_evaluated == 4
+    for i in range(6):
+        x = o1.term_id(f"a{i}")
+        if i < 2:
+            assert not any(fresh.equiv.get(x, x2) for x2 in o2.instances())
+            assert all(instance_equivalence(state, x, x2) <= cfg.theta for x2 in o2.instances())
+        else:
+            assert fresh.assignment.forward[x][0] == o2.term_id(f"b{i}")
+
+
+@pytest.mark.parametrize("inner", ["object", "pair"])
+def test_decisive_cut_stores_what_one_pair_scores_store(inner):
+    """On random worlds, every sweep under negative evidence stores exactly
+    the pairs whose one-pair score, which has no cut, is above theta, at
+    that score. Most worlds have unique values, which make decisive
+    penalties; some share two values per attribute."""
+    rng = random.Random(1)
+    decisive = 0
+    for case in range(12):
+        cfg = AlignmentConfig(
+            theta=(0.05, 0.1, 0.3)[case % 3], negative_evidence=True, negative_inner=inner,
+            restrict_to_assignment=case % 2 == 0,
+        )
+        o1, o2 = random_world_pair(
+            rng, n_inst=rng.randint(8, 14), n_attr=rng.randint(1, 3),
+            drop=rng.choice((0.0, 0.15, 0.3)), value_pool=2 if case % 4 == 1 else None,
+        )
+        decisive += assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4)
+    if inner == "object":
+        assert decisive >= 12
+    else:
+        assert decisive == 0  # the pair form reads no partners, so it is not cut
 
 
 # factors in [0, 1], with the edges and subnormals drawn often
