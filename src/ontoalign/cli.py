@@ -141,6 +141,7 @@ def _manifest_lines(
         kv[f"{base}.equivalences"] = s.equivalences
         kv[f"{base}.subrelations"] = s.subrelations
         kv[f"{base}.pairs_evaluated"] = s.pairs_evaluated
+        kv[f"{base}.pairs_ruled_out_by_penalties"] = s.pairs_ruled_out_by_penalties
         kv[f"{base}.seconds"] = f"{s.seconds:.3f}"
         kv[f"{base}.instance_sweep.seconds"] = f"{s.instance_sweep_seconds:.3f}"
         kv[f"{base}.assignment.seconds"] = f"{s.assignment_seconds:.3f}"

@@ -116,6 +116,12 @@ class IterationStats:
     candidate to theta or below (see `_InstanceFactors`). So the count
     drops under negative evidence, while every stored pair stays the same.
 
+    `pairs_ruled_out_by_penalties` counts the escaping candidates whose
+    penalty product alone is at or below theta, so that none of their
+    positive factors is formed. Each is still counted in `pairs_evaluated`.
+    It is 0 without negative evidence, in the first iteration and under the
+    pair inner form.
+
     `seconds` is the whole iteration's wall time. The three phase times
     within it are the instance sweep and the relation sweep, each with the
     build of its evidence view, and the assignment with its change count.
@@ -130,6 +136,7 @@ class IterationStats:
     equivalences: int
     subrelations: int
     pairs_evaluated: int
+    pairs_ruled_out_by_penalties: int
     seconds: float
     instance_sweep_seconds: float
     assignment_seconds: float
@@ -375,7 +382,7 @@ class EvidenceView:
       per view.
 
     The lists hold partner tuples only, with no dict per term: the
-    penalties find P(y, y2) by a scan of y's tuple (see `_penalties`).
+    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`).
     """
 
     def __init__(
@@ -408,7 +415,7 @@ def literal_seed_pairs(
 
 def _penalty_index(o2: Ontology) -> PenaltyIndex:
     """Each second-ontology instance's objects, grouped by relation: all that
-    a penalty reads of a candidate (see `_InstanceFactors._penalties`)."""
+    a penalty reads of a candidate (see `_InstanceFactors._penalty`)."""
     index: PenaltyIndex = {}
     kinds = o2.kinds()
     for x2, rels in enumerate(o2.subject_relations):
@@ -510,11 +517,15 @@ class _InstanceFactors:
     1.0, so the factor 1 - w, and every positive score p <= 1 has
     p (1 - w) <= theta: such a pair is never stored. An instance with
     decisive penalties therefore has only the candidates that escape all of
-    them scored, with the full factor list each (see `_escaping`), so every
-    stored value is unchanged. The other instances, every instance of the
-    first iteration and every run without negative evidence take the bounded
-    path above. The pair inner form reads the previous P(x, x2), not y's
-    partners, so it has no decisive penalties and is never cut this way.
+    them scored (see `_escaping`), penalties first: a candidate whose
+    penalty product P alone is at or below theta is ruled out before any
+    positive factor is formed, since p <= 1 gives p P <= P. Each other
+    candidate gets the full factor list from one join of x's statements with
+    its own row (see `of_pair`), so every stored value is unchanged. The
+    other instances, every instance of the first iteration and every run
+    without negative evidence take the bounded path above. The pair inner
+    form reads the previous P(x, x2), not y's partners, so it has no
+    decisive penalties and is never cut this way.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -669,23 +680,39 @@ class _InstanceFactors:
         self._bounds[key] = bound
         return bound
 
+    def row(self, x: int, floor: float) -> tuple[dict[int, float], int, int]:
+        """x's candidates scored above `floor`, with their scores; how many
+        candidates were scored; and how many of those were ruled out by
+        their penalties alone (see `_escaping`). Where x has no decisive
+        penalty, every candidate of `candidates` is scored by `probability`.
+        """
+        decisive = self._decisive
+        if decisive:
+            left = self._left
+            terms = [
+                (left[y], r2)
+                for r, y in zip(self._rels1[x], self._objs1[x])
+                for r2 in decisive.get(r, ())
+            ]
+            if terms:
+                return self._escaping(x, terms, floor)
+        acc = self.candidates(x)
+        row: dict[int, float] = {}
+        for x2, fs in acc.items():
+            p = self.probability(x, x2, fs, floor)
+            if p > floor:
+                row[x2] = p
+        return row, len(acc), 0
+
     def candidates(self, x: int) -> dict[int, list[float]]:
         """Factors per candidate partner of x that could score above theta.
 
-        Where x has a decisive penalty, only the candidates that escape it
-        are scored (see `_escaping`). Otherwise, most statements have one
-        partner that lands on at most one statement, such as a literal seed
-        of a unique value. No relation repeats there, so there is nothing to
-        bound (see `_bound`): their factor is added straight away.
+        Most statements have one partner that lands on at most one
+        statement, such as a literal seed of a unique value. No relation
+        repeats there, so there is nothing to bound (see `_bound`): their
+        factor is added straight away.
         """
         left, rels1, objs1 = self._left, self._rels1[x], self._objs1[x]
-        decisive = self._decisive
-        if decisive:
-            terms = [
-                (left[y], r2) for r, y in zip(rels1, objs1) for r2 in decisive.get(r, ())
-            ]
-            if terms:
-                return self._escaping(x, terms)
         acc: dict[int, list[float]] = {}
         weak = []
         rels2, objs2 = self._rels2, self._objs2
@@ -719,46 +746,65 @@ class _InstanceFactors:
         return acc
 
     def _escaping(
-        self, x: int, terms: list[tuple[Partners, int]]
-    ) -> dict[int, list[float]]:
-        """Factors per candidate partner x2 of x that escapes each of x's
-        decisive penalties: each term (parts, r2), from a statement r(x, y)
-        with y's partners `parts`, needs a statement r2(x2, y2) with y2 among
-        them. No other candidate can be stored (see `_decisive_relations`),
-        so x has none where a term's y has no partner.
+        self, x: int, terms: list[tuple[Partners, int]], floor: float
+    ) -> tuple[dict[int, float], int, int]:
+        """`row` for an x with decisive penalties: only the candidates x2
+        that escape each of them are scored. Each term (parts, r2), from a
+        statement r(x, y) with y's partners `parts`, needs a statement
+        r2(x2, y2) with y2 among them. No other candidate can be stored (see
+        `_decisive_relations`), so x has none where a term's y has no
+        partner.
 
         The term whose partners have the fewest statements is walked for its
-        candidates; each other term keeps those it finds a statement for, by
-        lookup. Every survivor then gets the factors of all of x's
-        statements, as enumeration gives them, so its value is unchanged."""
+        candidates; each other term keeps those that have such a statement,
+        read off the candidate's objects grouped by relation. Every survivor
+        is scored penalties first: its penalty product P is formed as
+        `probability` forms it, and where P <= floor the pair is ruled out,
+        as p P <= P for every p <= 1. Only the others are joined with x's
+        statements for their positive factors (see `of_pair`). A survivor
+        always has one: the landing through which it escapes has a positive
+        weight, as the penalty weight that makes the term decisive does."""
         if not all(parts for parts, _ in terms):
-            return {}
-        rels2, objs2, between = self._rels2, self._objs2, self._between2
+            return {}, 0, 0
+        rels2, objs2, grouped = self._rels2, self._objs2, self._objs
         terms.sort(key=lambda term: sum(len(objs2[y2]) for y2, _ in term[0]))
         (parts, r2), rest = terms[0], terms[1:]
         q = r2 ^ 1  # r2(x2, y2) seen from its object side
-        escape = dict.fromkeys(
+        row: dict[int, float] = {}
+        scored = ruled_out = 0
+        for x2 in dict.fromkeys(
             x2 for y2, _ in parts for q2, x2 in zip(rels2[y2], objs2[y2]) if q2 == q
-        )
-        for parts, r2 in rest:
-            escape = dict.fromkeys(
-                x2 for x2 in escape if any(r2 in between(x2, y2) for y2, _ in parts)
-            )
-        acc: dict[int, list[float]] = {}
-        if escape:
-            left = self._left
-            for r, y in zip(self._rels1[x], self._objs1[x]):
-                parts = left[y]
-                if parts:
-                    self._add_factors(acc, r, parts, escape)
-        return acc
+        ):
+            objs = grouped.get(x2)  # None for a term that is not an instance
+            if objs is None or not all(
+                any(y2 in objs.get(r2, ()) for y2, _ in parts) for parts, r2 in rest
+            ):
+                continue
+            scored += 1
+            penalty = self._penalty(x, x2, 1.0, floor)
+            if penalty is None or penalty <= floor:
+                ruled_out += 1
+                continue
+            p = self.probability(x, x2, self.of_pair(x, x2), floor, penalty)
+            if p > floor:
+                row[x2] = p
+        return row, scored, ruled_out
 
     def of_pair(self, x: int, x2: int) -> list[float]:
-        """Every factor of the pair (x, x2), by lookup over all of x's statements."""
+        """Every factor of the pair (x, x2), from one join: x2's row is read
+        once into a map from each object y2 to the statements q(y2, x2) that
+        reach x2 from it, every relation kept, and each statement of x looks
+        its object's partners up there."""
+        reach: dict[int, list[tuple[int, int]]] = {}
+        for q, y2 in zip(self._rels2[x2], self._objs2[x2]):
+            reach.setdefault(y2, []).append((q ^ 1, x2))
         acc: dict[int, list[float]] = {}
         left = self._left
         for r, y in zip(self._rels1[x], self._objs1[x]):
-            self._add_factors(acc, r, left[y], (x2,))
+            for y2, pyy in left[y]:
+                hits = reach.get(y2)
+                if hits:
+                    self._add_hits(acc, r, pyy, hits)
         return acc.get(x2, [])
 
     def _penalty_weights(
@@ -821,11 +867,12 @@ class _InstanceFactors:
             for r2, w21, w12 in weights.get(r, ())
         ]
 
-    def _penalties(self, x: int, x2: int, p: float, floor: float) -> list[float] | None:
-        """Negative-evidence factors: statements of x whose objects have no
-        equal among x2's objects under an aligned relation count against the
-        pair. None as soon as one factor f has p f <= floor: the pair's score
-        p prod(factors) can then not exceed floor (see `probability`).
+    def _penalty(self, x: int, x2: int, p: float, floor: float) -> float | None:
+        """The ascending product of the negative-evidence factors: statements
+        of x whose objects have no equal among x2's objects under an aligned
+        relation count against the pair. None as soon as one factor f has
+        p f <= floor: the pair's score p prod(factors) can then not exceed
+        floor (see `probability`).
 
         A candidate that lacks an aligned relation entirely is penalized
         through the empty inner product (worth exactly 1), i.e. having the
@@ -862,13 +909,20 @@ class _InstanceFactors:
                 if p * f <= floor:
                     return None
                 pens.append(f)
-        return pens
+        return _sorted_product(pens)
 
     def probability(
-        self, x: int, x2: int, factors: list[float], floor: float = 0.0
+        self,
+        x: int,
+        x2: int,
+        factors: list[float],
+        floor: float = 0.0,
+        penalty: float | None = None,
     ) -> float:
         """The pair's score from its positive factors: p = 1 - prod(factors),
-        times the penalties under negative evidence.
+        times the penalty product under negative evidence. A caller that has
+        formed the pair's penalty product already (see `_escaping`) passes it
+        as `penalty`; it is then used as it is.
 
         The value is exact whenever the score is above `floor`, and not above
         `floor` otherwise. Penalties are walked only for p > floor, and the
@@ -881,8 +935,11 @@ class _InstanceFactors:
         p = 1.0 - _sorted_product(factors)
         if not self._weights or p <= floor:
             return p
-        pens = self._penalties(x, x2, p, floor)
-        return 0.0 if pens is None else p * _sorted_product(pens)
+        if penalty is None:
+            penalty = self._penalty(x, x2, p, floor)
+            if penalty is None:
+                return 0.0
+        return p * penalty
 
 
 def _sorted_product(factors: list[float]) -> float:
@@ -912,41 +969,42 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
 
 def _instance_rows(
     state: AlignmentState, ev: EvidenceView
-) -> tuple[dict[int, dict[int, float]], int]:
-    """Stored-pair rows per first-ontology instance, and the number of
-    candidate pairs evaluated."""
+) -> tuple[dict[int, dict[int, float]], int, int]:
+    """Stored-pair rows per first-ontology instance, the number of candidate
+    pairs evaluated, and how many of those their penalties alone ruled out."""
     theta = state.config.theta
     factors = _InstanceFactors(state, ev)
     kinds1 = state.o1.kinds()
     rows: dict[int, dict[int, float]] = {}
-    evaluated = 0
+    evaluated = ruled_out = 0
     for x, rels in enumerate(state.o1.subject_relations):
         if not rels or kinds1[x] != INSTANCE:
             continue
-        acc = factors.candidates(x)
-        evaluated += len(acc)
-        row: dict[int, float] = {}
-        for x2, fs in acc.items():
-            p = factors.probability(x, x2, fs, theta)
-            if p > theta:
-                row[x2] = p
+        row, scored, pruned = factors.row(x, theta)
+        evaluated += scored
+        ruled_out += pruned
         if row:
             rows[x] = row
-    return rows, evaluated
+    return rows, evaluated, ruled_out
 
 
-def update_all_instances(state: AlignmentState) -> tuple[EquivalenceTable, int]:
+def update_all_instances(
+    state: AlignmentState, counts: dict[str, int] | None = None
+) -> tuple[EquivalenceTable, int]:
     """One full instance sweep: a fresh table from the previous snapshot.
 
-    Returns the new table and the number of candidate pairs evaluated. The
-    sweep never enumerates the full cross product: candidates come only from
-    shared evidence, and only through statements that could lift a pair over
-    theta (see `_InstanceFactors`).
+    Returns the new table and the number of candidate pairs evaluated. Given
+    `counts`, it also sets `counts["pairs_ruled_out_by_penalties"]` (see
+    `IterationStats`). The sweep never enumerates the full cross product:
+    candidates come only from shared evidence, and only through statements
+    that could lift a pair over theta (see `_InstanceFactors`).
     """
     ev = EvidenceView(
         state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
     )
-    rows, evaluated = _instance_rows(state, ev)
+    rows, evaluated, ruled_out = _instance_rows(state, ev)
+    if counts is not None:
+        counts["pairs_ruled_out_by_penalties"] = ruled_out
     return EquivalenceTable(state.literals, rows), evaluated
 
 
@@ -1173,7 +1231,8 @@ def _assignment_change(
 def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     """One full iteration: instance sweep, assignment, relation sweep."""
     started = time.perf_counter()
-    table, evaluated = update_all_instances(state)
+    counts: dict[str, int] = {}
+    table, evaluated = update_all_instances(state, counts)
     swept = time.perf_counter()
     assignment = compute_maximal_assignment(table, state.o1, state.o2)
     changed, tracked = _assignment_change(state.assignment, assignment)
@@ -1196,6 +1255,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
         equivalences=len(table),
         subrelations=len(subrel),
         pairs_evaluated=evaluated,
+        pairs_ruled_out_by_penalties=counts["pairs_ruled_out_by_penalties"],
         seconds=time.perf_counter() - started,
         instance_sweep_seconds=swept - started,
         assignment_seconds=assigned - swept,

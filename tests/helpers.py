@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from ontoalign import engine
 from ontoalign.store import RDF_TYPE, RDFS_SUBCLASSOF, Ontology, ontology_from_triples
 
 
@@ -101,3 +102,23 @@ def random_world_pair(
 
 def engine_table_dict(table) -> dict[tuple[int, int], float]:
     return {(a, b): p for a, b, p in table.pairs()}
+
+
+def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
+    """Each of `steps` sweeps stores every pair whose one-pair score is above
+    theta, at that score, and no other pair. Returns how many of the sweeps
+    had decisive penalties (see `engine._InstanceFactors`)."""
+    state = engine.bootstrap(o1, o2, cfg)
+    decisive = 0
+    for _ in range(steps):
+        ev = engine.EvidenceView(
+            state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment
+        )
+        decisive += bool(engine._InstanceFactors(state, ev)._decisive)
+        table, _ = engine.update_all_instances(state)
+        for x in o1.instances():
+            for x2 in o2.instances():
+                p = engine.instance_equivalence(state, x, x2)
+                assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
+        state, _ = engine.step(state)
+    return decisive

@@ -15,8 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import engine_table_dict, make_ontology, random_world_pair
+from helpers import (
+    assert_sweeps_store_one_pair_scores,
+    engine_table_dict,
+    make_ontology,
+    random_world_pair,
+)
 from oracle import naive_functionality, oracle_run
+from ontoalign import engine
 from ontoalign.cli import generate_pair, main
 from ontoalign.engine import (
     AlignmentConfig,
@@ -129,6 +135,56 @@ def test_sweeps_match_brute_force_oracle_every_iteration():
             mode=("pair-ratio", "arg-ratio")[case % 2] if case % 7 == 6 else "harmonic-mean",
         )
     assert time.perf_counter() - started < 30.0
+
+
+def born_and_died_pair():
+    """Six persons per side, each with two names, each name shared with one
+    other person, and a birth and a death city, literals. a0, a2 and a4 were
+    born and died in one city, so each of their candidates reaches that
+    city through two relations."""
+    sides = []
+    for tag, name, born, died in (
+        ("a", "name", "bornIn", "diedIn"), ("b", "label", "birthPlace", "deathPlace"),
+    ):
+        statements = []
+        for i in range(6):
+            city = i % 3
+            statements += [
+                (f"{tag}{i}", name, f'"N{i // 2}"'),
+                (f"{tag}{i}", name, f'"M{(i + 1) // 2 % 3}"'),
+                (f"{tag}{i}", born, f'"C{city}"'),
+                (f"{tag}{i}", died, f'"C{city if i % 2 == 0 else (city + 1) % 3}"'),
+            ]
+        sides.append(make_ontology("first" if tag == "a" else "second", statements))
+    return sides[0], sides[1]
+
+
+@pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "unrestricted"])
+def test_row_join_keeps_every_relation_to_one_object(restrict):
+    """Under negative evidence, a candidate that escapes its decisive
+    penalties gets its factors from one join with its own row. b0 holds
+    both a birthPlace and a deathPlace statement to "C0", and both must
+    give their factors. Without the restriction the persons have several
+    partners each. Every sweep stores what the one-pair scores store, and
+    the run agrees with the brute-force oracle."""
+    o1, o2 = born_and_died_pair()
+    x2, city = o2.term_id("b0"), o2.term_id('"C0"')
+    assert len(o2.relations_between(x2, city)) == 2
+    cfg = AlignmentConfig(negative_evidence=True, restrict_to_assignment=restrict)
+    assert assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4) >= 2
+    _assert_lockstep(
+        o1, o2, theta=cfg.theta, restrict=restrict, negative=True, inner="object",
+        mode="harmonic-mean",
+    )
+    state, _ = step(step(bootstrap(o1, o2, cfg))[0])
+    ev = EvidenceView(state.literals, state.equiv, state.assignment, restrict)
+    decisive = engine._InstanceFactors(state, ev)._decisive
+    assert o1.relation_id("bornIn") in decisive and o1.relation_id("diedIn") in decisive
+    assert state.equiv.get(o1.term_id("a0"), x2) > cfg.theta
+    if not restrict:
+        state, _ = step(bootstrap(o1, o2, cfg))
+        ev = EvidenceView(state.literals, state.equiv, state.assignment, restrict)
+        assert any(len(ev.left[x]) > 1 for x in o1.instances())
 
 
 def test_hub_worlds_match_brute_force_oracle():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import alice_pair, engine_table_dict, make_ontology, random_world_pair
+from helpers import (
+    alice_pair,
+    assert_sweeps_store_one_pair_scores,
+    engine_table_dict,
+    make_ontology,
+    random_world_pair,
+)
 from ontoalign import engine
 from ontoalign.engine import (
     AlignmentConfig,
@@ -59,26 +65,6 @@ def test_first_iteration_value_is_derivable_by_hand(alice):
 def hub_world_pair():
     """A random world in which every entity holds one shared literal."""
     return random_world_pair(random.Random(11), n_inst=30, drop=0.2, hub=True)
-
-
-def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
-    """Each of `steps` sweeps stores every pair whose one-pair score is above
-    theta, at that score, and no other pair. Returns how many of the sweeps
-    had decisive penalties (see `engine._InstanceFactors`)."""
-    state = bootstrap(o1, o2, cfg)
-    decisive = 0
-    for _ in range(steps):
-        ev = EvidenceView(
-            state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment
-        )
-        decisive += bool(engine._InstanceFactors(state, ev)._decisive)
-        table, _ = update_all_instances(state)
-        for x in o1.instances():
-            for x2 in o2.instances():
-                p = instance_equivalence(state, x, x2)
-                assert table.get(x, x2) == (p if p > cfg.theta else 0.0)
-        state, _ = step(state)
-    return decisive
 
 
 def test_one_pair_operation_agrees_with_sweep_everywhere(alice):
@@ -667,6 +653,63 @@ def test_key_without_a_partner_gives_no_row():
             assert all(instance_equivalence(state, x, x2) <= cfg.theta for x2 in o2.instances())
         else:
             assert fresh.assignment.forward[x][0] == o2.term_id(f"b{i}")
+
+
+def home_and_club_pair():
+    """Eight persons per side, each with a unique key. a0-a4 also hold a
+    home and a5-a7 a club, literals. a0's home differs on the second side,
+    and so does a5's club; a2 and a6 keep the first side's value, so the
+    relation sweep sees each conflict. The club has fewer holders, so its
+    inclusions are weaker."""
+    homes = [(0, 1), (1, 1), (0, 0), (1, 1), (2, 2)]
+    clubs = [(0, 1), (0, 0), (1, 1)]
+    sides = []
+    for tag, key, home, club, value in (
+        ("a", "key", "home", "club", 0), ("b", "ref", "town", "team", 1),
+    ):
+        statements = [(f"{tag}{i}", key, f'"K{i}"') for i in range(8)]
+        statements += [(f"{tag}{i}", home, f'"H{h[value]}"') for i, h in enumerate(homes)]
+        statements += [(f"{tag}{i + 5}", club, f'"T{c[value]}"') for i, c in enumerate(clubs)]
+        sides.append(make_ontology("first" if tag == "a" else "second", statements))
+    return sides[0], sides[1]
+
+
+def test_penalty_product_alone_rules_out_a_pair():
+    """From iteration 2 each person's key is decisive and its true partner
+    escapes it with p = 1. a0 and b0 still have two home penalties, one per
+    inclusion direction: each is above theta and neither is decisive, but
+    their product is at or below theta, so the pair is ruled out before its
+    factors are formed. a5 and b5's two club penalties multiply to just
+    above theta, so that pair is stored. Every sweep stores what the one-pair
+    scores store, and the counter counts a0 and b0 alone."""
+    o1, o2 = home_and_club_pair()
+    cfg = AlignmentConfig(theta=0.05, negative_evidence=True)
+    theta = cfg.theta
+    assert_sweeps_store_one_pair_scores(o1, o2, cfg, 5)
+    state, _ = step(bootstrap(o1, o2, cfg))
+    factors = engine._InstanceFactors(state, EvidenceView(
+        state.literals, state.equiv, state.assignment, True,
+    ))
+    assert o1.relation_id("key") in factors._decisive
+    assert o1.relation_id("home") not in factors._decisive
+    assert o1.relation_id("club") not in factors._decisive
+    penalties = {}
+    for i in (0, 5):
+        x, x2 = o1.term_id(f"a{i}"), o2.term_id(f"b{i}")
+        assert 1.0 - _sorted_product(factors.of_pair(x, x2)) == 1.0
+        penalties[i] = factors._penalty(x, x2, 1.0, theta)
+        assert penalties[i] is not None  # no one penalty alone is at or below theta
+    assert 0.0 < penalties[0] <= theta < penalties[5] <= 2 * theta
+    fresh, stats = step(state)
+    assert stats.pairs_ruled_out_by_penalties == 1
+    assert fresh.equiv.get(o1.term_id("a0"), o2.term_id("b0")) == 0.0
+    assert fresh.equiv.get(o1.term_id("a5"), o2.term_id("b5")) == penalties[5]
+    ruled_out = []
+    state = bootstrap(o1, o2, cfg)
+    for _ in range(5):
+        state, stats = step(state)
+        ruled_out.append(stats.pairs_ruled_out_by_penalties)
+    assert ruled_out == [0, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("inner", ["object", "pair"])
