@@ -58,9 +58,6 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=10)
     p.add_argument("--convergence", type=float, default=0.01,
                    help="stop when fewer than this fraction of assignments change")
-    p.add_argument("--pair-cap", type=int, default=10_000,
-                   help="read only the first N statements per relation and instances per class,"
-                        " in load order (a prefix, not a sample)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
     p.add_argument("--negative-inner", choices=("object", "pair"), default="object")
@@ -81,7 +78,6 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         theta=args.theta,
         max_iterations=args.max_iterations,
         convergence_fraction=args.convergence,
-        pair_cap=args.pair_cap,
         negative_evidence=args.negative_evidence,
         negative_inner=args.negative_inner,
         restrict_to_assignment=not args.no_restrict,

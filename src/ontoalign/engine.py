@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple
 
@@ -54,18 +54,23 @@ log = logging.getLogger("ontoalign.engine")
 
 @dataclass
 class AlignmentConfig:
-    """Tunable knobs. The defaults are the documented, tested configuration."""
+    """Tunable knobs. The defaults are the documented, tested configuration.
+
+    No knob bounds how many statements or instances an inclusion reads.
+    `pair_cap` is a class attribute, not a field, and always None: it stays
+    only for `bench/checks.py`, which reads it, until the benchmark changes.
+    """
 
     theta: float = 0.1  # bootstrap relation-inclusion prior; also the storage floor
     max_iterations: int = 10
     convergence_fraction: float = 0.01  # stop when fewer instances change partner
-    pair_cap: int = 10_000  # first N statements/instances per relation/class, in load order
     negative_evidence: bool = False  # penalize unmatched statements of aligned relations
     negative_inner: str = "object"  # "object" (per-object equalities) | "pair" (published form)
     restrict_to_assignment: bool = True  # use only previous argmax equalities as evidence
     literal_mode: str = "strict"
     functionality_mode: str = "harmonic-mean"
     class_score_threshold: float = 0.4  # reporting floor for class rows
+    pair_cap = None  # not a field; read by bench/checks.py (see above)
 
     def __post_init__(self) -> None:
         """Reject out-of-range settings with a ValueError naming the field."""
@@ -78,8 +83,6 @@ class AlignmentConfig:
             )
         if self.max_iterations < 0:
             problems.append(f"max_iterations must be >= 0, got {self.max_iterations!r}")
-        if self.pair_cap < 1:
-            problems.append(f"pair_cap must be >= 1, got {self.pair_cap!r}")
         if not 0.0 <= self.class_score_threshold <= 1.0:
             problems.append(
                 f"class_score_threshold must be in [0, 1], got {self.class_score_threshold!r}"
@@ -320,7 +323,7 @@ class LiteralShare(NamedTuple):
 class AlignmentState:
     """Everything one iteration reads; treat as an immutable snapshot.
 
-    `literal_seeds` and their partner maps in `literals` are built once, by
+    The literal seeds' partner maps in `literals` are built once, by
     `bootstrap`, and passed on unchanged from state to state; so is the
     `penalty_index` (see `_penalty_index`), empty without negative evidence.
     """
@@ -330,13 +333,17 @@ class AlignmentState:
     config: AlignmentConfig
     fun1: FunctionalityTable
     fun2: FunctionalityTable
-    literal_seeds: list[tuple[int, int, float]]
     literals: LiteralShare
     penalty_index: PenaltyIndex
     equiv: EquivalenceTable
     assignment: MaximalAssignment
     subrel: SubrelationTable | None  # None means the uniform bootstrap prior
     iteration: int = 0
+
+    @property
+    def literal_seeds(self) -> list[tuple[int, int, float]]:
+        """The seed pairs (a, b, p), rebuilt from `literals` on each read."""
+        return [(a, b, p) for a, parts in enumerate(self.literals.left_sorted) for b, p in parts]
 
 
 @dataclass
@@ -437,14 +444,13 @@ def bootstrap(
     config = config or AlignmentConfig()
     fun1 = fun1 or build_functionality_table(o1, config.functionality_mode)
     fun2 = fun2 or build_functionality_table(o2, config.functionality_mode)
-    seeds = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
-    left, right = _partner_maps(seeds)
+    left, right = _partner_maps(literal_seed_pairs(o1, o2, MEASURES[config.literal_mode]))
     literals = LiteralShare(
         _by_term([()] * o1.term_count(), left), _by_term([()] * o2.term_count(), right)
     )
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
-        literal_seeds=seeds, literals=literals,
+        literals=literals,
         penalty_index=_penalty_index(o2) if config.negative_evidence else {},
         equiv=EquivalenceTable(literals),
         assignment=MaximalAssignment(), subrel=None, iteration=0,
@@ -1067,7 +1073,6 @@ def _subrel_rows(
     other: Ontology,
     partners: list[Partners],
     relation: int,
-    pair_cap: int,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Inclusion scores of a relation r and of its inverse into every
     candidate of the other side, from one pass over r's statements.
@@ -1090,7 +1095,7 @@ def _subrel_rows(
     den = 0.0
     inv_num: dict[int, float] | None = None  # the inverse's own sums, once they part
     inv_den = 0.0
-    for x, y in islice(side.pairs(relation), pair_cap):
+    for x, y in side.pairs(relation):
         ex = partners[x]
         if not ex:
             continue
@@ -1153,7 +1158,7 @@ def update_subrelations(
         for r in side.relation_ids()[::2]:  # each inverse is scored with r
             if not side.relation_subjects[r]:
                 continue
-            rows = _subrel_rows(side, other, partners, r, cfg.pair_cap)
+            rows = _subrel_rows(side, other, partners, r)
             for rel, row in zip((r, r ^ 1), rows):
                 for q, p in row.items():
                     scores[(rel, q)] = p
@@ -1168,13 +1173,12 @@ def _class_rows(
     other: Ontology,
     partners: list[Partners],
     cls: int,
-    pair_cap: int,
 ) -> dict[int, tuple[float, int]]:
     """Inclusion of one class into every candidate class of the other side:
-    the average, over (up to pair_cap of) its instances, of the probability
-    that some other-side class member is equal. Returns score and the number
-    of supporting instances."""
-    insts = side.instances_of(cls)[:pair_cap]
+    the average, over its instances, of the probability that some other-side
+    class member is equal. Returns score and the number of supporting
+    instances."""
+    insts = side.instances_of(cls)
     if not insts:
         return {}
     acc: dict[int, float] = {}
@@ -1203,7 +1207,7 @@ def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
         (state.o2, state.o1, ev.right, out.o2_to_o1),
     ):
         for c in sorted(side.classes()):
-            for c_other, entry in _class_rows(side, other, partners, c, cfg.pair_cap).items():
+            for c_other, entry in _class_rows(side, other, partners, c).items():
                 scores[(c, c_other)] = entry
     return out
 
@@ -1242,7 +1246,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     fresh = AlignmentState(
         o1=state.o1, o2=state.o2, config=state.config,
         fun1=state.fun1, fun2=state.fun2,
-        literal_seeds=state.literal_seeds, literals=state.literals,
+        literals=state.literals,
         penalty_index=state.penalty_index,
         equiv=table, assignment=assignment, subrel=subrel,
         iteration=state.iteration + 1,

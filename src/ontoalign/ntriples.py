@@ -176,18 +176,14 @@ def _field_escape(value: str) -> str:
     )
 
 
+_FIELD_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_FIELD_ESCAPES = {"t": "\t", "n": "\n", "r": "\r"}
+
+
 def _field_unescape(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            out.append({"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}.get(value[i + 1], value[i + 1]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo `_field_escape`: any other escaped character, a backslash
+    included, stands for itself, and a trailing lone backslash stays."""
+    return _FIELD_ESCAPE.sub(lambda m: _FIELD_ESCAPES.get(m[1], m[1]), value)
 
 
 def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:

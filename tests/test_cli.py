@@ -343,7 +343,6 @@ def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
         ["--convergence", "-1"],
         ["--convergence", "1.5"],
         ["--max-iterations", "-1"],
-        ["--pair-cap", "0"],
         ["--class-threshold", "-0.1"],
         ["--class-threshold", "1.5"],
     ],
@@ -397,13 +396,22 @@ def test_non_numeric_score_exits_3(world, tmp_path, capsys):
     assert err.startswith("error: ") and "predicted.tsv:2" in err and "'abc'" in err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(world, tmp_path, capsys):
+    data, _ = world
     with pytest.raises(SystemExit) as exc:
         main(["align"])  # missing positionals and --out
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:  # no flag bounds the inclusion sweeps
+        main(["align", str(data / "left.nt"), str(data / "right.nt"),
+              "--out", str(out), "--pair-cap", "0"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_0():

@@ -482,7 +482,6 @@ def test_hub_value_adds_no_candidates():
         ("convergence_fraction", -0.01),
         ("convergence_fraction", 1.01),
         ("max_iterations", -1),
-        ("pair_cap", 0),
         ("class_score_threshold", 1.5),
         ("negative_inner", "published"),
         ("literal_mode", "fuzzy"),
@@ -511,10 +510,9 @@ def test_empty_ontologies_converge_immediately():
     assert result.iterations[0].change_fraction == 0.0
 
 
-def test_pair_cap_limits_statements_per_relation():
+def test_relation_inclusion_reads_every_statement():
     """First ten birth statements land, the last ten have no counterpart on
-    the second side at all; a cap of five sees only landing statements and
-    estimates 1.0 where the full sweep gets 0.5."""
+    the second side at all; the sweep reads all twenty and gets 0.5."""
     statements1 = [(f"a{i:02d}", "bornIn", "p") for i in range(20)]
     statements1 += [(f"a{i:02d}", "code", f'"K{i}"') for i in range(20)]
     statements1 += [("p", "code", '"KP"')]
@@ -523,12 +521,57 @@ def test_pair_cap_limits_statements_per_relation():
     statements2 += [("qa", "ref", '"KP"')]
     o1 = make_ontology("first", statements1)
     o2 = make_ontology("second", statements2)
-    capped = run_fixpoint(o1, o2, AlignmentConfig(pair_cap=5))
     full = run_fixpoint(o1, o2)
     r1 = o1.relation_id("bornIn")
     r2 = o2.relation_id("birthPlace")
     assert full.subrel.o1_to_o2[(r1, r2)] == 0.5
-    assert capped.subrel.o1_to_o2[(r1, r2)] == 1.0
+
+
+def keyed_persons(n, prefix, key, extra=()):
+    """Persons {prefix}0 .. {prefix}{n-1}, in that load order, each with the
+    unique key literal "K{i}", plus one statement per (i, relation, object)
+    of `extra`."""
+    statements = [(f"{prefix}{i}", key, f'"K{i}"') for i in range(n)]
+    return statements + [(f"{prefix}{i}", r, o) for i, r, o in extra]
+
+
+def test_relation_inclusion_reads_past_ten_thousand_statements():
+    """All 10 010 first-side persons are born in p; only the first 10 000
+    second-side persons are born in q, p's partner. The last ten statements
+    miss, so the inclusion falls just below 1.0."""
+    n = 10_010
+    o1 = make_ontology(
+        "first", keyed_persons(n, "a", "code", [(i, "bornIn", "p") for i in range(n)])
+        + [("p", "code", '"KP"')],
+        types=[(f"a{i}", "Person") for i in range(n)],
+    )
+    o2 = make_ontology(
+        "second", keyed_persons(n, "b", "ref", [(i, "birthPlace", "q") for i in range(10_000)])
+        + [("q", "ref", '"KP"')],
+        types=[(f"b{i}", "Human") for i in range(n)],
+    )
+    result = run_fixpoint(o1, o2)
+    p = result.subrel.o1_to_o2[(o1.relation_id("bornIn"), o2.relation_id("birthPlace"))]
+    assert p < 1.0
+    assert p == pytest.approx(10_000 / n, abs=1e-4)
+
+
+def test_class_inclusion_reads_past_ten_thousand_instances():
+    """All 10 010 first-side persons are of class Person; only the first
+    10 000 have a partner, so Person is not wholly included in Human."""
+    n = 10_010
+    o1 = make_ontology(
+        "first", keyed_persons(n, "a", "code"), types=[(f"a{i}", "Person") for i in range(n)]
+    )
+    o2 = make_ontology(
+        "second", keyed_persons(10_000, "b", "ref"),
+        types=[(f"b{i}", "Human") for i in range(10_000)],
+    )
+    result = run_fixpoint(o1, o2)
+    p, support = result.classes.o1_to_o2[(o1.term_id("Person"), o2.term_id("Human"))]
+    assert support == 10_000
+    assert p < 1.0
+    assert p == pytest.approx(10_000 / n, abs=1e-4)
 
 
 # ----------------------------------------------------------- negative evidence
