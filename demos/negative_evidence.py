@@ -23,7 +23,7 @@ from ontoalign import (
     result_rows,
     run_fixpoint,
 )
-from ontoalign.cli import generate_pair
+from ontoalign.synth import generate_pair
 
 with tempfile.TemporaryDirectory() as tmp:
     data = Path(tmp)

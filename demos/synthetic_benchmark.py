@@ -22,7 +22,7 @@ from ontoalign import (
     result_rows,
     run_fixpoint,
 )
-from ontoalign.cli import generate_pair
+from ontoalign.synth import generate_pair
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--instances", type=int, default=300)

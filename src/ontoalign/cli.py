@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import logging
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -38,7 +37,7 @@ from .ntriples import (
     read_utf8_lines,
     write_alignment,
 )
-from .store import RDF_TYPE, RDFS_SUBCLASSOF
+from .synth import generate_pair
 
 log = logging.getLogger("ontoalign.cli")
 
@@ -50,23 +49,30 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a process the signal killed reports
 
 
 def _add_align_options(p: argparse.ArgumentParser) -> None:
+    cfg = AlignmentConfig  # each default is the config field's own
     p.add_argument("left", help="first ontology: .nt file or directory of .nt files")
     p.add_argument("right", help="second ontology")
     p.add_argument("--out", required=True, help="output directory (created if missing)")
-    p.add_argument("--theta", type=float, default=0.1,
-                   help="bootstrap relation prior and storage floor (default 0.1)")
-    p.add_argument("--max-iterations", type=int, default=10)
-    p.add_argument("--convergence", type=float, default=0.01,
-                   help="stop when fewer than this fraction of assignments change")
+    p.add_argument("--theta", type=float, default=cfg.theta,
+                   help="bootstrap relation prior and storage floor (default %(default)s)")
+    p.add_argument("--max-iterations", type=int, default=cfg.max_iterations,
+                   help="most fixpoint iterations to run (default %(default)s)")
+    p.add_argument("--convergence", type=float, default=cfg.convergence_fraction,
+                   help="stop when fewer than this fraction of assignments change"
+                        " (default %(default)s)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
-    p.add_argument("--negative-inner", choices=("object", "pair"), default="object")
+    p.add_argument("--negative-inner", choices=("object", "pair"),
+                   default=cfg.negative_inner,
+                   help="inner form of the negative-evidence penalty (default %(default)s)")
     p.add_argument("--no-restrict", action="store_true",
                    help="use every stored equivalence as evidence, not just the assignment")
-    p.add_argument("--literal-mode", choices=tuple(MEASURES), default="strict")
-    p.add_argument("--functionality-mode", choices=MODES, default="harmonic-mean")
-    p.add_argument("--class-threshold", type=float, default=0.4,
-                   help="reporting floor for class rows")
+    p.add_argument("--literal-mode", choices=tuple(MEASURES), default=cfg.literal_mode,
+                   help="when two literals are equal (default %(default)s)")
+    p.add_argument("--functionality-mode", choices=MODES, default=cfg.functionality_mode,
+                   help="how relation functionality is measured (default %(default)s)")
+    p.add_argument("--class-threshold", type=float, default=cfg.class_score_threshold,
+                   help="reporting floor for class rows (default %(default)s)")
     p.add_argument("--all-probabilities", action="store_true",
                    help="write every stored instance pair, not just the maximal assignment")
     p.add_argument("--strict", action="store_true",
@@ -273,238 +279,6 @@ def cmd_functionality(args: argparse.Namespace) -> int:
     for name, fun, ifun, stmts in rows[: args.top]:
         print(f"{name}\t{fun:.6f}\t{ifun:.6f}\t{stmts}")
     return EXIT_OK
-
-
-# ------------------------------------------------------------------ generate
-
-_FIRST = (
-    "Ada", "Alan", "Barbara", "Claude", "Donald", "Edsger", "Frances", "Grace",
-    "Hedy", "John", "Katherine", "Kurt", "Leslie", "Margaret", "Niklaus", "Radia",
-)
-_LAST = (
-    "Allen", "Backus", "Church", "Dijkstra", "Goldberg", "Hamilton", "Hopper",
-    "Kay", "Knuth", "Lamport", "Liskov", "Lovelace", "McCarthy", "Perlman",
-    "Shannon", "Turing",
-)
-
-# first-ontology name -> second-ontology name
-_REL_NAMES = {
-    "hasCode": "code",
-    "hasName": "label",
-    "hasPhone": "phone",
-    "bornIn": "birthPlace",
-    "diedIn": "deathPlace",
-    "worksAt": "employedBy",
-    "locatedIn": "basedIn",
-}
-_CLASS_NAMES = {
-    "Person": "Human",
-    "Agent": "Actor",
-    "City": "Town",
-    "Place": "Location",
-    "Organization": "Employer",
-}
-
-
-def _nt_literal(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _nt_line(s: str, p: str, o: str, literal: bool = False) -> str:
-    obj = _nt_literal(o) if literal else f"<{o}>"
-    return f"<{s}> <{p}> {obj} ."
-
-
-def _phone(rng: random.Random) -> str:
-    return (
-        f"+{rng.randrange(1, 100)}-{rng.randrange(100, 1000)}"
-        f"-{rng.randrange(100, 1000)}-{rng.randrange(1000, 10000)}"
-    )
-
-
-def generate_pair(
-    out_dir: str | Path,
-    instances: int = 200,
-    seed: int = 0,
-    attribute_drop: float = 0.0,
-    perturb_literals: float = 0.0,
-    scramble_phones: float = 0.0,
-    split_relation: bool = False,
-    merge_relations: bool = False,
-) -> dict[str, Path]:
-    """Write a synthetic ontology pair plus gold alignments.
-
-    Both sides describe the same entities under fully renamed identifiers;
-    literal values are the only common ground, which is exactly the regime the
-    aligner is built for. The knobs inject controlled disagreement into the
-    second ontology only:
-
-    * attribute_drop    drop this fraction of phone statements
-    * perturb_literals  reformat this fraction of phones ('-' becomes '/')
-    * scramble_phones   replace this fraction of phone values outright
-    * split_relation    split worksAt into two relations by subject parity
-    * merge_relations   merge bornIn and diedIn into one placeOf relation
-
-    Raises ValueError, before writing anything, when instances < 1 or a
-    fraction is outside [0, 1].
-    """
-    if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances!r}")
-    for name, value in (("attribute_drop", attribute_drop),
-                        ("perturb_literals", perturb_literals),
-                        ("scramble_phones", scramble_phones)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    rng = random.Random(seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n_cities = max(2, instances // 7)
-    n_orgs = max(1, instances // 10)
-
-    name_seen: dict[str, int] = {}
-
-    def fresh_name() -> str:
-        name = f"{rng.choice(_FIRST)} {rng.choice(_LAST)}"
-        bump = name_seen.get(name, 0)
-        name_seen[name] = bump + 1
-        return name if bump == 0 else f"{name} {bump + 1}"
-
-    cities = [
-        {"local": f"city{j}", "code": f"C{j:04d}-{rng.randrange(10**6):06d}",
-         "name": f"City of {fresh_name().split()[-1]} {j}"}
-        for j in range(n_cities)
-    ]
-    orgs = [
-        {"local": f"org{k}", "code": f"G{k:04d}-{rng.randrange(10**6):06d}",
-         "name": f"Org {fresh_name()} {k}", "city": rng.randrange(n_cities)}
-        for k in range(n_orgs)
-    ]
-    people = []
-    for i in range(instances):
-        people.append(
-            {
-                "local": f"person{i}",
-                "code": f"P{i:05d}-{rng.randrange(10**6):06d}",
-                "name": fresh_name(),
-                "phone": _phone(rng),
-                "born": rng.randrange(n_cities),
-                "died": rng.randrange(n_cities) if rng.random() < 0.5 else None,
-                "org": rng.randrange(n_orgs) if rng.random() < 0.85 else None,
-            }
-        )
-
-    def iri(side: int, local: str) -> str:
-        host = "one.example" if side == 1 else "two.example"
-        return f"http://{host}/{local}"
-
-    def rel(side: int, name: str) -> str:
-        return iri(side, name if side == 1 else _REL_NAMES[name])
-
-    def cls(side: int, name: str) -> str:
-        return iri(side, name if side == 1 else _CLASS_NAMES[name])
-
-    def local2(local: str) -> str:
-        for a, b in (("person", "human"), ("city", "town"), ("org", "employer")):
-            if local.startswith(a):
-                return b + local[len(a):]
-        return local
-
-    def entity(side: int, local: str) -> str:
-        return iri(side, local if side == 1 else local2(local))
-
-    # second-ontology noise decisions, one draw per person, fixed order
-    noise = []
-    for person in people:
-        drop = rng.random() < attribute_drop
-        scramble = (not drop) and rng.random() < scramble_phones
-        perturb = (not drop) and (not scramble) and rng.random() < perturb_literals
-        scrambled = _phone(rng) if scramble else None
-        noise.append((drop, scrambled, perturb))
-
-    def side_lines(side: int) -> list[str]:
-        lines = [
-            _nt_line(cls(side, "Person"), RDFS_SUBCLASSOF, cls(side, "Agent")),
-            _nt_line(cls(side, "City"), RDFS_SUBCLASSOF, cls(side, "Place")),
-        ]
-        for j, city in enumerate(cities):
-            s = entity(side, city["local"])
-            lines.append(_nt_line(s, RDF_TYPE, cls(side, "City")))
-            lines.append(_nt_line(s, rel(side, "hasCode"), city["code"], literal=True))
-            lines.append(_nt_line(s, rel(side, "hasName"), city["name"], literal=True))
-        for k, org in enumerate(orgs):
-            s = entity(side, org["local"])
-            lines.append(_nt_line(s, RDF_TYPE, cls(side, "Organization")))
-            lines.append(_nt_line(s, rel(side, "hasCode"), org["code"], literal=True))
-            lines.append(_nt_line(s, rel(side, "hasName"), org["name"], literal=True))
-            lines.append(
-                _nt_line(s, rel(side, "locatedIn"), entity(side, cities[org["city"]]["local"]))
-            )
-        for i, person in enumerate(people):
-            s = entity(side, person["local"])
-            drop, scrambled, perturb = noise[i]
-            lines.append(_nt_line(s, RDF_TYPE, cls(side, "Person")))
-            lines.append(_nt_line(s, rel(side, "hasCode"), person["code"], literal=True))
-            lines.append(_nt_line(s, rel(side, "hasName"), person["name"], literal=True))
-            phone = person["phone"]
-            if side == 2 and scrambled:
-                phone = scrambled
-            if side == 2 and perturb:
-                phone = phone.replace("-", "/")
-            if side == 1 or not drop:
-                lines.append(_nt_line(s, rel(side, "hasPhone"), phone, literal=True))
-            born = entity(side, cities[person["born"]]["local"])
-            if side == 2 and merge_relations:
-                lines.append(_nt_line(s, iri(2, "placeOf"), born))
-                if person["died"] is not None:
-                    lines.append(
-                        _nt_line(s, iri(2, "placeOf"), entity(side, cities[person["died"]]["local"]))
-                    )
-            else:
-                lines.append(_nt_line(s, rel(side, "bornIn"), born))
-                if person["died"] is not None:
-                    lines.append(
-                        _nt_line(s, rel(side, "diedIn"), entity(side, cities[person["died"]]["local"]))
-                    )
-            if person["org"] is not None:
-                if side == 2 and split_relation:
-                    half = "employedByA" if i % 2 == 0 else "employedByB"
-                    works = iri(2, half)
-                else:
-                    works = rel(side, "worksAt")
-                lines.append(_nt_line(s, works, entity(side, orgs[person["org"]]["local"])))
-        return lines
-
-    files: dict[str, Path] = {}
-    for name, lines in (("left", side_lines(1)), ("right", side_lines(2))):
-        path = out / f"{name}.nt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files[name] = path
-
-    gold_i = out / "gold_instances.tsv"
-    with open(gold_i, "w", encoding="utf-8") as fh:
-        for group in (people, cities, orgs):
-            for item in group:
-                fh.write(f"{entity(1, item['local'])}\t{entity(2, item['local'])}\n")
-    files["gold_instances"] = gold_i
-
-    gold_r = out / "gold_relations.tsv"
-    with open(gold_r, "w", encoding="utf-8") as fh:
-        for o1name, o2name in _REL_NAMES.items():
-            if split_relation and o1name == "worksAt":
-                fh.write(f"{rel(1, o1name)}\t{iri(2, 'employedByA')}\tright_in_left\n")
-                fh.write(f"{rel(1, o1name)}\t{iri(2, 'employedByB')}\tright_in_left\n")
-            elif merge_relations and o1name in ("bornIn", "diedIn"):
-                fh.write(f"{rel(1, o1name)}\t{iri(2, 'placeOf')}\tleft_in_right\n")
-            else:
-                fh.write(f"{rel(1, o1name)}\t{rel(2, o1name)}\tequivalence\n")
-    files["gold_relations"] = gold_r
-
-    gold_c = out / "gold_classes.tsv"
-    with open(gold_c, "w", encoding="utf-8") as fh:
-        for o1name in _CLASS_NAMES:
-            fh.write(f"{cls(1, o1name)}\t{cls(2, o1name)}\tequivalence\n")
-    files["gold_classes"] = gold_c
-    return files
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

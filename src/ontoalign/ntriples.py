@@ -114,7 +114,8 @@ def load_ontology(
     `paths` may be a file, a directory (all *.nt inside, sorted), or a list.
     Aborts with ParseError when more than `max_skip_fraction` of the non-blank
     lines are malformed, so silently corrupted dumps do not produce silently
-    tiny ontologies.
+    tiny ontologies, and when no line holds a statement, so an empty input
+    does not produce an empty alignment.
     """
     files = _expand_paths(paths)
     if not files:
@@ -128,6 +129,8 @@ def load_ontology(
             f"{stats.skipped} of {total} lines malformed"
             f" (> {max_skip_fraction:.0%}); first offenders: {stats.samples}"
         )
+    if not stats.parsed:
+        raise ParseError(f"no N-Triples statement in {paths!r}")
     if stats.skipped:
         log.warning("skipped %d malformed lines out of %d", stats.skipped, total)
     log.info(

@@ -23,7 +23,7 @@ from helpers import (
 )
 from oracle import naive_functionality, oracle_run
 from ontoalign import engine
-from ontoalign.cli import generate_pair, main
+from ontoalign.cli import main
 from ontoalign.engine import (
     AlignmentConfig,
     EvidenceView,
@@ -36,6 +36,7 @@ from ontoalign.engine import (
 from ontoalign.evaluation import evaluate_instances
 from ontoalign.functionality import global_functionality
 from ontoalign.ntriples import load_gold, load_ontology
+from ontoalign.synth import generate_pair
 
 TOL = 1e-9
 
@@ -392,7 +393,7 @@ def test_negative_evidence_collapses_recall_under_format_conflicts(tmp_path):
 # ------------------------------------------------------------ determinism
 
 
-def test_byte_identical_outputs_across_threads_and_reruns(tmp_path):
+def test_byte_identical_outputs_across_reruns(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--out-dir", str(data), "--instances", "80",
                  "--seed", "21"]) == 0

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from ontoalign.cli import EXIT_BROKEN_PIPE, generate_pair, main
+from ontoalign.cli import EXIT_BROKEN_PIPE, _config_from_args, build_parser, main
+from ontoalign.engine import AlignmentConfig
 from ontoalign.ntriples import read_alignment
 from ontoalign.store import RDF_TYPE
+from ontoalign.synth import generate_pair
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +43,7 @@ def test_generate_is_seed_deterministic(tmp_path):
     assert (tmp_path / "c" / "left.nt").read_bytes() != same[0]
 
 
-# SHA-256 of every file generate_pair writes for instances=200, seed=4. The
+# SHA-256 of every file the generator writes for instances=200, seed=4. The
 # benchmark builds its inputs with the checkout's own generator, so a silent
 # change to this output would give two checkouts different inputs.
 _GENERATED_SHA256 = {
@@ -60,10 +62,17 @@ _NOISY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("knobs, expected", [({}, _GENERATED_SHA256), (_NOISY, _NOISY_SHA256)],
-                         ids=["clean", "noisy"])
+@pytest.mark.parametrize(
+    "knobs, expected",
+    [({}, _GENERATED_SHA256), (_NOISY, _NOISY_SHA256), (None, _GENERATED_SHA256)],
+    ids=["clean", "noisy", "command"],
+)
 def test_generator_output_is_pinned(tmp_path, knobs, expected):
-    generate_pair(tmp_path, instances=200, seed=4, **knobs)
+    if knobs is None:  # the command the benchmark runs to build its inputs
+        assert main(["generate", "--out-dir", str(tmp_path), "--instances", "200",
+                     "--seed", "4"]) == 0
+    else:
+        generate_pair(tmp_path, instances=200, seed=4, **knobs)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == expected
 
@@ -191,11 +200,20 @@ def test_strict_flag_turns_non_convergence_into_exit_4(world, tmp_path):
     assert code == 4
 
 
-def test_missing_input_exits_3(tmp_path, capsys):
-    code = main(["align", str(tmp_path / "absent.nt"), str(tmp_path / "also.nt"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 3
+@pytest.mark.parametrize("content", [None, "", "# only a comment\n\n"],
+                         ids=["absent", "empty", "comment-only"])
+def test_missing_input_exits_3(tmp_path, capsys, content):
+    """An input that holds no statement is an error, not an empty alignment."""
+    path = tmp_path / "input.nt"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["align", str(path), str(path), "--out", str(out)]) == 3
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["functionality", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_non_utf8_input_exits_3(tmp_path, capsys):
@@ -356,6 +374,11 @@ def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()  # rejected before any output is written
+
+
+def test_align_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["align", "l", "r", "--out", "o"])
+    assert _config_from_args(args) == AlignmentConfig()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ontoalign.cli import generate_pair
 from ontoalign.ntriples import load_ontology
 from ontoalign.store import (
     CLASS,
@@ -17,6 +16,7 @@ from ontoalign.store import (
     RDFS_SUBPROPERTYOF,
     ontology_from_triples,
 )
+from ontoalign.synth import generate_pair
 
 
 def test_intern_is_idempotent_and_kind_stable():
