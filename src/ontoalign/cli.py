@@ -65,12 +65,8 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--negative-inner", choices=("object", "pair"),
                    default=cfg.negative_inner,
                    help="inner form of the negative-evidence penalty (default %(default)s)")
-    p.add_argument("--no-restrict", action="store_true",
-                   help="use every stored equivalence as evidence, not just the assignment")
     p.add_argument("--literal-mode", choices=tuple(MEASURES), default=cfg.literal_mode,
                    help="when two literals are equal (default %(default)s)")
-    p.add_argument("--functionality-mode", choices=MODES, default=cfg.functionality_mode,
-                   help="how relation functionality is measured (default %(default)s)")
     p.add_argument("--class-threshold", type=float, default=cfg.class_score_threshold,
                    help="reporting floor for class rows (default %(default)s)")
     p.add_argument("--all-probabilities", action="store_true",
@@ -86,9 +82,7 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         convergence_fraction=args.convergence,
         negative_evidence=args.negative_evidence,
         negative_inner=args.negative_inner,
-        restrict_to_assignment=not args.no_restrict,
         literal_mode=args.literal_mode,
-        functionality_mode=args.functionality_mode,
         class_score_threshold=args.class_threshold,
     )
 
@@ -354,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fun = sub.add_parser("functionality", parents=[common], help="print per-relation functionality")
     p_fun.add_argument("ontology", help=".nt file or directory")
-    p_fun.add_argument("--mode", choices=MODES, default="harmonic-mean")
+    p_fun.add_argument("--mode", choices=MODES, default="harmonic-mean",
+                       help="estimator to print; align always uses harmonic-mean")
     p_fun.add_argument("--top", type=int, default=None, help="show only the top N relations")
     p_fun.set_defaults(func=cmd_functionality)
     return parser

@@ -39,7 +39,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple
 
-from .functionality import MODES, FunctionalityTable, build_functionality_table
+from .functionality import FunctionalityTable, build_functionality_table
 from .literals import MEASURES, build_key_index
 from .ntriples import AlignmentRow
 from .store import INSTANCE, Ontology
@@ -57,8 +57,9 @@ class AlignmentConfig:
     """Tunable knobs. The defaults are the documented, tested configuration.
 
     No knob bounds how many statements or instances an inclusion reads.
-    `pair_cap` is a class attribute, not a field, and always None: it stays
-    only for `bench/checks.py`, which reads it, until the benchmark changes.
+    Evidence is always the previous maximal assignment's equalities, and
+    functionality always the harmonic mean, as in the PARIS model (the
+    `functionality` command keeps the other estimators for inspection).
     """
 
     theta: float = 0.1  # bootstrap relation-inclusion prior; also the storage floor
@@ -66,11 +67,13 @@ class AlignmentConfig:
     convergence_fraction: float = 0.01  # stop when fewer instances change partner
     negative_evidence: bool = False  # penalize unmatched statements of aligned relations
     negative_inner: str = "object"  # "object" (per-object equalities) | "pair" (published form)
-    restrict_to_assignment: bool = True  # use only previous argmax equalities as evidence
     literal_mode: str = "strict"
-    functionality_mode: str = "harmonic-mean"
     class_score_threshold: float = 0.4  # reporting floor for class rows
-    pair_cap = None  # not a field; read by bench/checks.py (see above)
+    # Not fields, and fixed: bench/checks.py reads these three until the
+    # benchmark next changes.
+    pair_cap = None
+    restrict_to_assignment = True
+    functionality_mode = "harmonic-mean"
 
     def __post_init__(self) -> None:
         """Reject out-of-range settings with a ValueError naming the field."""
@@ -94,11 +97,6 @@ class AlignmentConfig:
         if self.literal_mode not in MEASURES:
             problems.append(
                 f"literal_mode must be one of {sorted(MEASURES)}, got {self.literal_mode!r}"
-            )
-        if self.functionality_mode not in MODES:
-            problems.append(
-                f"functionality_mode must be one of {list(MODES)},"
-                f" got {self.functionality_mode!r}"
             )
         if problems:
             raise ValueError("; ".join(problems))
@@ -380,29 +378,19 @@ class EvidenceView:
 
     * The literal share is the run's `LiteralShare`: seeds are clamped, so
       every view sees them all.
-    * The instance share is, by default, the previous maximal assignment
-      alone (`assignment.partners`, whose entries carry the stored p), so an
-      instance's best partner is among its partners. The assignment builds
-      it once, so the relation sweep that follows the assignment, the next
-      instance sweep and the class phase read one build. With the
-      restriction off, the share is every instance row of the table, built
-      per view.
+    * The instance share is the previous maximal assignment alone
+      (`assignment.partners`, whose entries carry the stored p), so an
+      instance's best partner is among its partners, and a stored pair that
+      is best in neither direction carries no evidence. The assignment
+      builds it once, so the relation sweep that follows the assignment,
+      the next instance sweep and the class phase read one build.
 
     The lists hold partner tuples only, with no dict per term: the
     penalties find P(y, y2) by a scan of y's tuple (see `_penalty`).
     """
 
-    def __init__(
-        self,
-        literals: LiteralShare,
-        table: EquivalenceTable,
-        assignment: MaximalAssignment,
-        restrict: bool,
-    ) -> None:
-        if restrict:
-            left, right = assignment.partners
-        else:
-            left, right = _partner_maps(list(table.instance_pairs()))
+    def __init__(self, literals: LiteralShare, assignment: MaximalAssignment) -> None:
+        left, right = assignment.partners
         self.left = _by_term(literals.left_sorted, left)
         self.right = _by_term(literals.right_sorted, right)
 
@@ -442,8 +430,8 @@ def bootstrap(
 ) -> AlignmentState:
     """Initial state: clamped literal matches, uniform relation prior theta."""
     config = config or AlignmentConfig()
-    fun1 = fun1 or build_functionality_table(o1, config.functionality_mode)
-    fun2 = fun2 or build_functionality_table(o2, config.functionality_mode)
+    fun1 = fun1 or build_functionality_table(o1)
+    fun2 = fun2 or build_functionality_table(o2)
     left, right = _partner_maps(literal_seed_pairs(o1, o2, MEASURES[config.literal_mode]))
     literals = LiteralShare(
         _by_term([()] * o1.term_count(), left), _by_term([()] * o2.term_count(), right)
@@ -963,12 +951,9 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
     instance, x2 second. Each call builds the sweep's evidence view, so it
-    costs a pass over the assignment (over the table with the restriction
-    off); for many pairs, run the sweep.
+    costs a copy of both seed lists; for many pairs, run the sweep.
     """
-    ev = EvidenceView(
-        state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
-    )
+    ev = EvidenceView(state.literals, state.assignment)
     factors = _InstanceFactors(state, ev)
     return factors.probability(x, x2, factors.of_pair(x, x2))
 
@@ -1005,9 +990,7 @@ def update_all_instances(
     candidates come only from shared evidence, and only through statements
     that could lift a pair over theta (see `_InstanceFactors`).
     """
-    ev = EvidenceView(
-        state.literals, state.equiv, state.assignment, state.config.restrict_to_assignment
-    )
+    ev = EvidenceView(state.literals, state.assignment)
     rows, evaluated, ruled_out = _instance_rows(state, ev)
     if counts is not None:
         counts["pairs_ruled_out_by_penalties"] = ruled_out
@@ -1140,16 +1123,15 @@ def _subrel_rows(
 
 
 def update_subrelations(
-    state: AlignmentState, table: EquivalenceTable, assignment: MaximalAssignment
+    state: AlignmentState, assignment: MaximalAssignment
 ) -> SubrelationTable:
-    """Relation-inclusion sweep over the just-computed equivalences.
+    """Relation-inclusion sweep over the just-computed maximal assignment.
 
     Inverse relations are first-class: every directed pair with any shared
     evidence gets a computed score, including a relation against its own
     cross-ontology namesake (never hardcoded). A relation and its inverse
     are scored together, in one pass over the relation's statements."""
-    cfg = state.config
-    ev = EvidenceView(state.literals, table, assignment, cfg.restrict_to_assignment)
+    ev = EvidenceView(state.literals, assignment)
     out = SubrelationTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1199,8 +1181,7 @@ def _class_rows(
 
 def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     """Directed class inclusions from the final equivalences, both ways."""
-    cfg = state.config
-    ev = EvidenceView(state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment)
+    ev = EvidenceView(state.literals, state.assignment)
     out = ClassAlignmentTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1241,7 +1222,7 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     assignment = compute_maximal_assignment(table, state.o1, state.o2)
     changed, tracked = _assignment_change(state.assignment, assignment)
     assigned = time.perf_counter()
-    subrel = update_subrelations(state, table, assignment)
+    subrel = update_subrelations(state, assignment)
     finished = time.perf_counter()
     fresh = AlignmentState(
         o1=state.o1, o2=state.o2, config=state.config,
@@ -1275,8 +1256,8 @@ def run_fixpoint(
     """Align two ontologies end to end."""
     cfg = config or AlignmentConfig()
     started = time.perf_counter()
-    fun1 = build_functionality_table(o1, cfg.functionality_mode)
-    fun2 = build_functionality_table(o2, cfg.functionality_mode)
+    fun1 = build_functionality_table(o1)
+    fun2 = build_functionality_table(o2)
     functionality_seconds = time.perf_counter() - started
     started = time.perf_counter()
     state = bootstrap(o1, o2, cfg, fun1, fun2)

@@ -2,11 +2,12 @@
 
 The default "harmonic-mean" mode is the number of distinct subjects divided by
 the number of statements, which equals the harmonic mean of the per-subject
-local functionalities 1/#objects. The other modes are alternative estimators
-with different failure modes (see the mode docstrings); all are clamped into
-(0, 1]. A relation's inverse functionality is the functionality of its
-inverse relation, which the store materializes, so one table covers both
-directions.
+local functionalities 1/#objects; the aligner always uses it. The other
+modes are alternative estimators with different failure modes (see the mode
+docstrings), kept for inspection by the `functionality` command; all are
+clamped into (0, 1]. A relation's inverse functionality is the
+functionality of its inverse relation, which the store materializes, so one
+table covers both directions.
 """
 
 from __future__ import annotations

@@ -233,9 +233,10 @@ def ontology_from_triples(
     instances. Ordinary statements that would use a class or relation as
     subject/object are rejected and counted (the class/relation reading wins
     over instancehood), and so are statements with a literal subject. A
-    literal is never a class or a relation: a type edge to or from one is
-    dropped, and a subClassOf or subPropertyOf edge with one at either end
-    is rejected and counted.
+    literal is never a class or a relation. A type edge is dropped and
+    counted when its subject is a literal or a schema term, or its object a
+    literal or a relation, and so is a subClassOf or subPropertyOf edge with
+    a literal at either end.
 
     The subclass and subproperty edges are then closed transitively: each
     instance gets the superclasses of its classes, and each statement is
@@ -360,6 +361,7 @@ def ontology_from_triples(
         if sid is None or cid is None or term_kind[cid] != CLASS:
             # subject is a schema term or literal, or the class got demoted
             # to a relation
+            onto.rejected_statements += 1
             log.warning("dropped type edge %s -> %s", lexical[s], lexical[c])
             continue
         typed[kept], typed_as[kept] = sid, cid

@@ -111,9 +111,7 @@ def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
     state = engine.bootstrap(o1, o2, cfg)
     decisive = 0
     for _ in range(steps):
-        ev = engine.EvidenceView(
-            state.literals, state.equiv, state.assignment, cfg.restrict_to_assignment
-        )
+        ev = engine.EvidenceView(state.literals, state.assignment)
         decisive += bool(engine._InstanceFactors(state, ev)._decisive)
         table, _ = engine.update_all_instances(state)
         for x in o1.instances():

@@ -37,31 +37,13 @@ def seq_product(factors):
 # ------------------------------------------------------------- functionality
 
 
-def naive_functionality(onto: Ontology, mode: str) -> dict[int, float]:
-    """Global functionality per relation id, recomputed from raw statements."""
+def naive_functionality(onto: Ontology) -> dict[int, float]:
+    """Global functionality per relation id, the harmonic mean of the local
+    functionalities: distinct subjects over statements."""
     out: dict[int, float] = {}
     for rid in onto.relation_ids():
         stmts = list(onto.pairs(rid))
-        if not stmts:
-            out[rid] = 1.0
-            continue
-        per_subject: dict[int, int] = {}
-        objects = set()
-        for s, o in stmts:
-            per_subject[s] = per_subject.get(s, 0) + 1
-            objects.add(o)
-        n_subj = len(per_subject)
-        n_stmt = len(stmts)
-        if mode == "harmonic-mean":
-            out[rid] = n_subj / n_stmt
-        elif mode == "pair-ratio":
-            out[rid] = n_stmt / sum(k * k for k in per_subject.values())
-        elif mode == "arg-ratio":
-            out[rid] = min(1.0, n_subj / len(objects))
-        elif mode == "arithmetic-mean":
-            out[rid] = sum(1.0 / k for k in per_subject.values()) / n_subj
-        else:
-            raise ValueError(mode)
+        out[rid] = len({s for s, _ in stmts}) / len(stmts) if stmts else 1.0
     return out
 
 
@@ -73,11 +55,11 @@ class OracleEvidence:
 
     Literal equality is recomputed from the key definition: p = 1 when the
     two normalization keys are equal and nonempty. Instance equality comes
-    from the previous table, and under the assignment restriction only pairs
-    present in the forward or backward argmax count.
+    from the previous table, and only pairs present in the forward or
+    backward argmax count.
     """
 
-    def __init__(self, o1, o2, equiv, fwd, bwd, restrict, measure_name):
+    def __init__(self, o1, o2, equiv, fwd, bwd, measure_name):
         key = MEASURES[measure_name]
         self.pairs: dict[tuple[int, int], float] = {}
         for a in range(o1.term_count()):
@@ -91,7 +73,7 @@ class OracleEvidence:
                         p = 1.0
                 elif ka == INSTANCE and kb == INSTANCE:
                     p = equiv.get((a, b), 0.0)
-                    if restrict and p > 0.0:
+                    if p > 0.0:
                         ok = (a in fwd and fwd[a][0] == b) or (
                             b in bwd and bwd[b][0] == a
                         )
@@ -112,7 +94,7 @@ class OracleEvidence:
 
 def oracle_seeds(o1, o2, measure_name) -> dict[tuple[int, int], float]:
     """Literal-literal matches, the bootstrap equivalence table."""
-    ev = OracleEvidence(o1, o2, {}, {}, {}, False, measure_name)
+    ev = OracleEvidence(o1, o2, {}, {}, {}, measure_name)
     return {
         (a, b): p
         for (a, b), p in ev.pairs.items()
@@ -143,13 +125,12 @@ def oracle_instance_sweep(
     fun1,
     fun2,  # dicts: relation id -> functionality
     theta,
-    restrict=True,
     measure_name="strict",
     negative=False,
     negative_inner="object",
 ) -> dict[tuple[int, int], float]:
     """One instance sweep over the full cross product of instances."""
-    ev = OracleEvidence(o1, o2, prev_equiv, prev_fwd, prev_bwd, restrict, measure_name)
+    ev = OracleEvidence(o1, o2, prev_equiv, prev_fwd, prev_bwd, measure_name)
     sub12, sub21 = _sub_getters(prev_subrel, theta)
     if prev_subrel is None:
         penalty_rels: dict[int, list[int]] = {}
@@ -239,9 +220,9 @@ def oracle_change(prev_fwd, prev_bwd, fwd, bwd):
     return changed, tracked
 
 
-def oracle_subrelations(o1, o2, equiv, fwd, bwd, restrict, measure_name="strict"):
+def oracle_subrelations(o1, o2, equiv, fwd, bwd, measure_name="strict"):
     """Relation-inclusion sweep, both directions, by full enumeration."""
-    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name)
+    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, measure_name)
 
     def one_side(side, other, partners, all_other_rels):
         out: dict[tuple[int, int], float] = {}
@@ -280,9 +261,9 @@ def oracle_subrelations(o1, o2, equiv, fwd, bwd, restrict, measure_name="strict"
     )
 
 
-def oracle_classes(o1, o2, equiv, fwd, bwd, restrict, measure_name="strict"):
+def oracle_classes(o1, o2, equiv, fwd, bwd, measure_name="strict"):
     """Class-inclusion sweep, both directions, by full enumeration."""
-    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, restrict, measure_name)
+    ev = OracleEvidence(o1, o2, equiv, fwd, bwd, measure_name)
 
     def one_side(side, other, partners):
         out: dict[tuple[int, int], tuple[float, int]] = {}
@@ -322,17 +303,25 @@ def oracle_run(
     negative=False,
     negative_inner="object",
     functionality_mode="harmonic-mean",
-    pair_cap=None,  # passed by bench/checks.py until the benchmark next changes
+    pair_cap=None,
 ):
     """Full fixpoint loop; returns per-iteration snapshots for lockstep checks.
 
     Each snapshot: (equiv dict, fwd, bwd, (sub12, sub21), change_fraction).
-    Every statement and instance is read; `pair_cap` accepts only None.
+    Every statement and instance is read, evidence is the previous maximal
+    assignment and functionality the harmonic mean. `bench/checks.py` passes
+    `restrict`, `functionality_mode` and `pair_cap` until the benchmark next
+    changes; each accepts only its one value.
     """
-    if pair_cap is not None:
-        raise ValueError(f"pair_cap is gone; got {pair_cap!r}")
-    fun1 = naive_functionality(o1, functionality_mode)
-    fun2 = naive_functionality(o2, functionality_mode)
+    for name, value, only in (
+        ("restrict", restrict, True),
+        ("functionality_mode", functionality_mode, "harmonic-mean"),
+        ("pair_cap", pair_cap, None),
+    ):
+        if value != only:
+            raise ValueError(f"{name} is gone; got {value!r}")
+    fun1 = naive_functionality(o1)
+    fun2 = naive_functionality(o2)
     equiv = dict(oracle_seeds(o1, o2, measure_name))
     fwd: dict[int, tuple[int, float]] = {}
     bwd: dict[int, tuple[int, float]] = {}
@@ -342,18 +331,16 @@ def oracle_run(
     for _ in range(max_iterations):
         new_equiv = oracle_instance_sweep(
             o1, o2, equiv, fwd, bwd, subrel, fun1, fun2, theta,
-            restrict, measure_name, negative, negative_inner,
+            measure_name, negative, negative_inner,
         )
         new_fwd, new_bwd = oracle_assignment(new_equiv, o1, o2)
         changed, tracked = oracle_change(fwd, bwd, new_fwd, new_bwd)
         fraction = changed / tracked if tracked else 0.0
-        subrel = oracle_subrelations(
-            o1, o2, new_equiv, new_fwd, new_bwd, restrict, measure_name
-        )
+        subrel = oracle_subrelations(o1, o2, new_equiv, new_fwd, new_bwd, measure_name)
         equiv, fwd, bwd = new_equiv, new_fwd, new_bwd
         history.append((equiv, fwd, bwd, subrel, fraction))
         if fraction < convergence_fraction:
             converged = True
             break
-    classes = oracle_classes(o1, o2, equiv, fwd, bwd, restrict, measure_name)
+    classes = oracle_classes(o1, o2, equiv, fwd, bwd, measure_name)
     return history, classes, converged

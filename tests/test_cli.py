@@ -93,7 +93,7 @@ _ALIGNED_SHA256 = {
         "relations.tsv": "04fef1236c79126fb2038e143c1aee49225ccf2dd10d47db3cf7a429c34a54ea",
     },
 }
-_ALIGNED_SHA256[("--negative-evidence", "--no-restrict", "--all-probabilities")] = (
+_ALIGNED_SHA256[("--negative-evidence", "--all-probabilities")] = (
     _ALIGNED_SHA256[("--negative-evidence",)]
 )
 
@@ -200,10 +200,14 @@ def test_strict_flag_turns_non_convergence_into_exit_4(world, tmp_path):
     assert code == 4
 
 
-@pytest.mark.parametrize("content", [None, "", "# only a comment\n\n"],
-                         ids=["absent", "empty", "comment-only"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "", "# only a comment\n\n", f'<http://a> <{RDF_TYPE}> "lit" .\n'],
+    ids=["absent", "empty", "comment-only", "all-rejected"],
+)
 def test_missing_input_exits_3(tmp_path, capsys, content):
-    """An input that holds no statement is an error, not an empty alignment."""
+    """An input from which the store keeps no statement and no type edge is
+    an error, not an empty alignment."""
     path = tmp_path / "input.nt"
     if content is not None:
         path.write_text(content, encoding="utf-8")
@@ -429,12 +433,15 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:  # no flag bounds the inclusion sweeps
-        main(["align", str(data / "left.nt"), str(data / "right.nt"),
-              "--out", str(out), "--pair-cap", "0"])
-    assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
-    assert not out.exists()
+    # No flag bounds the inclusion sweeps, widens the evidence beyond the
+    # assignment or picks another functionality estimator.
+    for flags in (["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", str(data / "left.nt"), str(data / "right.nt"),
+                  "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_help_exits_0():

@@ -101,8 +101,9 @@ def test_iri_with_a_double_quote_is_a_malformed_line(tmp_path):
 
 
 def test_literal_in_class_position_is_never_a_class(tmp_path):
-    """A type edge to a literal is dropped; a subClassOf edge with a literal
-    end is rejected and counted. The literal stays a literal."""
+    """A type edge to a literal is dropped and a subClassOf edge with a
+    literal end is rejected, and both are counted. The literal stays a
+    literal."""
     f = tmp_path / "typed.nt"
     f.write_text(
         f'<http://a> <{RDF_TYPE}> "lit" .\n'
@@ -115,7 +116,7 @@ def test_literal_in_class_position_is_never_a_class(tmp_path):
     assert onto.kind(lit) == LITERAL
     assert onto.classes() == [onto.term_id("http://C")]
     assert onto.classes_of(onto.term_id("http://a")) == ()
-    assert onto.rejected_statements == 1
+    assert onto.rejected_statements == 2
     assert onto.statement_count() == 2
 
 

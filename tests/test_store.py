@@ -161,7 +161,7 @@ def test_from_triples_relation_wins_over_class(caplog):
         onto = ontology_from_triples(triples)
     assert onto.relation_id("P") is not None
     assert onto.term_id("P") is None or onto.kind(onto.term_id("P")) != CLASS
-    assert onto.rejected_statements == 0  # the type edge is dropped, not a statement
+    assert onto.rejected_statements == 1  # the type edge, dropped and counted
 
 
 def test_from_triples_subproperty_closure():
@@ -192,7 +192,27 @@ def test_type_edge_from_a_literal_is_dropped():
     assert onto.kind(lit) == LITERAL
     assert onto.classes_of(lit) == ()
     assert onto.instances_of(onto.term_id("http://C")) == ()
-    assert onto.rejected_statements == 0  # dropped like other bad type edges
+    assert onto.rejected_statements == 1  # dropped and counted like other bad type edges
+
+
+def test_every_dropped_type_edge_is_counted():
+    """A type edge is dropped and counted when its object is a literal or a
+    relation, or its subject a literal, a class or a relation; only the
+    well-formed edge is kept."""
+    triples = [
+        ("http://a", RDF_TYPE, '"lit"'),
+        ("http://a", RDF_TYPE, "http://p"),
+        ('"x"', RDF_TYPE, "http://C"),
+        ("http://D", RDF_TYPE, "http://C"),
+        ("http://p", RDF_TYPE, "http://C"),
+        ("http://b", "http://p", "http://c"),
+        ("http://a", RDF_TYPE, "http://D"),
+    ]
+    onto = ontology_from_triples(triples)
+    assert onto.rejected_statements == 5
+    a, c = onto.term_id("http://a"), onto.term_id("http://C")
+    assert onto.classes_of(a) == (onto.term_id("http://D"),)
+    assert onto.instances_of(c) == ()
 
 
 def test_literal_subproperty_endpoint_is_rejected():
