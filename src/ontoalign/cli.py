@@ -62,9 +62,6 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
                         " (default %(default)s)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
-    p.add_argument("--negative-inner", choices=("object", "pair"),
-                   default=cfg.negative_inner,
-                   help="inner form of the negative-evidence penalty (default %(default)s)")
     p.add_argument("--literal-mode", choices=tuple(MEASURES), default=cfg.literal_mode,
                    help="when two literals are equal (default %(default)s)")
     p.add_argument("--class-threshold", type=float, default=cfg.class_score_threshold,
@@ -81,7 +78,6 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         max_iterations=args.max_iterations,
         convergence_fraction=args.convergence,
         negative_evidence=args.negative_evidence,
-        negative_inner=args.negative_inner,
         literal_mode=args.literal_mode,
         class_score_threshold=args.class_threshold,
     )

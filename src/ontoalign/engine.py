@@ -66,14 +66,14 @@ class AlignmentConfig:
     max_iterations: int = 10
     convergence_fraction: float = 0.01  # stop when fewer instances change partner
     negative_evidence: bool = False  # penalize unmatched statements of aligned relations
-    negative_inner: str = "object"  # "object" (per-object equalities) | "pair" (published form)
     literal_mode: str = "strict"
     class_score_threshold: float = 0.4  # reporting floor for class rows
-    # Not fields, and fixed: bench/checks.py reads these three until the
+    # Not fields, and fixed: bench/checks.py reads these four until the
     # benchmark next changes.
     pair_cap = None
     restrict_to_assignment = True
     functionality_mode = "harmonic-mean"
+    negative_inner = "object"
 
     def __post_init__(self) -> None:
         """Reject out-of-range settings with a ValueError naming the field."""
@@ -89,10 +89,6 @@ class AlignmentConfig:
         if not 0.0 <= self.class_score_threshold <= 1.0:
             problems.append(
                 f"class_score_threshold must be in [0, 1], got {self.class_score_threshold!r}"
-            )
-        if self.negative_inner not in ("object", "pair"):
-            problems.append(
-                f"negative_inner must be 'object' or 'pair', got {self.negative_inner!r}"
             )
         if self.literal_mode not in MEASURES:
             problems.append(
@@ -120,8 +116,7 @@ class IterationStats:
     `pairs_ruled_out_by_penalties` counts the escaping candidates whose
     penalty product alone is at or below theta, so that none of their
     positive factors is formed. Each is still counted in `pairs_evaluated`.
-    It is 0 without negative evidence, in the first iteration and under the
-    pair inner form.
+    It is 0 without negative evidence and in the first iteration.
 
     `seconds` is the whole iteration's wall time. The three phase times
     within it are the instance sweep and the relation sweep, each with the
@@ -275,22 +270,21 @@ def _partner_maps(
     pairs: list[tuple[int, int, float]],
 ) -> tuple[dict[int, Partners], dict[int, Partners]]:
     """Each term's partners, seen from the first ontology and from the
-    second; a pair listed twice keeps its last p."""
+    second."""
     return _grouped_partners(pairs, 0, 1), _grouped_partners(pairs, 1, 0)
 
 
 def _grouped_partners(
     pairs: list[tuple[int, int, float]], term: int, partner: int
 ) -> dict[int, Partners]:
-    """The partners of each term at position `term` of the pairs. A stable
-    sort groups the pairs by term and partner, with no dict per term kept
-    alive: a term with several partners is deduplicated by a dict of its
-    own, which keeps each partner's place and its last p."""
+    """The partners of each term at position `term` of the pairs, which
+    list each pair once. A sort groups the pairs by term and partner, with
+    no dict per term kept alive."""
     out: dict[int, Partners] = {}
     ordered = sorted(pairs, key=itemgetter(term, partner))
     for t, run in groupby(ordered, itemgetter(term)):
         parts = [(pair[partner], pair[2]) for pair in run]
-        out[t] = tuple(parts) if len(parts) == 1 else tuple(dict(parts).items())
+        out[t] = tuple(parts)
     return out
 
 
@@ -503,13 +497,13 @@ class _InstanceFactors:
     are walked only for a pair that can still be stored, and the walk stops
     as soon as one penalty rules it out (see `probability`).
 
-    A penalty can also rule candidates out before they are scored. With the
-    default object inner form, the penalty of statement r(x, y) against an
-    aligned relation r2 is decisive when one of its weights w has
-    1 - w <= theta (see `_decisive_relations`). A candidate x2 with no
-    statement r2(x2, y2) for a partner y2 of y has the inner product exactly
-    1.0, so the factor 1 - w, and every positive score p <= 1 has
-    p (1 - w) <= theta: such a pair is never stored. An instance with
+    A penalty can also rule candidates out before they are scored. The
+    penalty of statement r(x, y) against an aligned relation r2 is decisive
+    when one of its weights w has 1 - w <= theta (see
+    `_decisive_relations`). A candidate x2 with no statement r2(x2, y2) for
+    a partner y2 of y has the inner product exactly 1.0, so the factor
+    1 - w, and every positive score p <= 1 has p (1 - w) <= theta: such a
+    pair is never stored. An instance with
     decisive penalties therefore has only the candidates that escape all of
     them scored (see `_escaping`), penalties first: a candidate whose
     penalty product P alone is at or below theta is ruled out before any
@@ -517,9 +511,7 @@ class _InstanceFactors:
     candidate gets the full factor list from one join of x's statements with
     its own row (see `of_pair`), so every stored value is unchanged. The
     other instances, every instance of the first iteration and every run
-    without negative evidence take the bounded path above. The pair inner
-    form reads the previous P(x, x2), not y's partners, so it has no
-    decisive penalties and is never cut this way.
+    without negative evidence take the bounded path above.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -545,13 +537,9 @@ class _InstanceFactors:
             self._sub12 = lambda r1, r2: d12.get((r1, r2), 0.0)
             self._sub21 = lambda r2, r1: d21.get((r2, r1), 0.0)
         # negative evidence: aligned relations and their penalty weights (none
-        # without it, so no penalties), and the equality each penalty's inner
-        # product reads
+        # without it, so no penalties)
         self._weights = self._penalty_weights(state.subrel) if cfg.negative_evidence else {}
-        self._pair_prev = state.equiv.get if cfg.negative_inner == "pair" else None
-        self._decisive = (
-            self._decisive_relations(cfg.theta) if self._pair_prev is None else {}
-        )
+        self._decisive = self._decisive_relations(cfg.theta)
         self._objs = state.penalty_index
         self._plan_of: int | None = None  # the instance `_plan` belongs to
         self._plan: list[PenaltyTerm] = []
@@ -838,8 +826,7 @@ class _InstanceFactors:
         weights w has 1 - w <= theta. A candidate x2 with no statement
         r2(x2, y2) for a partner y2 of y has the inner product 1.0, so the
         factor 1 - w, and for every positive score p <= 1, p (1 - w) <= theta,
-        as float multiplication is monotone: the pair can never be stored.
-        Only the object inner form reads partners this way."""
+        as float multiplication is monotone: the pair can never be stored."""
         decisive: dict[int, tuple[int, ...]] = {}
         for r, entries in self._weights.items():
             r2s = tuple(
@@ -878,21 +865,16 @@ class _InstanceFactors:
         if x != self._plan_of:
             self._plan_of, self._plan = x, self._penalty_plan(x)
         objs2 = self._objs[x2]
-        pair_prev = None if self._pair_prev is None else self._pair_prev(x, x2)
         pens: list[float] = []
         for parts, r2, w21, w12 in self._plan:
-            objs = objs2.get(r2, ())
-            if pair_prev is None:
-                inner = 1.0
-                for y2 in objs:
-                    # y's partners ascend, so the scan stops at y2's place
-                    for b, pe in parts:
-                        if b >= y2:
-                            if b == y2:
-                                inner *= 1.0 - pe
-                            break
-            else:
-                inner = (1.0 - pair_prev) ** len(objs)
+            inner = 1.0
+            for y2 in objs2.get(r2, ()):
+                # y's partners ascend, so the scan stops at y2's place
+                for b, pe in parts:
+                    if b >= y2:
+                        if b == y2:
+                            inner *= 1.0 - pe
+                        break
             if w21 is not None:
                 f = 1.0 - w21 * inner
                 if p * f <= floor:

@@ -127,7 +127,6 @@ def oracle_instance_sweep(
     theta,
     measure_name="strict",
     negative=False,
-    negative_inner="object",
 ) -> dict[tuple[int, int], float]:
     """One instance sweep over the full cross product of instances."""
     ev = OracleEvidence(o1, o2, prev_equiv, prev_fwd, prev_bwd, measure_name)
@@ -164,22 +163,17 @@ def oracle_instance_sweep(
             p = 1.0 - sorted_product(factors)
             if negative and p > 0.0:
                 pens = []
-                prev_pair = prev_equiv.get((x, x2), 0.0)
                 for r, y in o1.rows(x):
                     for r2 in penalty_rels.get(r, ()):
                         s21 = sub21(r2, r)
                         s12 = sub12(r, r2)
                         if s21 <= 0.0 and s12 <= 0.0:
                             continue
-                        objs = [o for q, o in o2.rows(x2) if q == r2]
-                        if negative_inner == "pair":
-                            inner = (1.0 - prev_pair) ** len(objs)
-                        else:
-                            inner = 1.0
-                            for y2 in objs:
-                                pe = ev.p(y, y2)
-                                if pe:
-                                    inner *= 1.0 - pe
+                        inner = 1.0
+                        for y2 in [o for q, o in o2.rows(x2) if q == r2]:
+                            pe = ev.p(y, y2)
+                            if pe:
+                                inner *= 1.0 - pe
                         if s21 > 0.0:
                             pens.append(1.0 - fun1[r] * s21 * inner)
                         if s12 > 0.0:
@@ -310,11 +304,12 @@ def oracle_run(
     Each snapshot: (equiv dict, fwd, bwd, (sub12, sub21), change_fraction).
     Every statement and instance is read, evidence is the previous maximal
     assignment and functionality the harmonic mean. `bench/checks.py` passes
-    `restrict`, `functionality_mode` and `pair_cap` until the benchmark next
-    changes; each accepts only its one value.
+    `restrict`, `negative_inner`, `functionality_mode` and `pair_cap` until
+    the benchmark next changes; each accepts only its one value.
     """
     for name, value, only in (
         ("restrict", restrict, True),
+        ("negative_inner", negative_inner, "object"),
         ("functionality_mode", functionality_mode, "harmonic-mean"),
         ("pair_cap", pair_cap, None),
     ):
@@ -331,7 +326,7 @@ def oracle_run(
     for _ in range(max_iterations):
         new_equiv = oracle_instance_sweep(
             o1, o2, equiv, fwd, bwd, subrel, fun1, fun2, theta,
-            measure_name, negative, negative_inner,
+            measure_name, negative,
         )
         new_fwd, new_bwd = oracle_assignment(new_equiv, o1, o2)
         changed, tracked = oracle_change(fwd, bwd, new_fwd, new_bwd)

@@ -79,11 +79,11 @@ def _assert_assignments_equal(got, want, where):
         assert got[key][1] == p, f"{where}: {key} {got[key][1]} != {p}"
 
 
-def _assert_lockstep(o1, o2, *, theta, negative, inner):
-    cfg = AlignmentConfig(theta=theta, negative_evidence=negative, negative_inner=inner)
+def _assert_lockstep(o1, o2, *, theta, negative):
+    cfg = AlignmentConfig(theta=theta, negative_evidence=negative)
     engine_hist, engine_classes, engine_conv = _engine_history(o1, o2, cfg)
     oracle_hist, oracle_classes, oracle_conv = oracle_run(
-        o1, o2, theta=theta, negative=negative, negative_inner=inner,
+        o1, o2, theta=theta, negative=negative,
     )
     assert engine_conv == oracle_conv
     assert len(engine_hist) == len(oracle_hist)
@@ -121,10 +121,7 @@ def test_sweeps_match_brute_force_oracle_every_iteration():
             value_pool=max(2, n_inst // 2) if case % 4 == 0 else None,
         )
         _assert_lockstep(
-            o1, o2,
-            theta=rng.choice((0.05, 0.1)),
-            negative=case % 3 == 0,
-            inner="pair" if case % 6 == 3 else "object",
+            o1, o2, theta=rng.choice((0.05, 0.1)), negative=case % 3 == 0,
         )
     assert time.perf_counter() - started < 30.0
 
@@ -162,7 +159,7 @@ def test_row_join_keeps_every_relation_to_one_object():
     assert len(o2.relations_between(x2, city)) == 2
     cfg = AlignmentConfig(negative_evidence=True)
     assert assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4) >= 2
-    _assert_lockstep(o1, o2, theta=cfg.theta, negative=True, inner="object")
+    _assert_lockstep(o1, o2, theta=cfg.theta, negative=True)
     state, _ = step(step(bootstrap(o1, o2, cfg))[0])
     ev = EvidenceView(state.literals, state.assignment)
     decisive = engine._InstanceFactors(state, ev)._decisive
@@ -182,7 +179,7 @@ def test_hub_worlds_match_brute_force_oracle():
             rng, n_inst=n_inst, n_attr=rng.randint(1, 3), n_link=rng.randint(1, 2),
             n_class=2, drop=rng.choice((0.0, 0.15)), hub=True,
         )
-        _assert_lockstep(o1, o2, theta=0.1, negative=case >= 2, inner="object")
+        _assert_lockstep(o1, o2, theta=0.1, negative=case >= 2)
 
 
 def test_mirrored_inclusions_match_oracle_exactly():

@@ -123,6 +123,9 @@ def test_align_writes_outputs_and_manifest(world):
     )
     assert manifest["converged"] == "true"
     assert manifest["config.theta"] == "0.1"
+    # retired settings are not config fields, so the manifest has no key for them
+    for gone in ("pair_cap", "restrict_to_assignment", "functionality_mode", "negative_inner"):
+        assert f"config.{gone}" not in manifest
     assert int(manifest["iterations"]) >= 1
     # the recorded digest really is the digest of the input file
     expect = hashlib.sha256((data / "left.nt").read_bytes()).hexdigest()
@@ -434,8 +437,12 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "out"
     # No flag bounds the inclusion sweeps, widens the evidence beyond the
-    # assignment or picks another functionality estimator.
-    for flags in (["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"]):
+    # assignment, picks another functionality estimator or another
+    # negative-evidence penalty.
+    for flags in (
+        ["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"],
+        ["--negative-inner", "pair"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["align", str(data / "left.nt"), str(data / "right.nt"),
                   "--out", str(out), *flags])
