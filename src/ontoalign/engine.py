@@ -21,9 +21,11 @@ Evidence model, in words:
 
 Literal-literal equalities are clamped up front through the shared
 normalized-value index and never change, so their share of the evidence is
-built once per run. All products over evidence factors are computed over
-ascending-sorted factor lists, so results do not depend on traversal order or
-on which ontology is called "first" when the two roles are swapped.
+built once per run. An instance pair's factors and a relation statement's
+misses are multiplied in ascending order, so results do not depend on
+traversal order or on which ontology is called "first" when the two roles are
+swapped, and a relation's inverse scores exactly as the relation does. A class
+member's misses are multiplied in partner order.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ class EquivalenceTable:
     in place, so a table holds them without copying them; `get` takes
     first-ontology terms only. The instance rows, kept by first-ontology
     term, are adopted as they are given (a sweep hands over its own); the
-    assignment takes both of its directions from these forward rows. Seeds pair literals with literals and instance rows
-    pair instances with instances, so the two never share a key. `get`,
-    `pairs` and `len` cover both.
+    assignment takes both of its directions from these forward rows. Seeds
+    pair literals with literals and instance rows pair instances with
+    instances, so the two never share a key. `get`, `pairs` and `len` cover
+    both.
     """
 
     def __init__(
@@ -1010,56 +1013,26 @@ def compute_maximal_assignment(
 # ------------------------------------------------------------- subrelations
 
 
-def _miss_products(
-    outer: Partners, inner: Partners, rels
-) -> tuple[float, dict[int, float]]:
-    """One statement's transported pairs (u, v), outer partner u first: the
-    product of their misses 1 - P(u) P(v), and one such product per relation
-    q between u and v, all multiplied in loop order."""
-    dprod = 1.0
-    nprods: dict[int, float] = {}
-    for u, pu in outer:
-        for v, pv in inner:
-            miss = 1.0 - pu * pv
-            dprod *= miss
-            for q in rels(u, v):
-                nprods[q] = nprods.get(q, 1.0) * miss
-    return dprod, nprods
-
-
-def _ratios(num: dict[int, float], den: float) -> dict[int, float]:
-    if den <= 0.0:
-        return {}
-    return {q: v / den for q, v in num.items() if v > 0.0}
-
-
 def _subrel_rows(
     side: Ontology,
     other: Ontology,
     partners: list[Partners],
     relation: int,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Inclusion scores of a relation r and of its inverse into every
-    candidate of the other side, from one pass over r's statements.
-    `partners` is the evidence view's list for `side`.
+) -> dict[int, float]:
+    """Inclusion scores of a relation r into every candidate relation of the
+    other side, from one pass over r's statements. `partners` is the
+    evidence view's list for `side`.
 
     Per statement r(x, y): the chance that (x, y) transported through known
     equalities lands on an r'(x', y') statement (numerator, per candidate r'),
     against the chance that it lands on any known pair at all (denominator).
-
-    The store inserts each statement together with its inverse, so r's
-    inverse has the same statements, transposed and in the same order, and
-    the other side's relations between (y', x') are the inverses of those
-    between (x', y'). Its sums therefore equal r's, keyed by the inverse
-    relations, except that a statement whose x and y both have several
-    partners multiplies its misses in transposed order (y' outer). From the
-    first such statement on, the inverse keeps sums of its own.
+    Each is one minus the ascending product of the misses 1 - P(u) P(v) of
+    the transported pairs (u, v) concerned, so it does not depend on the
+    order in which they are visited (see `update_subrelations`).
     """
     rels = other.relations_between
     num: dict[int, float] = {}
     den = 0.0
-    inv_num: dict[int, float] | None = None  # the inverse's own sums, once they part
-    inv_den = 0.0
     for x, y in side.pairs(relation):
         ex = partners[x]
         if not ex:
@@ -1072,36 +1045,24 @@ def _subrel_rows(
             (u, pu), = ex
             (v, pv), = ey
             hit = 1.0 - (1.0 - pu * pv)
-            qs = rels(u, v)
             den += hit
-            for q in qs:
+            for q in rels(u, v):
                 num[q] = num.get(q, 0.0) + hit
-            if inv_num is not None:
-                inv_den += hit
-                for q in qs:
-                    inv_num[q ^ 1] = inv_num.get(q ^ 1, 0.0) + hit
             continue
-        transposed = len(ex) > 1 and len(ey) > 1
-        if transposed and inv_num is None:
-            inv_num = {q ^ 1: v for q, v in num.items()}
-            inv_den = den
-        dprod, nprods = _miss_products(ex, ey, rels)
-        den += 1.0 - dprod
-        for q, prod in nprods.items():
-            num[q] = num.get(q, 0.0) + (1.0 - prod)
-        if inv_num is None:
-            continue
-        if transposed:
-            dprod, nprods = _miss_products(ey, ex, rels)
-        else:
-            nprods = {q ^ 1: prod for q, prod in nprods.items()}
-        inv_den += 1.0 - dprod
-        for q, prod in nprods.items():
-            inv_num[q] = inv_num.get(q, 0.0) + (1.0 - prod)
-    if inv_num is None:
-        inv_num = {q ^ 1: v for q, v in num.items()}
-        inv_den = den
-    return _ratios(num, den), _ratios(inv_num, inv_den)
+        misses: list[float] = []
+        per_rel: dict[int, list[float]] = {}
+        for u, pu in ex:
+            for v, pv in ey:
+                miss = 1.0 - pu * pv
+                misses.append(miss)
+                for q in rels(u, v):
+                    per_rel.setdefault(q, []).append(miss)
+        den += 1.0 - _sorted_product(misses)
+        for q, fs in per_rel.items():
+            num[q] = num.get(q, 0.0) + (1.0 - _sorted_product(fs))
+    if den <= 0.0:
+        return {}
+    return {q: v / den for q, v in num.items() if v > 0.0}
 
 
 def update_subrelations(
@@ -1111,21 +1072,25 @@ def update_subrelations(
 
     Inverse relations are first-class: every directed pair with any shared
     evidence gets a computed score, including a relation against its own
-    cross-ontology namesake (never hardcoded). A relation and its inverse
-    are scored together, in one pass over the relation's statements."""
+    cross-ontology namesake (never hardcoded). r's inverse has r's
+    statements, transposed and in the same order, and the other side's
+    relations between (y', x') are the inverses of those between (x', y'),
+    so P(r^-1 in q^-1) = P(r in q): each row is computed once and written as
+    (r, q), then as (r ^ 1, q ^ 1)."""
     ev = EvidenceView(state.literals, assignment)
     out = SubrelationTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
         (state.o2, state.o1, ev.right, out.o2_to_o1),
     ):
-        for r in side.relation_ids()[::2]:  # each inverse is scored with r
+        for r in side.relation_ids()[::2]:  # each inverse is written with r
             if not side.relation_subjects[r]:
                 continue
-            rows = _subrel_rows(side, other, partners, r)
-            for rel, row in zip((r, r ^ 1), rows):
-                for q, p in row.items():
-                    scores[(rel, q)] = p
+            row = _subrel_rows(side, other, partners, r)
+            for q, p in row.items():
+                scores[(r, q)] = p
+            for q, p in row.items():
+                scores[(r ^ 1, q ^ 1)] = p
     return out
 
 

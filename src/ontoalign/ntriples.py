@@ -194,8 +194,10 @@ def _field_unescape(value: str) -> str:
 
 
 def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:
-    """Write alignment rows as TSV, sorted by (kind, left, descending score)."""
-    ordered = sorted(rows, key=lambda r: (r.kind, r.left, -r.score, r.right))
+    """Write alignment rows as TSV, sorted by (kind, left, descending score,
+    right, direction): a total order, so the bytes do not depend on the order
+    of the rows given."""
+    ordered = sorted(rows, key=lambda r: (r.kind, r.left, -r.score, r.right, r.direction))
     with open(path, "w", encoding="utf-8") as fh:
         for r in ordered:
             fh.write(

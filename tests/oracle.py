@@ -7,9 +7,11 @@ only index reuse is statement-set membership when locating a relation's
 statements between two terms (absent statements contribute exact 1.0 factors,
 so membership lookups cannot change any value).
 
-Factor lists are multiplied in ascending order, the documented canonical
-order, so oracle values should match the engine bit for bit, not just within
-an epsilon.
+An instance pair's factors and a relation statement's misses are multiplied
+in ascending order, the documented canonical order; a class member's misses
+are multiplied in partner order, as the engine does. So oracle values should
+match the engine bit for bit, not just within an epsilon. Every relation,
+inverses included, is scored in its own pass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from ontoalign.store import INSTANCE, LITERAL, Ontology
 
 
 def sorted_product(factors):
-    """Ascending-order product: the canonical order for equivalence factors."""
+    """Ascending-order product: the canonical order for equivalence factors
+    and inclusion misses."""
     prod = 1.0
     for f in sorted(factors):
         prod *= f
@@ -27,7 +30,7 @@ def sorted_product(factors):
 
 
 def seq_product(factors):
-    """In-order product: inclusion sweeps multiply in partner-id order."""
+    """In-order product: the class sweep multiplies in partner-id order."""
     prod = 1.0
     for f in factors:
         prod *= f
@@ -238,9 +241,9 @@ def oracle_subrelations(o1, o2, equiv, fwd, bwd, measure_name="strict"):
                         for r2 in all_other_rels:
                             if (x2, r2, y2) in statements:
                                 nfactors.setdefault(r2, []).append(miss)
-                den += 1.0 - seq_product(den_factors)
+                den += 1.0 - sorted_product(den_factors)
                 for r2, fl in nfactors.items():
-                    num[r2] = num.get(r2, 0.0) + (1.0 - seq_product(fl))
+                    num[r2] = num.get(r2, 0.0) + (1.0 - sorted_product(fl))
             if den > 0.0:
                 for r2, v in num.items():
                     if v > 0.0:

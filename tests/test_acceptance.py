@@ -183,11 +183,13 @@ def test_hub_worlds_match_brute_force_oracle():
 
 
 def test_mirrored_inclusions_match_oracle_exactly():
-    """A relation's inverse is scored in the same pass as the relation. Where
-    both ends of a statement have several partners, the inverse multiplies
-    its misses in transposed order, as the oracle's own pass over the
-    inverse does. So the inclusion tables must be equal, not just close,
-    at every iteration. A small value pool gives many such statements: an
+    """A relation's row is computed once and written for its inverse too,
+    while the oracle scores every relation, inverses included, in a pass of
+    its own. Both multiply a statement's misses in ascending order, so the
+    inclusion tables must be equal, not just close, at every iteration, and
+    each inverse row (r ^ 1, q ^ 1) must hold exactly the value of its row
+    (r, q). A small value pool gives many statements whose two ends both
+    have several partners, where the order of the misses could matter: an
     instance has several partners when it is the best partner of several
     instances of the other side."""
     rng = random.Random(6021)
@@ -202,6 +204,9 @@ def test_mirrored_inclusions_match_oracle_exactly():
             state, _ = step(state)
             assert state.subrel.o1_to_o2 == sub12, f"iteration {i} inclusions 1->2"
             assert state.subrel.o2_to_o1 == sub21, f"iteration {i} inclusions 2->1"
+            for table in (sub12, sub21):
+                for (r, q), p in table.items():
+                    assert table.get((r ^ 1, q ^ 1)) == p, f"iteration {i} inverse of {(r, q)}"
             ev = EvidenceView(state.literals, state.assignment)
             several += sum(
                 len(ev.left[x]) > 1 and len(ev.left[y]) > 1

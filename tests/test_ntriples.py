@@ -289,8 +289,33 @@ def test_alignment_fields_round_trip(rows):
         path = Path(tmp) / "rows.tsv"
         write_alignment(rows, path)
         assert read_alignment(path) == sorted(
-            rows, key=lambda r: (r.kind, r.left, -r.score, r.right)
+            rows, key=lambda r: (r.kind, r.left, -r.score, r.right, r.direction)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            AlignmentRow, st.sampled_from("ab"), st.sampled_from("ab"),
+            st.sampled_from((0.5, 1.0)), st.sampled_from(("class", "relation")),
+            st.sampled_from(("left_in_right", "right_in_left")),
+        ),
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_alignment_bytes_do_not_depend_on_row_order(rows, rng):
+    """Rows that differ only in direction, such as a relation included in
+    another both ways at the same score, are still written in one order: any
+    shuffle of the rows writes the same bytes."""
+    shuffled = rows.copy()
+    rng.shuffle(shuffled)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "rows.tsv", Path(tmp) / "shuffled.tsv"
+        write_alignment(rows, paths[0])
+        write_alignment(shuffled, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_read_alignment_rejects_wrong_column_count(tmp_path):
