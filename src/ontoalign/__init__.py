@@ -26,13 +26,7 @@ from .engine import (
     step,
 )
 from .evaluation import Metrics, evaluate_instances, evaluate_threshold_sweep
-from .functionality import (
-    MODES,
-    FunctionalityTable,
-    build_functionality_table,
-    global_functionality,
-    local_functionality,
-)
+from .functionality import FunctionalityTable, build_functionality_table
 from .ntriples import (
     AlignmentRow,
     ParseError,
@@ -55,7 +49,6 @@ __all__ = [
     "EquivalenceTable",
     "FunctionalityTable",
     "IterationStats",
-    "MODES",
     "MaximalAssignment",
     "Metrics",
     "Ontology",
@@ -67,11 +60,9 @@ __all__ = [
     "compute_maximal_assignment",
     "evaluate_instances",
     "evaluate_threshold_sweep",
-    "global_functionality",
     "instance_equivalence",
     "load_gold",
     "load_ontology",
-    "local_functionality",
     "ontology_from_triples",
     "parse_ntriples",
     "read_alignment",

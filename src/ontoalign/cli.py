@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .engine import AlignmentConfig, AlignmentResult, peak_rss_mb, result_rows, run_fixpoint
 from .evaluation import evaluate_instances, evaluate_threshold_sweep
-from .functionality import MODES, build_functionality_table
+from .functionality import build_functionality_table
 from .literals import MEASURES
 from .ntriples import (
     AlignmentRow,
@@ -255,7 +255,7 @@ def cmd_functionality(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    table = build_functionality_table(onto, args.mode)
+    table = build_functionality_table(onto)
     rows = []
     for rid in range(0, len(table.values), 2):  # base relations; odd ids are inverses
         stmts = len(onto.relation_subjects[rid])
@@ -344,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fun = sub.add_parser("functionality", parents=[common], help="print per-relation functionality")
     p_fun.add_argument("ontology", help=".nt file or directory")
-    p_fun.add_argument("--mode", choices=MODES, default="harmonic-mean",
-                       help="estimator to print; align always uses harmonic-mean")
     p_fun.add_argument("--top", type=int, default=None, help="show only the top N relations")
     p_fun.set_defaults(func=cmd_functionality)
     return parser

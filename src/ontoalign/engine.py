@@ -60,8 +60,7 @@ class AlignmentConfig:
 
     No knob bounds how many statements or instances an inclusion reads.
     Evidence is always the previous maximal assignment's equalities, and
-    functionality always the harmonic mean, as in the PARIS model (the
-    `functionality` command keeps the other estimators for inspection).
+    functionality always the harmonic mean, as in the PARIS model.
     """
 
     theta: float = 0.1  # bootstrap relation-inclusion prior; also the storage floor

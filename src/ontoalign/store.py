@@ -20,13 +20,13 @@ The statements live in flat columns of term and relation ids:
 - ``subject_relations[s]`` and ``subject_objects[s]``, lists indexed by term
   id, hold the relation and the object of each of s's statements, in
   insertion order, as two tuples of equal length. The instance sweep
-  (penalties included), the one-pair operation and local functionality walk
-  them; :meth:`Ontology.rows` zips them.
+  (penalties included) and the one-pair operation walk them;
+  :meth:`Ontology.rows` zips them.
 - ``relation_subjects[r]`` and ``relation_objects[r]``, lists indexed by
   relation id, hold the subject and the object of each of r's statements,
   in insertion order. A relation's inverse has the same statements,
   transposed and in the same order, so r's subjects are its inverse's
-  objects and the two share their tuples. Global functionality, the
+  objects and the two share their tuples. The functionality table, the
   relation sweep and the ``functionality`` command read them;
   :meth:`Ontology.pairs` zips them.
 

@@ -34,7 +34,7 @@ from ontoalign.engine import (
     step,
 )
 from ontoalign.evaluation import evaluate_instances
-from ontoalign.functionality import global_functionality
+from ontoalign.functionality import build_functionality_table
 from ontoalign.ntriples import load_gold, load_ontology
 from ontoalign.synth import generate_pair
 
@@ -219,10 +219,10 @@ def test_mirrored_inclusions_match_oracle_exactly():
 # ----------------------------------------------- functionality arithmetic
 
 
-def test_functionality_modes_match_exact_fractions():
+def test_functionality_matches_exact_fractions():
     """Estimated functionality equals the harmonic mean of per-subject local
     functionalities, exactly, over a thousand random relations; the all-pairs
-    dining fixture gives 1 under arg-ratio and 1/n under the default."""
+    dining fixture gives 1/n."""
     rng = random.Random(2026)
     statements = []
     shape = {}
@@ -233,6 +233,7 @@ def test_functionality_modes_match_exact_fractions():
             objects = rng.sample(range(12), k)
             statements += [(f"s{j}_{s}", f"r{j}", f"n{o}") for o in objects]
     onto = make_ontology("first", statements)
+    fun = build_functionality_table(onto)
     table = naive_functionality(onto)
     for j in range(1000):
         rid = onto.relation_id(f"r{j}")
@@ -240,7 +241,7 @@ def test_functionality_modes_match_exact_fractions():
         harmonic = len(per_subject) / sum(
             1 / Fraction(1, k) for k in per_subject
         )
-        assert global_functionality(onto, rid) == float(harmonic)
+        assert fun.fun(rid) == float(harmonic)
         assert table[rid] == float(harmonic)
 
     for n in (2, 3, 5):
@@ -249,8 +250,7 @@ def test_functionality_modes_match_exact_fractions():
             [(f"p{i}", "likesDish", f"d{j}") for i in range(n) for j in range(n)],
         )
         rid = dining.relation_id("likesDish")
-        assert global_functionality(dining, rid, "arg-ratio") == 1.0
-        assert global_functionality(dining, rid, "harmonic-mean") == 1.0 / n
+        assert build_functionality_table(dining).fun(rid) == 1.0 / n
 
 
 # ------------------------------------------------------ prior invariance

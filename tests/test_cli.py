@@ -5,17 +5,20 @@ codes and output files are asserted exactly as a shell user would see them;
 that one needs a process of its own, since its standard output is a pipe.
 """
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracle import naive_functionality
 from ontoalign.cli import EXIT_BROKEN_PIPE, _config_from_args, build_parser, main
 from ontoalign.engine import AlignmentConfig
-from ontoalign.ntriples import read_alignment
+from ontoalign.ntriples import load_ontology, read_alignment
 from ontoalign.store import RDF_TYPE
 from ontoalign.synth import generate_pair
 
@@ -437,8 +440,8 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "out"
     # No flag bounds the inclusion sweeps, widens the evidence beyond the
-    # assignment, picks another functionality estimator or another
-    # negative-evidence penalty.
+    # assignment, picks another negative-evidence penalty or picks a
+    # functionality estimator other than the harmonic mean, in either command.
     for flags in (
         ["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"],
         ["--negative-inner", "pair"],
@@ -449,6 +452,10 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["functionality", str(data / "left.nt"), "--mode", "pair-ratio"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_help_exits_0():
@@ -457,17 +464,35 @@ def test_help_exits_0():
     assert exc.value.code == 0
 
 
+def test_readme_names_only_existing_flags():
+    """Every --flag the README names from its quick start on is an option of
+    some subcommand, so a retired flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("\n## Quick start\n", 1)[1]  # the pip flags come before
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", usage))
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.values()
+    options = {flag for p in subcommands for a in p._actions for flag in a.option_strings}
+    assert named and named <= options, sorted(named - options)
+
+
 def test_functionality_lists_relations(world, capsys):
     data, _ = world
     assert main(["functionality", str(data / "left.nt")]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "relation\tfunctionality\tinverse_functionality\tstatements"
-    names = {line.split("\t")[0] for line in lines[1:]}
-    assert "http://one.example/hasCode" in names
+    rows = {name: rest for name, *rest in (line.split("\t") for line in lines[1:])}
+    # every row is the table align reads, checked against the oracle's
+    onto = load_ontology(data / "left.nt", origin="first")
+    expected = naive_functionality(onto)
+    for name, (fun, ifun, stmts) in rows.items():
+        rid = onto.relation_id(name)
+        assert fun == f"{expected[rid]:.6f}", name
+        assert ifun == f"{expected[onto.inverse(rid)]:.6f}", name
+        assert stmts == str(len(list(onto.pairs(rid)))), name
     # hasCode values are unique, so its functionality is exactly 1 both ways
-    code_row = next(l for l in lines[1:] if l.endswith("\t80") or "hasCode" in l)
-    _, fun, ifun, _ = code_row.split("\t")
-    assert fun == "1.000000" and ifun == "1.000000"
+    assert rows["http://one.example/hasCode"][:2] == ["1.000000", "1.000000"]
 
 
 def test_functionality_top_limits_rows(world, capsys):

@@ -1,15 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from helpers import make_ontology
-from ontoalign.functionality import (
-    MODES,
-    build_functionality_table,
-    global_functionality,
-    local_functionality,
-)
+from ontoalign.functionality import build_functionality_table
 from ontoalign.store import RDFS_SUBPROPERTYOF, ontology_from_triples
 
 
@@ -20,28 +13,13 @@ def bornin_ontology():
     )
 
 
-def test_local_functionality_is_one_over_statement_count():
-    onto = bornin_ontology()
-    r = onto.relation_id("bornIn")
-    a, b = onto.term_id("a"), onto.term_id("b")
-    assert local_functionality(onto, r, a) == 1.0
-    assert local_functionality(onto, r, b) == 0.5
-    with pytest.raises(ValueError):
-        local_functionality(onto, r, onto.term_id("p"))
-
-
 def test_harmonic_mean_is_subjects_over_statements():
     onto = bornin_ontology()
     r = onto.relation_id("bornIn")
-    assert global_functionality(onto, r) == 2 / 3
+    table = build_functionality_table(onto)
+    assert table.fun(r) == 2 / 3
     # inverse direction: subjects are the two cities, statements are three
-    assert global_functionality(onto, onto.inverse(r)) == 2 / 3
-
-
-def test_unknown_mode_rejected():
-    onto = bornin_ontology()
-    with pytest.raises(ValueError):
-        global_functionality(onto, onto.relation_id("bornIn"), "median")
+    assert table.fun(onto.inverse(r)) == 2 / 3
 
 
 def test_empty_relation_defaults_to_one():
@@ -60,27 +38,18 @@ def test_inverse_fun_reads_the_partner_id():
     assert table.inverse_fun(r) == table.fun(onto.inverse(r))
 
 
-def test_all_pairs_relation_modes_exactly():
-    """n subjects each liking the same n dishes: every mode has a closed form."""
+def test_all_pairs_relation_is_one_over_n():
+    """n subjects each liking the same n dishes: each subject has n objects."""
     for n in (2, 3, 5):
         statements = [
             (f"person{i}", "likesDish", f"dish{j}") for i in range(n) for j in range(n)
         ]
         onto = make_ontology("first", statements)
         r = onto.relation_id("likesDish")
-        assert global_functionality(onto, r, "harmonic-mean") == float(Fraction(1, n))
-        assert global_functionality(onto, r, "pair-ratio") == float(Fraction(1, n))
-        assert global_functionality(onto, r, "arg-ratio") == 1.0
-        assert global_functionality(onto, r, "arithmetic-mean") == float(Fraction(1, n))
+        assert build_functionality_table(onto).fun(r) == float(Fraction(1, n))
 
 
-def test_arg_ratio_is_clamped_to_one():
-    # two subjects share one object: the raw subject/object ratio would be 2
-    onto = make_ontology("first", [("a", "r", "x"), ("b", "r", "x")])
-    assert global_functionality(onto, onto.relation_id("r"), "arg-ratio") == 1.0
-
-
-def test_modes_agree_with_exact_rationals_on_random_relations():
+def test_harmonic_mean_equals_exact_rationals_on_random_relations():
     rng = random.Random(42)
     triples = []
     specs = []
@@ -94,23 +63,8 @@ def test_modes_agree_with_exact_rationals_on_random_relations():
         triples += [(s, f"r{i}", o) for s, o in stmts]
         specs.append((f"r{i}", stmts))
     onto = ontology_from_triples(triples)
+    table = build_functionality_table(onto)
     for name, stmts in specs:
         r = onto.relation_id(name)
-        per_subject: dict[int, int] = {}
-        for s, _ in stmts:
-            per_subject[s] = per_subject.get(s, 0) + 1
-        objects = {o for _, o in stmts}
-        n_subj, n_stmt = len(per_subject), len(stmts)
-        expected = {
-            "harmonic-mean": Fraction(n_subj, n_stmt),
-            "pair-ratio": Fraction(n_stmt, sum(k * k for k in per_subject.values())),
-            "arg-ratio": min(Fraction(1), Fraction(n_subj, len(objects))),
-            "arithmetic-mean": sum(Fraction(1, k) for k in per_subject.values())
-            / n_subj,
-        }
-        for mode in MODES:
-            got = global_functionality(onto, r, mode)
-            if mode == "arithmetic-mean":
-                assert got == pytest.approx(float(expected[mode]), abs=1e-12)
-            else:
-                assert got == float(expected[mode]), (mode, r)
+        n_subj = len({s for s, _ in stmts})
+        assert table.fun(r) == float(Fraction(n_subj, len(stmts))), r
