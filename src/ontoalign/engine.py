@@ -35,7 +35,7 @@ import sys
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -509,11 +509,11 @@ class _InstanceFactors:
     decisive penalties therefore has only the candidates that escape all of
     them scored (see `_escaping`), penalties first: a candidate whose
     penalty product P alone is at or below theta is ruled out before any
-    positive factor is formed, since p <= 1 gives p P <= P. Each other
-    candidate gets the full factor list from one join of x's statements with
-    its own row (see `of_pair`), so every stored value is unchanged. The
-    other instances, every instance of the first iteration and every run
-    without negative evidence take the bounded path above.
+    positive factor is formed, since p <= 1 gives p P <= P. The other
+    candidates get their full factor lists from one join of x's statements
+    with all of them at once (see `_join`), so every stored value is
+    unchanged. The other instances, every instance of the first iteration
+    and every run without negative evidence take the bounded path above.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -608,6 +608,8 @@ class _InstanceFactors:
                 else:
                     between = self._between2
                     hits = [(q, x2) for x2 in among for q in between(y2, x2)]
+                if not hits:
+                    continue
             self._add_hits(acc, r, pyy, hits)
 
     def _landing(self, y2: int) -> tuple[int, tuple[int, ...]]:
@@ -640,9 +642,6 @@ class _InstanceFactors:
         key = (r, y)
         if key in self._bounds:
             return self._bounds[key]
-        objs2 = self._objs2
-        if all(len(objs2[y2]) <= 1 for y2, _ in parts):
-            return None  # fast path: such partners cannot repeat a relation
         landings = [(pyy, self._landing(y2)) for y2, pyy in parts]
         if sum(n for _, (n, _) in landings) <= sum(len(qs) for _, (_, qs) in landings):
             return None
@@ -667,26 +666,32 @@ class _InstanceFactors:
     def row(self, x: int, floor: float) -> tuple[dict[int, float], int, int]:
         """x's candidates scored above `floor`, with their scores; how many
         candidates were scored; and how many of those were ruled out by
-        their penalties alone (see `_escaping`). Where x has no decisive
-        penalty, every candidate of `candidates` is scored by `probability`.
+        their penalties alone. Where x has decisive penalties, the escaping
+        candidates whose penalty product is above `floor` (see `_escaping`)
+        are joined with x's statements at once (see `_join`) and scored with
+        that product; otherwise every candidate of `candidates` is scored.
         """
-        decisive = self._decisive
-        if decisive:
-            left = self._left
-            terms = [
-                (left[y], r2)
-                for r, y in zip(self._rels1[x], self._objs1[x])
-                for r2 in decisive.get(r, ())
-            ]
-            if terms:
-                return self._escaping(x, terms, floor)
-        acc = self.candidates(x)
+        decisive, left = self._decisive, self._left
+        terms = [
+            (left[y], r2)
+            for r, y in zip(self._rels1[x], self._objs1[x])
+            for r2 in decisive.get(r, ())
+        ] if decisive else None
+        if terms:
+            penalties, scored = self._escaping(x, terms, floor)
+            if not penalties:
+                return {}, scored, scored
+            acc = self._join(x, penalties)
+            ruled_out = scored - len(penalties)
+        else:
+            penalties, acc = {}, self.candidates(x)
+            scored, ruled_out = len(acc), 0
         row: dict[int, float] = {}
         for x2, fs in acc.items():
-            p = self.probability(x, x2, fs, floor)
+            p = self.probability(x, x2, fs, floor, penalties.get(x2))
             if p > floor:
                 row[x2] = p
-        return row, len(acc), 0
+        return row, scored, ruled_out
 
     def candidates(self, x: int) -> dict[int, list[float]]:
         """Factors per candidate partner of x that could score above theta.
@@ -731,31 +736,29 @@ class _InstanceFactors:
 
     def _escaping(
         self, x: int, terms: list[tuple[Partners, int]], floor: float
-    ) -> tuple[dict[int, float], int, int]:
-        """`row` for an x with decisive penalties: only the candidates x2
-        that escape each of them are scored. Each term (parts, r2), from a
-        statement r(x, y) with y's partners `parts`, needs a statement
-        r2(x2, y2) with y2 among them. No other candidate can be stored (see
-        `_decisive_relations`), so x has none where a term's y has no
-        partner.
+    ) -> tuple[dict[int, float], int]:
+        """The candidates x2 that escape each decisive penalty of x and whose
+        penalty product P is above `floor`, each with P, and how many
+        escaped. Each term (parts, r2), from a statement r(x, y) with y's
+        partners `parts`, needs a statement r2(x2, y2) with y2 among them.
+        No other candidate can be stored (see `_decisive_relations`), so x
+        has none where a term's y has no partner.
 
         The term whose partners have the fewest statements is walked for its
         candidates; each other term keeps those that have such a statement,
-        read off the candidate's objects grouped by relation. Every survivor
-        is scored penalties first: its penalty product P is formed as
+        read off the candidate's objects grouped by relation. P is formed as
         `probability` forms it, and where P <= floor the pair is ruled out,
-        as p P <= P for every p <= 1. Only the others are joined with x's
-        statements for their positive factors (see `of_pair`). A survivor
-        always has one: the landing through which it escapes has a positive
-        weight, as the penalty weight that makes the term decisive does."""
+        as p P <= P for every p <= 1. A candidate kept always has a positive
+        factor: the landing through which it escapes has a positive weight,
+        as the penalty weight that makes the term decisive does."""
         if not all(parts for parts, _ in terms):
-            return {}, 0, 0
+            return {}, 0
         rels2, objs2, grouped = self._rels2, self._objs2, self._objs
         terms.sort(key=lambda term: sum(len(objs2[y2]) for y2, _ in term[0]))
         (parts, r2), rest = terms[0], terms[1:]
         q = r2 ^ 1  # r2(x2, y2) seen from its object side
-        row: dict[int, float] = {}
-        scored = ruled_out = 0
+        kept: dict[int, float] = {}
+        escaped = 0
         for x2 in dict.fromkeys(
             x2 for y2, _ in parts for q2, x2 in zip(rels2[y2], objs2[y2]) if q2 == q
         ):
@@ -764,32 +767,23 @@ class _InstanceFactors:
                 any(y2 in objs.get(r2, ()) for y2, _ in parts) for parts, r2 in rest
             ):
                 continue
-            scored += 1
+            escaped += 1
             penalty = self._penalty(x, x2, 1.0, floor)
-            if penalty is None or penalty <= floor:
-                ruled_out += 1
-                continue
-            p = self.probability(x, x2, self.of_pair(x, x2), floor, penalty)
-            if p > floor:
-                row[x2] = p
-        return row, scored, ruled_out
+            if penalty is not None and penalty > floor:
+                kept[x2] = penalty
+        return kept, escaped
 
-    def of_pair(self, x: int, x2: int) -> list[float]:
-        """Every factor of the pair (x, x2), from one join: x2's row is read
-        once into a map from each object y2 to the statements q(y2, x2) that
-        reach x2 from it, every relation kept, and each statement of x looks
-        its object's partners up there."""
-        reach: dict[int, list[tuple[int, int]]] = {}
-        for q, y2 in zip(self._rels2[x2], self._objs2[x2]):
-            reach.setdefault(y2, []).append((q ^ 1, x2))
+    def _join(self, x: int, among: Collection[int]) -> dict[int, list[float]]:
+        """Every factor of x on each candidate in `among` that one of x's
+        statements lands on, from `_add_factors` for each statement whose
+        object has partners."""
         acc: dict[int, list[float]] = {}
         left = self._left
         for r, y in zip(self._rels1[x], self._objs1[x]):
-            for y2, pyy in left[y]:
-                hits = reach.get(y2)
-                if hits:
-                    self._add_hits(acc, r, pyy, hits)
-        return acc.get(x2, [])
+            parts = left[y]
+            if parts:
+                self._add_factors(acc, r, parts, among)
+        return acc
 
     def _penalty_weights(
         self, subrel: SubrelationTable | None
@@ -898,9 +892,9 @@ class _InstanceFactors:
         penalty: float | None = None,
     ) -> float:
         """The pair's score from its positive factors: p = 1 - prod(factors),
-        times the penalty product under negative evidence. A caller that has
-        formed the pair's penalty product already (see `_escaping`) passes it
-        as `penalty`; it is then used as it is.
+        times the penalty product under negative evidence. `row` passes the
+        product `_escaping` formed for a candidate as `penalty`; it is then
+        used as it is.
 
         The value is exact whenever the score is above `floor`, and not above
         `floor` otherwise. Penalties are walked only for p > floor, and the
@@ -939,28 +933,7 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     """
     ev = EvidenceView(state.literals, state.assignment)
     factors = _InstanceFactors(state, ev)
-    return factors.probability(x, x2, factors.of_pair(x, x2))
-
-
-def _instance_rows(
-    state: AlignmentState, ev: EvidenceView
-) -> tuple[dict[int, dict[int, float]], int, int]:
-    """Stored-pair rows per first-ontology instance, the number of candidate
-    pairs evaluated, and how many of those their penalties alone ruled out."""
-    theta = state.config.theta
-    factors = _InstanceFactors(state, ev)
-    kinds1 = state.o1.kinds()
-    rows: dict[int, dict[int, float]] = {}
-    evaluated = ruled_out = 0
-    for x, rels in enumerate(state.o1.subject_relations):
-        if not rels or kinds1[x] != INSTANCE:
-            continue
-        row, scored, pruned = factors.row(x, theta)
-        evaluated += scored
-        ruled_out += pruned
-        if row:
-            rows[x] = row
-    return rows, evaluated, ruled_out
+    return factors.probability(x, x2, factors._join(x, (x2,)).get(x2, []))
 
 
 def update_all_instances(
@@ -974,8 +947,19 @@ def update_all_instances(
     candidates come only from shared evidence, and only through statements
     that could lift a pair over theta (see `_InstanceFactors`).
     """
-    ev = EvidenceView(state.literals, state.assignment)
-    rows, evaluated, ruled_out = _instance_rows(state, ev)
+    theta = state.config.theta
+    factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    kinds1 = state.o1.kinds()
+    rows: dict[int, dict[int, float]] = {}
+    evaluated = ruled_out = 0
+    for x, rels in enumerate(state.o1.subject_relations):
+        if not rels or kinds1[x] != INSTANCE:
+            continue
+        row, scored, pruned = factors.row(x, theta)
+        evaluated += scored
+        ruled_out += pruned
+        if row:
+            rows[x] = row
     if counts is not None:
         counts["pairs_ruled_out_by_penalties"] = ruled_out
     return EquivalenceTable(state.literals, rows), evaluated
@@ -1170,12 +1154,8 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     assigned = time.perf_counter()
     subrel = update_subrelations(state, assignment)
     finished = time.perf_counter()
-    fresh = AlignmentState(
-        o1=state.o1, o2=state.o2, config=state.config,
-        fun1=state.fun1, fun2=state.fun2,
-        literals=state.literals,
-        penalty_index=state.penalty_index,
-        equiv=table, assignment=assignment, subrel=subrel,
+    fresh = replace(
+        state, equiv=table, assignment=assignment, subrel=subrel,
         iteration=state.iteration + 1,
     )
     stats = IterationStats(

@@ -150,10 +150,10 @@ def born_and_died_pair():
 
 def test_row_join_keeps_every_relation_to_one_object():
     """Under negative evidence, a candidate that escapes its decisive
-    penalties gets its factors from one join with its own row. b0 holds
-    both a birthPlace and a deathPlace statement to "C0", and both must
-    give their factors. Every sweep stores what the one-pair scores store,
-    and the run agrees with the brute-force oracle."""
+    penalties gets its factors from the join of x's statements with every
+    such candidate. b0 holds both a birthPlace and a deathPlace statement
+    to "C0", and both must give their factors. Every sweep stores what the
+    one-pair scores store, and the run agrees with the brute-force oracle."""
     o1, o2 = born_and_died_pair()
     x2, city = o2.term_id("b0"), o2.term_id('"C0"')
     assert len(o2.relations_between(x2, city)) == 2

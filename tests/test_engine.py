@@ -465,6 +465,42 @@ def test_hub_value_adds_no_candidates():
         assert len(state.assignment.forward) == 60
 
 
+def test_join_gives_the_factors_of_the_enumeration():
+    """For every instance x, the join of x's statements with all the
+    candidates that `candidates` enumerates, and with each candidate alone,
+    gives each candidate the factors of the enumeration, pairs at or below
+    theta included. On hub worlds a hub partner outnumbers one candidate
+    more than `_WALK_PER_LOOKUP` times, so the join looks candidates up;
+    unique values have one statement, so it walks their partners."""
+    rng = random.Random(2525)
+    lookups = low = 0
+    for hub in (False, True) * 3:
+        o1, o2 = random_world_pair(
+            rng, n_inst=rng.randint(10, 16), n_attr=3, value_pool=rng.choice((None, 3)), hub=hub,
+        )
+        state = bootstrap(o1, o2)
+        for _ in range(3):
+            factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+            between = factors._between2
+
+            def counted(y2, x2):
+                nonlocal lookups
+                lookups += 1
+                return between(y2, x2)
+
+            factors._between2 = counted
+            for x in o1.instances():
+                expected = {x2: sorted(fs) for x2, fs in factors.candidates(x).items()}
+                together = factors._join(x, expected)
+                assert {x2: sorted(fs) for x2, fs in together.items()} == expected
+                for x2, fs in expected.items():
+                    assert sorted(factors._join(x, (x2,))[x2]) == fs
+                    low += 1.0 - _sorted_product(fs) <= state.config.theta
+            state, _ = step(state)
+    assert lookups > 0
+    assert low > 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -699,7 +735,7 @@ def test_decisive_penalty_rules_out_city_mates():
         negative, EvidenceView(negative.literals, negative.assignment)
     )
     assert o1.relation_id("key") in factors._decisive
-    assert 1.0 - _sorted_product(factors.of_pair(x, mate)) > 0.3
+    assert 1.0 - _sorted_product(factors._join(x, (mate,)).get(mate, [])) > 0.3
     negative, stats = step(negative)
     assert stats.pairs_evaluated == 6
     assert negative.equiv.get(x, mate) == 0.0
@@ -765,7 +801,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     penalties = {}
     for i in (0, 5):
         x, x2 = o1.term_id(f"a{i}"), o2.term_id(f"b{i}")
-        assert 1.0 - _sorted_product(factors.of_pair(x, x2)) == 1.0
+        assert 1.0 - _sorted_product(factors._join(x, (x2,)).get(x2, [])) == 1.0
         penalties[i] = factors._penalty(x, x2, 1.0, theta)
         assert penalties[i] is not None  # no one penalty alone is at or below theta
     assert 0.0 < penalties[0] <= theta < penalties[5] <= 2 * theta
