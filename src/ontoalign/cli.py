@@ -27,14 +27,11 @@ from .evaluation import evaluate_instances, evaluate_threshold_sweep
 from .functionality import build_functionality_table
 from .literals import MEASURES
 from .ntriples import (
-    AlignmentRow,
     ParseError,
     _expand_paths,
     load_gold,
     load_ontology,
-    parse_ntriples,
     read_alignment,
-    read_utf8_lines,
     write_alignment,
 )
 from .synth import generate_pair
@@ -58,16 +55,12 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=cfg.max_iterations,
                    help="most fixpoint iterations to run (default %(default)s)")
     p.add_argument("--convergence", type=float, default=cfg.convergence_fraction,
-                   help="stop when fewer than this fraction of assignments change"
-                        " (default %(default)s)")
+                   help="stop when no assignment changes or fewer than this fraction"
+                        " do (default %(default)s)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
     p.add_argument("--literal-mode", choices=tuple(MEASURES), default=cfg.literal_mode,
                    help="when two literals are equal (default %(default)s)")
-    p.add_argument("--class-threshold", type=float, default=cfg.class_score_threshold,
-                   help="reporting floor for class rows (default %(default)s)")
-    p.add_argument("--all-probabilities", action="store_true",
-                   help="write every stored instance pair, not just the maximal assignment")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when the fixpoint does not converge")
 
@@ -79,7 +72,6 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
         convergence_fraction=args.convergence,
         negative_evidence=args.negative_evidence,
         literal_mode=args.literal_mode,
-        class_score_threshold=args.class_threshold,
     )
 
 
@@ -163,11 +155,6 @@ def cmd_align(args: argparse.Namespace) -> int:
     load_peak = peak_rss_mb()
     result = run_fixpoint(o1, o2, config)
     instances, relations, classes = result_rows(result)
-    if args.all_probabilities:
-        instances = [
-            AlignmentRow(o1.lexical(a), o2.lexical(b), p, "instance", "equivalence")
-            for a, b, p in result.equiv.instance_pairs()
-        ]
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -200,43 +187,22 @@ def cmd_align(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fact_counts(paths: list[str]) -> dict[str, int]:
-    """Statements per resource (subject or resource object) in raw triples."""
-    counts: dict[str, int] = {}
-    for path in paths:
-        for f in _expand_paths(path):
-            for s, _p, o in parse_ntriples(read_utf8_lines(f)):
-                counts[s] = counts.get(s, 0) + 1
-                if not o.startswith('"'):
-                    counts[o] = counts.get(o, 0) + 1
-    return counts
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.min_facts < 0:
-        print(f"error: --min-facts must be >= 0, got {args.min_facts}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.min_facts and not args.facts_from:
-        print("error: --min-facts needs --facts-from", file=sys.stderr)
-        return EXIT_USAGE
     try:
         rows = [r for r in read_alignment(args.predicted) if r.kind == args.kind]
         gold = load_gold(args.gold)
-        counts = _fact_counts(args.facts_from) if args.facts_from else None
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.sweep:
         print("threshold\tprecision\trecall\tf1\tpredicted\tcorrect\tgold")
-        for threshold, m in evaluate_threshold_sweep(
-            rows, gold, min_facts=args.min_facts, fact_counts=counts
-        ):
+        for threshold, m in evaluate_threshold_sweep(rows, gold):
             print(
                 f"{threshold:.2f}\t{m.precision:.4f}\t{m.recall:.4f}\t{m.f1:.4f}"
                 f"\t{m.predicted}\t{m.correct}\t{m.gold}"
             )
         return EXIT_OK
-    m = evaluate_instances(rows, gold, min_facts=args.min_facts, fact_counts=counts)
+    m = evaluate_instances(rows, gold)
     print(f"precision\t{m.precision:.4f}")
     print(f"recall\t{m.recall:.4f}")
     print(f"f1\t{m.f1:.4f}")
@@ -318,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("gold", help="gold TSV: left<TAB>right per line")
     p_eval.add_argument("--kind", choices=("instance", "relation", "class"),
                         default="instance")
-    p_eval.add_argument("--min-facts", type=int, default=0,
-                        help="ignore gold pairs where neither side has more facts than this")
-    p_eval.add_argument("--facts-from", nargs="+", default=None,
-                        help="N-Triples files to count facts from (for --min-facts)")
     p_eval.add_argument("--sweep", action="store_true",
                         help="print metrics for every acceptance threshold in 0.05 steps")
     p_eval.set_defaults(func=cmd_eval)

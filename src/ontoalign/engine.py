@@ -3,9 +3,10 @@
 Each iteration recomputes instance-equivalence probabilities from the previous
 iteration's tables (a full snapshot read, never in-place), derives the maximal
 assignment, then recomputes relation-inclusion probabilities from the fresh
-equivalences. Iteration stops when fewer than a configured fraction of the
-assigned instances change partner. Class inclusions are computed once, at the
-end, from the final assignment.
+equivalences. Iteration stops when no assigned instance changes partner, or
+when fewer than a configured fraction of them do. Class inclusions are
+computed once, at the end, from the final assignment, and reported from
+`CLASS_SCORE_FLOOR` up.
 
 Evidence model, in words:
 
@@ -68,7 +69,6 @@ class AlignmentConfig:
     convergence_fraction: float = 0.01  # stop when fewer instances change partner
     negative_evidence: bool = False  # penalize unmatched statements of aligned relations
     literal_mode: str = "strict"
-    class_score_threshold: float = 0.4  # reporting floor for class rows
     # Not fields, and fixed: bench/checks.py reads these four until the
     # benchmark next changes.
     pair_cap = None
@@ -87,10 +87,6 @@ class AlignmentConfig:
             )
         if self.max_iterations < 0:
             problems.append(f"max_iterations must be >= 0, got {self.max_iterations!r}")
-        if not 0.0 <= self.class_score_threshold <= 1.0:
-            problems.append(
-                f"class_score_threshold must be in [0, 1], got {self.class_score_threshold!r}"
-            )
         if self.literal_mode not in MEASURES:
             problems.append(
                 f"literal_mode must be one of {sorted(MEASURES)}, got {self.literal_mode!r}"
@@ -180,18 +176,14 @@ class EquivalenceTable:
         i = bisect_left(parts, (right,))
         return parts[i][1] if i < len(parts) and parts[i][0] == right else 0.0
 
-    def instance_pairs(self):
-        """The instance rows' pairs, in row order."""
-        for left, row in self._fwd.items():
-            for right, p in row.items():
-                yield left, right, p
-
     def pairs(self):
-        """Every stored pair: the seeds, then the instance rows."""
+        """Every stored pair: the seeds, then the instance rows in row order."""
         for left, parts in enumerate(self._seeds):
             for right, p in parts:
                 yield left, right, p
-        yield from self.instance_pairs()
+        for left, row in self._fwd.items():
+            for right, p in row.items():
+                yield left, right, p
 
     def __len__(self) -> int:
         return self._n + sum(map(len, self._seeds))
@@ -1201,7 +1193,7 @@ def run_fixpoint(
             100.0 * stats.change_fraction, stats.equivalences,
             stats.subrelations, stats.seconds,
         )
-        if stats.change_fraction < cfg.convergence_fraction:
+        if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
             converged = True
             break
     started = time.perf_counter()
@@ -1220,6 +1212,8 @@ def run_fixpoint(
 
 # ------------------------------------------------------------------- reports
 
+CLASS_SCORE_FLOOR = 0.4  # least class-inclusion score that result_rows reports
+
 
 def result_rows(
     result: AlignmentResult,
@@ -1228,9 +1222,10 @@ def result_rows(
 
     Instance rows are the forward maximal assignment. Relation and class rows
     keep the first ontology's term on the left and encode the inclusion
-    direction explicitly; class rows respect the reporting threshold.
+    direction explicitly; a class row is kept when its score is at least
+    `CLASS_SCORE_FLOOR`.
     """
-    o1, o2, cfg = result.o1, result.o2, result.config
+    o1, o2 = result.o1, result.o2
     instances = [
         AlignmentRow(o1.lexical(x), o2.lexical(b), p, "instance", "equivalence")
         for x, (b, p) in result.assignment.forward.items()
@@ -1253,11 +1248,11 @@ def result_rows(
     classes = [
         AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "left_in_right")
         for (c1, c2), (p, _) in result.classes.o1_to_o2.items()
-        if p >= cfg.class_score_threshold
+        if p >= CLASS_SCORE_FLOOR
     ]
     classes += [
         AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "right_in_left")
         for (c2, c1), (p, _) in result.classes.o2_to_o1.items()
-        if p >= cfg.class_score_threshold
+        if p >= CLASS_SCORE_FLOOR
     ]
     return instances, relations, classes

@@ -30,22 +30,8 @@ def _f1(p: float, r: float) -> float:
 def evaluate_instances(
     predicted: list[AlignmentRow],
     gold: set[tuple[str, str]],
-    min_facts: int = 0,
-    fact_counts: dict[str, int] | None = None,
 ) -> Metrics:
-    """Score instance predictions against gold (left, right) pairs.
-
-    With min_facts > 0 and fact_counts given, gold pairs where neither side
-    reaches the statement-count floor are dropped before scoring; sparsely
-    described entities carry no usable evidence, and scoring them measures
-    the gold standard, not the aligner.
-    """
-    if min_facts > 0 and fact_counts is not None:
-        gold = {
-            (a, b)
-            for a, b in gold
-            if fact_counts.get(a, 0) > min_facts or fact_counts.get(b, 0) > min_facts
-        }
+    """Score instance predictions against gold (left, right) pairs."""
     left_judged = {a for a, _ in gold}
     right_judged = {b for _, b in gold}
     in_region = 0
@@ -78,8 +64,6 @@ def evaluate_threshold_sweep(
     start: float = 0.05,
     stop: float = 1.0,
     step: float = 0.05,
-    min_facts: int = 0,
-    fact_counts: dict[str, int] | None = None,
 ) -> list[tuple[float, Metrics]]:
     """Metrics at every acceptance threshold in [start, stop] (inclusive).
 
@@ -91,7 +75,5 @@ def evaluate_threshold_sweep(
     for i in range(n):
         threshold = round(start + i * step, 10)
         kept = [row for row in predicted if row.score >= threshold]
-        out.append(
-            (threshold, evaluate_instances(kept, gold, min_facts, fact_counts))
-        )
+        out.append((threshold, evaluate_instances(kept, gold)))
     return out

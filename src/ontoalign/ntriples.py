@@ -230,7 +230,10 @@ def read_alignment(path: str | Path) -> list[AlignmentRow]:
 
 
 def load_gold(path: str | Path) -> set[tuple[str, str]]:
-    """Load a two-column gold TSV into a deduplicated pair set."""
+    """Load a two-column gold TSV into a deduplicated pair set.
+
+    A file with no pair, empty or with every row malformed, raises
+    ParseError: scored against it, every alignment would read 0."""
     pairs: set[tuple[str, str]] = set()
     bad = 0
     for line in read_utf8_lines(path):
@@ -242,6 +245,8 @@ def load_gold(path: str | Path) -> set[tuple[str, str]]:
             bad += 1
             continue
         pairs.add((_field_unescape(parts[0]), _field_unescape(parts[1])))
+    if not pairs:
+        raise ParseError(f"{path}: no gold pair ({bad} malformed rows)")
     if bad:
         log.warning("gold file %s: skipped %d malformed rows", path, bad)
     return pairs

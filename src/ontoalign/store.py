@@ -6,14 +6,14 @@ read-only afterwards:
 :class:`Ontology` has query methods only.
 
 Terms (instances, literals, classes) and relations are interned to dense
-integer ids. Every relation has a materialized inverse, and every statement
-is stored together with its inverse statement, so traversals can walk from
-any term over all incident edges by looking only at subject-indexed
-statements. Type edges (rdf:type) live in dedicated indexes, not in the
-general statement store: class alignment consumes them separately and they
-carry no functionality semantics. Schema edges (rdfs:subClassOf,
-rdfs:subPropertyOf) are applied during the build, as extra type edges and
-statements, and are not kept.
+integer ids. Every relation r has a materialized inverse, with id ``r ^ 1``,
+and every statement is stored together with its inverse statement, so
+traversals can walk from any term over all incident edges by looking only
+at subject-indexed statements. Type edges (rdf:type) live in dedicated
+indexes, not in the general statement store: class alignment consumes them
+separately and they carry no functionality semantics. Schema edges
+(rdfs:subClassOf, rdfs:subPropertyOf) are applied during the build, as extra
+type edges and statements, and are not kept.
 
 The statements live in flat columns of term and relation ids:
 
@@ -36,7 +36,7 @@ scans the shorter of the two terms' object tuples with the C-level
 when those are shorter, so a hub value with thousands of subjects is never
 scanned from its own side. A pair almost always has one relation r, and the
 scan then returns ``(r,)``, one tuple per relation shared by all of r's
-statements. :meth:`Ontology.has_statement` reads the same scan.
+statements.
 
 Every column slot holds the one int object of its term or relation id, the
 one the term table holds, so the columns add 8 bytes per slot and no int
@@ -151,10 +151,6 @@ class Ontology:
     def relation_lexical(self, rid: int) -> str:
         return self._rel_lex[rid]
 
-    def inverse(self, rid: int) -> int:
-        # inverses are allocated as adjacent id pairs
-        return rid ^ 1
-
     def term_count(self) -> int:
         return len(self._term_lex)
 
@@ -184,9 +180,6 @@ class Ontology:
         """The (subject, object) pair of each statement of `relation`, in
         insertion order."""
         return zip(self.relation_subjects[relation], self.relation_objects[relation])
-
-    def has_statement(self, s: int, r: int, o: int) -> bool:
-        return r in self.relations_between(s, o)
 
     def relations_between(self, subject: int, obj: int) -> tuple[int, ...]:
         """The relations r of the statements r(subject, obj), in insertion

@@ -305,7 +305,8 @@ def oracle_run(
     """Full fixpoint loop; returns per-iteration snapshots for lockstep checks.
 
     Each snapshot: (equiv dict, fwd, bwd, (sub12, sub21), change_fraction).
-    Every statement and instance is read, evidence is the previous maximal
+    The loop stops when no assignment changes or when fewer than
+    `convergence_fraction` of them do. Every statement and instance is read, evidence is the previous maximal
     assignment and functionality the harmonic mean. `bench/checks.py` passes
     `restrict`, `negative_inner`, `functionality_mode` and `pair_cap` until
     the benchmark next changes; each accepts only its one value.
@@ -337,7 +338,7 @@ def oracle_run(
         subrel = oracle_subrelations(o1, o2, new_equiv, new_fwd, new_bwd, measure_name)
         equiv, fwd, bwd = new_equiv, new_fwd, new_bwd
         history.append((equiv, fwd, bwd, subrel, fraction))
-        if fraction < convergence_fraction:
+        if fraction == 0.0 or fraction < convergence_fraction:
             converged = True
             break
     classes = oracle_classes(o1, o2, equiv, fwd, bwd, measure_name)

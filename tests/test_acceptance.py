@@ -59,7 +59,7 @@ def _engine_history(o1, o2, cfg):
                 stats.change_fraction,
             )
         )
-        if stats.change_fraction < cfg.convergence_fraction:
+        if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
             converged = True
             break
     classes = compute_class_alignment(state)
@@ -388,6 +388,58 @@ def test_byte_identical_outputs_across_reruns(tmp_path):
     for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
         reference = (outs["first"] / tsv).read_bytes()
         assert (outs["again"] / tsv).read_bytes() == reference, tsv
+
+
+@pytest.mark.parametrize("flags", [(), ("--negative-evidence",)], ids=["default", "negative"])
+def test_input_order_and_layout_do_not_change_the_output(tmp_path, flags):
+    """On a noisy pair, shuffling both sides' lines, repeating a tenth of
+    the left side's lines or splitting the left side into a directory of
+    three files gives byte-identical TSVs; a repeated line adds no
+    statement."""
+    data = tmp_path / "data"
+    generate_pair(data, instances=300, seed=4, attribute_drop=0.3,
+                  perturb_literals=0.3, scramble_phones=0.3)
+    left = (data / "left.nt").read_text(encoding="utf-8").splitlines(keepends=True)
+    right = (data / "right.nt").read_text(encoding="utf-8").splitlines(keepends=True)
+    rng = random.Random(7)
+
+    def write(name, lines):
+        (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+        return tmp_path / name
+
+    shuffled_left, shuffled_right = rng.sample(left, len(left)), rng.sample(right, len(right))
+    repeated = left + rng.sample(left, len(left) // 10)
+    rng.shuffle(repeated)
+    split = tmp_path / "split"
+    split.mkdir()
+    third = len(left) // 3 + 1
+    for i in range(3):
+        (split / f"part{i}.nt").write_text("".join(left[i * third:(i + 1) * third]),
+                                           encoding="utf-8")
+    runs = {
+        "original": (data / "left.nt", data / "right.nt"),
+        "shuffled": (write("shuffled_left.nt", shuffled_left),
+                     write("shuffled_right.nt", shuffled_right)),
+        "repeated": (write("repeated_left.nt", repeated), data / "right.nt"),
+        "split": (split, data / "right.nt"),
+    }
+    outputs = {}
+    for name, (left_path, right_path) in runs.items():
+        out = tmp_path / f"out_{name}"
+        assert main(["align", str(left_path), str(right_path),
+                     "--out", str(out), *flags]) == 0
+        outputs[name] = out
+    for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
+        reference = (outputs["original"] / tsv).read_bytes()
+        for name, out in outputs.items():
+            assert (out / tsv).read_bytes() == reference, (name, tsv)
+
+    def statements(out):
+        key = "input.left.statements="
+        return next(l for l in (out / "manifest.txt").read_text().splitlines()
+                    if l.startswith(key))
+
+    assert statements(outputs["repeated"]) == statements(outputs["original"])
 
 
 # ------------------------------------------------- inclusion directions

@@ -96,9 +96,6 @@ _ALIGNED_SHA256 = {
         "relations.tsv": "04fef1236c79126fb2038e143c1aee49225ccf2dd10d47db3cf7a429c34a54ea",
     },
 }
-_ALIGNED_SHA256[("--negative-evidence", "--all-probabilities")] = (
-    _ALIGNED_SHA256[("--negative-evidence",)]
-)
 
 
 def test_align_outputs_are_pinned(tmp_path):
@@ -127,7 +124,8 @@ def test_align_writes_outputs_and_manifest(world):
     assert manifest["converged"] == "true"
     assert manifest["config.theta"] == "0.1"
     # retired settings are not config fields, so the manifest has no key for them
-    for gone in ("pair_cap", "restrict_to_assignment", "functionality_mode", "negative_inner"):
+    for gone in ("pair_cap", "restrict_to_assignment", "functionality_mode", "negative_inner",
+                 "class_score_threshold"):
         assert f"config.{gone}" not in manifest
     assert int(manifest["iterations"]) >= 1
     # the recorded digest really is the digest of the input file
@@ -161,11 +159,17 @@ def test_eval_sweep_prints_twenty_thresholds(world, capsys):
     assert lines[-1].startswith("1.00\t")
 
 
-def test_eval_min_facts_requires_facts_from(world, capsys):
-    data, out = world
-    assert main(["eval", str(out / "instances.tsv"),
-                 str(data / "gold_instances.tsv"), "--min-facts", "2"]) == 2
-    assert "--facts-from" in capsys.readouterr().err
+@pytest.mark.parametrize("content", ["", "a,b\nc,d\n"], ids=["empty", "comma-separated"])
+def test_eval_gold_without_a_pair_exits_3(world, tmp_path, capsys, content):
+    """Scored against a gold file that holds no pair, every alignment would
+    read 0; that is an input error naming the file."""
+    _, out = world
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(content, encoding="utf-8")
+    assert main(["eval", str(out / "instances.tsv"), str(gold)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "gold.tsv" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_relation_kind_scores_relations(world, capsys):
@@ -176,16 +180,6 @@ def test_eval_relation_kind_scores_relations(world, capsys):
         line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
     )
     assert lines["recall"] == "1.0000"
-
-
-def test_all_probabilities_writes_more_rows(world, tmp_path):
-    data, out = world
-    full = tmp_path / "full"
-    assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                 "--out", str(full), "--all-probabilities"]) == 0
-    assert len(read_alignment(full / "instances.tsv")) > len(
-        read_alignment(out / "instances.tsv")
-    )
 
 
 def test_zero_iterations_yields_empty_unconverged_outputs(world, tmp_path):
@@ -204,6 +198,22 @@ def test_strict_flag_turns_non_convergence_into_exit_4(world, tmp_path):
                  "--out", str(tmp_path / "strict"), "--max-iterations", "0",
                  "--strict"])
     assert code == 4
+
+
+def test_no_assignment_change_converges_under_convergence_0(tmp_path):
+    """With --convergence 0 no fraction is below the setting, so the run
+    stops once an iteration changes no assignment: here the second."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--out-dir", str(data), "--instances", "200",
+                 "--seed", "3"]) == 0
+    assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
+                 "--out", str(out), "--convergence", "0", "--strict"]) == 0
+    manifest = dict(
+        line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert manifest["converged"] == "true"
+    assert manifest["iterations"] == "2"
+    assert manifest["iteration.2.changed"] == "0"
 
 
 @pytest.mark.parametrize(
@@ -346,16 +356,14 @@ def test_manifest_times_each_phase_of_every_iteration(world):
         assert sum(phases) <= float(manifest[f"iteration.{n}.seconds"]) + 0.002
 
 
-@pytest.mark.parametrize("bad_arg", ["predicted", "gold", "facts"])
+@pytest.mark.parametrize("bad_arg", ["predicted", "gold"])
 def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
     data, out = world
     bad = tmp_path / "latin1.txt"
     bad.write_bytes(b'<http://a.example/x> <http://a.example/name> "Ren\xe9" .\n')
-    files = {"predicted": out / "instances.tsv", "gold": data / "gold_instances.tsv",
-             "facts": data / "left.nt"}
+    files = {"predicted": out / "instances.tsv", "gold": data / "gold_instances.tsv"}
     files[bad_arg] = bad
-    code = main(["eval", str(files["predicted"]), str(files["gold"]),
-                 "--min-facts", "1", "--facts-from", str(files["facts"])])
+    code = main(["eval", str(files["predicted"]), str(files["gold"])])
     assert code == 3
     err = capsys.readouterr().err
     assert "latin1.txt" in err and "UTF-8" in err
@@ -371,8 +379,8 @@ def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
         ["--convergence", "-1"],
         ["--convergence", "1.5"],
         ["--max-iterations", "-1"],
-        ["--class-threshold", "-0.1"],
-        ["--class-threshold", "1.5"],
+        ["--theta", "nan"],
+        ["--convergence", "nan"],
     ],
 )
 def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):
@@ -401,7 +409,7 @@ def test_align_defaults_are_the_config_defaults():
         ["generate", "--scramble-phones", "2"],
         ["functionality", "{left}", "--top", "0"],
         ["functionality", "{left}", "--top", "-2"],
-        ["eval", "{predicted}", "{gold}", "--min-facts", "-4", "--facts-from", "{left}"],
+        ["generate", "--attribute-drop", "nan"],
     ],
 )
 def test_out_of_range_settings_outside_align_exit_2(world, tmp_path, capsys, argv):
@@ -430,7 +438,7 @@ def test_non_numeric_score_exits_3(world, tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(world, tmp_path, capsys):
-    data, _ = world
+    data, aligned = world
     with pytest.raises(SystemExit) as exc:
         main(["align"])  # missing positionals and --out
     assert exc.value.code == 2
@@ -440,11 +448,12 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "out"
     # No flag bounds the inclusion sweeps, widens the evidence beyond the
-    # assignment, picks another negative-evidence penalty or picks a
-    # functionality estimator other than the harmonic mean, in either command.
+    # assignment, picks another negative-evidence penalty, picks a
+    # functionality estimator other than the harmonic mean, moves the class
+    # floor or writes instance pairs beyond the assignment, in any command.
     for flags in (
         ["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"],
-        ["--negative-inner", "pair"],
+        ["--negative-inner", "pair"], ["--class-threshold", "0.5"], ["--all-probabilities"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(["align", str(data / "left.nt"), str(data / "right.nt"),
@@ -456,6 +465,14 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
         main(["functionality", str(data / "left.nt"), "--mode", "pair-ratio"])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+    # eval scores every gold pair: no flag drops the thinly described ones
+    for flags in (["--min-facts", "1"], ["--facts-from", str(data / "left.nt")]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(aligned / "instances.tsv"),
+                  str(data / "gold_instances.tsv"), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and captured.out == ""
 
 
 def test_help_exits_0():
@@ -464,17 +481,32 @@ def test_help_exits_0():
     assert exc.value.code == 0
 
 
-def test_readme_names_only_existing_flags():
-    """Every --flag the README names from its quick start on is an option of
-    some subcommand, so a retired flag cannot linger in the docs."""
+def _readme_flags_and_options():
+    """The --flags the README names from its quick start on (the pip flags
+    come before), and the long options of every subcommand."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    usage = readme.split("\n## Quick start\n", 1)[1]  # the pip flags come before
+    usage = readme.split("\n## Quick start\n", 1)[1]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", usage))
     subcommands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices.values()
-    options = {flag for p in subcommands for a in p._actions for flag in a.option_strings}
+    options = {flag for p in subcommands for a in p._actions for flag in a.option_strings
+               if flag.startswith("--")}
+    return named, options
+
+
+def test_readme_names_only_existing_flags():
+    """Every --flag the README names is an option of some subcommand, so a
+    retired flag cannot linger in the docs."""
+    named, options = _readme_flags_and_options()
     assert named and named <= options, sorted(named - options)
+
+
+def test_readme_names_every_flag():
+    """Every long option of every subcommand is named in the README, so a
+    flag cannot go undocumented."""
+    named, options = _readme_flags_and_options()
+    assert options <= named, sorted(options - named)
 
 
 def test_functionality_lists_relations(world, capsys):
@@ -489,7 +521,7 @@ def test_functionality_lists_relations(world, capsys):
     for name, (fun, ifun, stmts) in rows.items():
         rid = onto.relation_id(name)
         assert fun == f"{expected[rid]:.6f}", name
-        assert ifun == f"{expected[onto.inverse(rid)]:.6f}", name
+        assert ifun == f"{expected[rid ^ 1]:.6f}", name
         assert stmts == str(len(list(onto.pairs(rid)))), name
     # hasCode values are unique, so its functionality is exactly 1 both ways
     assert rows["http://one.example/hasCode"][:2] == ["1.000000", "1.000000"]

@@ -14,6 +14,7 @@ from helpers import (
 )
 from ontoalign import engine
 from ontoalign.engine import (
+    CLASS_SCORE_FLOOR,
     AlignmentConfig,
     EquivalenceTable,
     EvidenceView,
@@ -99,8 +100,8 @@ def test_relation_inclusions_reach_one_after_first_sweep(alice):
 def test_inverse_relations_are_aligned_too(alice):
     o1, o2 = alice
     result = run_fixpoint(o1, o2)
-    r1 = o1.inverse(o1.relation_id("wasBornIn"))
-    r2 = o2.inverse(o2.relation_id("birthPlace"))
+    r1 = o1.relation_id("wasBornIn") ^ 1
+    r2 = o2.relation_id("birthPlace") ^ 1
     assert result.subrel.o1_to_o2[(r1, r2)] == 1.0
 
 
@@ -511,7 +512,6 @@ def test_join_gives_the_factors_of_the_enumeration():
         ("convergence_fraction", -0.01),
         ("convergence_fraction", 1.01),
         ("max_iterations", -1),
-        ("class_score_threshold", 1.5),
         ("literal_mode", "fuzzy"),
     ],
 )
@@ -526,6 +526,14 @@ def test_config_has_no_negative_inner_field():
     with pytest.raises(TypeError, match="negative_inner"):
         AlignmentConfig(negative_inner="pair")
     assert AlignmentConfig.negative_inner == "object"
+
+
+def test_config_has_no_class_score_threshold_field():
+    """Class rows are reported from one fixed floor; the field that moved
+    it is gone."""
+    with pytest.raises(TypeError, match="class_score_threshold"):
+        AlignmentConfig(class_score_threshold=0.5)
+    assert CLASS_SCORE_FLOOR == 0.4
 
 
 def test_zero_iterations_returns_bootstrap_outputs(alice):
@@ -881,34 +889,31 @@ def test_result_rows_class_threshold():
         [(f"b{i}", "name", f'"L{i}"') for i in range(4)],
         types=[(f"b{i}", "Human") for i in range(4)],
     )
-    full = run_fixpoint(o1, o2, AlignmentConfig(class_score_threshold=0.0))
-    _, _, classes = result_rows(full)
+    _, _, classes = result_rows(run_fixpoint(o1, o2))
     assert len(classes) == 2  # one class pair, both directions
 
 
 def test_result_rows_drop_class_rows_below_the_threshold():
-    """Two of four persons align, so each class includes the other with a
-    score p < 1: its row is kept at thresholds up to p and dropped above."""
-    o1 = make_ontology(
-        "first",
-        [(f"a{i}", "label", f'"L{i}"') for i in range(4)],
-        types=[(f"a{i}", "Person") for i in range(4)],
-    )
-    o2 = make_ontology(
-        "second",
-        [(f"b{i}", "name", f'"L{i}"' if i < 2 else f'"M{i}"') for i in range(4)],
-        types=[(f"b{i}", "Human") for i in range(4)],
-    )
-
-    def class_rows(threshold):
-        result = run_fixpoint(o1, o2, AlignmentConfig(class_score_threshold=threshold))
-        return {(r.left, r.right, r.direction): r.score for r in result_rows(result)[2]}
-
-    scores = class_rows(0.0)
-    assert set(scores) == {("Person", "Human", "left_in_right"),
-                           ("Person", "Human", "right_in_left")}
-    for key, p in scores.items():
-        assert 0.0 < p < 1.0
-        assert key in class_rows(p)
-        assert key in class_rows(p / 2)
-        assert key not in class_rows((p + 1.0) / 2)
+    """Of four persons per class, 1 aligned gives each class inclusion a
+    score below CLASS_SCORE_FLOOR, and its rows are dropped; 2 aligned give
+    one above it, and its rows are kept."""
+    for aligned, kept in ((1, False), (2, True)):
+        o1 = make_ontology(
+            "first",
+            [(f"a{i}", "label", f'"L{i}"') for i in range(4)],
+            types=[(f"a{i}", "Person") for i in range(4)],
+        )
+        o2 = make_ontology(
+            "second",
+            [(f"b{i}", "name", f'"L{i}"' if i < aligned else f'"M{i}"') for i in range(4)],
+            types=[(f"b{i}", "Human") for i in range(4)],
+        )
+        result = run_fixpoint(o1, o2)
+        scores = [p for p, _ in result.classes.o1_to_o2.values()]
+        scores += [p for p, _ in result.classes.o2_to_o1.values()]
+        assert len(scores) == 2
+        for p in scores:
+            assert 0.0 < p < 1.0 and (p >= CLASS_SCORE_FLOOR) == kept, (aligned, p)
+        rows = {(r.left, r.right, r.direction) for r in result_rows(result)[2]}
+        assert rows == ({("Person", "Human", "left_in_right"),
+                         ("Person", "Human", "right_in_left")} if kept else set())

@@ -59,25 +59,6 @@ def test_empty_gold_and_empty_predictions():
     assert empty.recall == 0.0 and empty.gold == 1
 
 
-def test_min_facts_drops_gold_pairs_thin_on_both_sides():
-    gold = {("a", "x"), ("b", "y")}
-    counts = {"a": 5, "x": 5, "b": 1, "y": 1}
-    m = evaluate_instances([row("a", "x")], gold, min_facts=2, fact_counts=counts)
-    assert m.gold == 1
-    assert m.recall == 1.0
-    # one rich side is enough to keep the pair
-    counts["y"] = 9
-    m = evaluate_instances([row("a", "x")], gold, min_facts=2, fact_counts=counts)
-    assert m.gold == 2
-    assert m.recall == 0.5
-
-
-def test_min_facts_ignored_without_counts():
-    gold = {("a", "x")}
-    m = evaluate_instances([row("a", "x")], gold, min_facts=5, fact_counts=None)
-    assert m.gold == 1
-
-
 def test_threshold_sweep_covers_range_and_monotone_predictions():
     gold = {("a", "x"), ("b", "y")}
     predicted = [row("a", "x", 0.95), row("b", "y", 0.4), row("a", "y", 0.2)]
