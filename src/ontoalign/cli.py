@@ -189,10 +189,19 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        rows = [r for r in read_alignment(args.predicted) if r.kind == args.kind]
+        predicted = read_alignment(args.predicted)
         gold = load_gold(args.gold)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    rows = [r for r in predicted if r.kind == args.kind]
+    if predicted and not rows:
+        # a wrong file or kind, which would otherwise score as a silent zero
+        found = ", ".join(sorted({r.kind for r in predicted}))
+        print(
+            f"error: {args.predicted} has no {args.kind} row; its rows are of kind {found}",
+            file=sys.stderr,
+        )
         return EXIT_IO
     if args.sweep:
         print("threshold\tprecision\trecall\tf1\tpredicted\tcorrect\tgold")

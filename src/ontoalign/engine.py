@@ -400,9 +400,9 @@ def _penalty_index(o2: Ontology) -> PenaltyIndex:
     """Each second-ontology instance's objects, grouped by relation: all that
     a penalty reads of a candidate (see `_InstanceFactors._penalty`)."""
     index: PenaltyIndex = {}
-    kinds = o2.kinds()
-    for x2, rels in enumerate(o2.subject_relations):
-        if rels and kinds[x2] == INSTANCE:
+    for x2 in o2.instances():
+        rels = o2.subject_relations[x2]
+        if rels:
             objs = index[x2] = {}
             for q, o in zip(rels, o2.subject_objects[x2]):
                 objs.setdefault(q, []).append(o)
@@ -941,11 +941,11 @@ def update_all_instances(
     """
     theta = state.config.theta
     factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
-    kinds1 = state.o1.kinds()
+    rels_of = state.o1.subject_relations
     rows: dict[int, dict[int, float]] = {}
     evaluated = ruled_out = 0
-    for x, rels in enumerate(state.o1.subject_relations):
-        if not rels or kinds1[x] != INSTANCE:
+    for x in state.o1.instances():
+        if not rels_of[x]:
             continue
         row, scored, pruned = factors.row(x, theta)
         evaluated += scored

@@ -40,21 +40,31 @@ statements.
 
 Every column slot holds the one int object of its term or relation id, the
 one the term table holds, so the columns add 8 bytes per slot and no int
-object per statement. Terms with equal relation sequences share one tuple,
-as do instances with equal class sequences. On the benchmark's ``clean``
-side (10k persons, 118 824 inverse-closed statements, 47 289 terms, 1 316
-distinct relation sequences) a statement costs about 98 bytes: 32 in
-subject columns (an object slot and, per term, an object tuple header and
-two list slots), 8 in relation columns, 11 in the id ints, 34 in the term
-tables with their strings, 7 in the types and 6 in the rest. The load peaks
-about 24 bytes per statement above that. The store keeps no index from
-lexical form to term id: :meth:`Ontology.term_id` builds one on its first
-call, and the run never calls it. CSR object columns (one ``array`` per
-ontology, with offsets per term) would save about 4 MB more on the
-``clean`` pair, but a slice per term to read them costs more than the
-tuples: three full passes over one side's rows took 0.16 s with array
-slices, against 0.10 s with the column tuples and 0.04 s with a tuple per
-row.
+object per statement; :meth:`Ontology.instances`, :meth:`Ontology.literals`
+and :meth:`Ontology.classes` hand out the same objects. Terms with equal
+relation sequences share one tuple, as do single-row terms with the same
+object and instances with equal class sequences.
+
+The term tables keep no string per term. Each term's lexical form is
+appended, in UTF-8, to one buffer per ontology as the build interns the
+term, with its end offset in an ``array``; :meth:`Ontology.lexical` decodes
+one slice on each call, so a caller that reads a form many times keeps it.
+The store keeps no index from lexical form to term id either:
+:meth:`Ontology.term_id` builds one on its first call, and the run never
+calls it.
+
+On the benchmark's ``clean`` side (10k persons, 118 824 inverse-closed
+statements, 47 289 terms, 1 316 distinct relation sequences, 34 856
+single-row terms with 12 428 distinct objects) a statement costs about 73
+bytes: 23 in subject columns (an object slot, two list slots per term and
+the object tuple headers), 8 in relation columns, 11 in the id ints, 18 in
+the term tables (8 of them the UTF-8 buffer), 7 in the types and 6 in the
+rest. The load peaks about 15 bytes per statement above that. CSR object
+columns (one ``array`` per ontology, with offsets per term) would save
+about 4 MB more on the ``clean`` pair, but a slice per term to read them
+costs more than the tuples: three full passes over one side's rows took
+0.16 s with array slices, against 0.10 s with the column tuples and 0.04 s
+with a tuple per row.
 
 Types are held per instance and per class: :meth:`Ontology.classes_of` and
 :meth:`Ontology.instances_of` return tuples, in insertion order, with the
@@ -78,10 +88,11 @@ statement and no dict or set entry per statement is kept on the way.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, groupby, islice
-from typing import Iterable, Iterator
+from itertools import accumulate, islice
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger("ontoalign.store")
 
@@ -105,8 +116,12 @@ class Ontology:
 
     def __init__(self, origin: str):
         self.origin = origin
-        # term tables: instances, literals, classes share one id space
-        self._term_lex: list[str] = []
+        # term tables: instances, literals, classes share one id space. Term
+        # t's lexical form is _lex[_lex_ends[t]:_lex_ends[t + 1]] in UTF-8,
+        # and _ids[t] is the int object of id t that every column slot holds.
+        self._lex = b""
+        self._lex_ends = array("q", [0])
+        self._ids: list[int] = []
         self._term_kind: list[str] = []
         # relation table: separate id space; ids 2k / 2k+1 are mutual inverses
         self._rel_id: dict[str, int] = {}
@@ -129,7 +144,7 @@ class Ontology:
     @cached_property
     def _term_id(self) -> dict[str, int]:
         # built on the first lookup; the run never makes one
-        return {lex: t for t, lex in enumerate(self._term_lex)}
+        return {self.lexical(t): t for t in self._ids}
 
     def term_id(self, lexical: str) -> int | None:
         return self._term_id.get(lexical)
@@ -143,7 +158,10 @@ class Ontology:
         return tuple(self._term_kind)
 
     def lexical(self, tid: int) -> str:
-        return self._term_lex[tid]
+        """The term's lexical form, decoded from the store's UTF-8 buffer
+        on each call: a caller that reads one form many times keeps it."""
+        ends = self._lex_ends
+        return self._lex[ends[tid]:ends[tid + 1]].decode("utf-8", "surrogatepass")
 
     def relation_id(self, lexical: str) -> int | None:
         return self._rel_id.get(lexical)
@@ -152,19 +170,19 @@ class Ontology:
         return self._rel_lex[rid]
 
     def term_count(self) -> int:
-        return len(self._term_lex)
+        return len(self._ids)
 
     def relation_ids(self) -> range:
         return range(len(self._rel_lex))
 
     def instances(self) -> list[int]:
-        return [t for t, k in enumerate(self._term_kind) if k == INSTANCE]
+        return [t for t, k in zip(self._ids, self._term_kind) if k == INSTANCE]
 
     def literals(self) -> list[int]:
-        return [t for t, k in enumerate(self._term_kind) if k == LITERAL]
+        return [t for t, k in zip(self._ids, self._term_kind) if k == LITERAL]
 
     def classes(self) -> list[int]:
-        return [t for t, k in enumerate(self._term_kind) if k == CLASS]
+        return [t for t, k in zip(self._ids, self._term_kind) if k == CLASS]
 
     # ------------------------------------------------------------- statements
 
@@ -278,7 +296,11 @@ def ontology_from_triples(
     class_lex -= rel_lex
 
     onto = Ontology(origin)
-    term_lex, term_kind = onto._term_lex, onto._term_kind
+    ids, term_kind, ends = onto._ids, onto._term_kind, onto._lex_ends
+    # Each term's lexical form is appended to one UTF-8 buffer as the term is
+    # interned. surrogatepass keeps a lone surrogate, which the N-Triples
+    # escape \uD800 gives.
+    packed = bytearray()
     rel_id, rel_names = onto._rel_id, onto._rel_lex
     for lex in sorted(rel_lex):
         if lex in rel_id:  # names the inverse of a relation already interned
@@ -291,9 +313,11 @@ def ontology_from_triples(
     onto._single = [(r,) for r in relation]
     class_id: dict[str, int] = {}
     for lex in sorted(class_lex):
-        class_id[lex] = len(term_lex)
-        term_lex.append(lex)
+        cid = class_id[lex] = len(ids)
+        ids.append(cid)
         term_kind.append(CLASS)
+        packed.extend(lex.encode("utf-8", "surrogatepass"))
+        ends.append(len(packed))
 
     # The kind a lexical form takes in instance position: None for a class
     # or a relation, which cannot be one.
@@ -310,9 +334,11 @@ def ontology_from_triples(
     del seen, see
 
     def new_term(pid: int, kind: str) -> int:
-        t = tid[pid] = len(term_lex)
-        term_lex.append(lexical[pid])
+        t = tid[pid] = len(ids)
+        ids.append(t)
         term_kind.append(kind)
+        packed.extend(lexical[pid].encode("utf-8", "surrogatepass"))
+        ends.append(len(packed))
         return t
 
     # Statements: a subject must be an instance, an object an instance or a
@@ -362,6 +388,8 @@ def ontology_from_triples(
     del typed[kept:], typed_as[kept:]
 
     del lexical, position_kind, tid
+    onto._lex = bytes(packed)
+    del packed
 
     superclasses: dict[int, set[int]] = {}
     for a, b in subclass:
@@ -383,9 +411,9 @@ def ontology_from_triples(
         superproperties.setdefault(ra ^ 1, set()).add(rb ^ 1)
 
     classes_above = _closure(superclasses)
-    _warn_cycles(classes_above, "subClassOf", term_lex)
+    _warn_cycles(classes_above, "subClassOf", onto.lexical)
     relations_above = _closure(superproperties)
-    _warn_cycles(relations_above, "subPropertyOf", rel_names)
+    _warn_cycles(relations_above, "subPropertyOf", rel_names.__getitem__)
 
     # subproperty closure: every statement holds for the relations above its own
     _copy_to_superproperties(subj, pred, obj, relations_above, relation)
@@ -461,7 +489,7 @@ def _fill_columns(
     twice shows as a repeated row of its subject: only its first occurrence
     is kept, there and in its relation's columns.
     """
-    counts = [0] * len(onto._term_lex)
+    counts = [0] * onto.term_count()
     for t in subj:
         counts[t] += 1
     for t in obj:
@@ -481,15 +509,34 @@ def _fill_columns(
         rows_o[i] = s
     del free
     # Each sorted column is freed once its tuples are cut. Terms with equal
-    # relation sequences share one tuple, and a single-row term holds the
-    # (r,) that relations_between returns.
-    shared = {rels: rels for rels in onto._single}
+    # relation sequences share one tuple, a single-row term holds the (r,)
+    # that relations_between returns, and single-row terms with the same
+    # object share one (o,). A single row is read without a slice or a hash
+    # of a new tuple: most terms have one.
+    single = onto._single
+    shared = {rels: rels for rels in single}
     intern = shared.setdefault
     rows = iter(rows_r)
-    rels_of = [intern(rels, rels) for rels in (tuple(islice(rows, n)) for n in counts)]
+    rels_of: list[tuple[int, ...]] = []
+    for n in counts:
+        if n == 1:
+            rels_of.append(single[next(rows)])
+        else:
+            rels = tuple(islice(rows, n))
+            rels_of.append(intern(rels, rels))
     del rows, rows_r
+    one_row: dict[int, tuple[int]] = {}  # object -> its single-row terms' (o,)
     rows = iter(rows_o)
-    objs_of = [tuple(islice(rows, n)) for n in counts]
+    objs_of: list[tuple[int, ...]] = []
+    for n in counts:
+        if n == 1:
+            o = next(rows)
+            objs = one_row.get(o)
+            if objs is None:
+                objs = one_row[o] = (o,)
+        else:
+            objs = tuple(islice(rows, n))
+        objs_of.append(objs)
     del rows, rows_o, counts
 
     repeated: dict[int, set[tuple[int, int]]] = {}  # relation r -> its repeated (s, o)
@@ -500,7 +547,8 @@ def _fill_columns(
                 continue  # several relations between the same two terms
             rels = tuple(r for r, _ in stored)
             rels_of[s] = intern(rels, rels)
-            objs_of[s] = tuple(o for _, o in stored)
+            objs = tuple(o for _, o in stored)
+            objs_of[s] = one_row.setdefault(objs[0], objs) if len(objs) == 1 else objs
             for (r, o), n in stored.items():
                 if n > 1:  # kept under the even relation of the two
                     key = (o, s) if r & 1 else (s, o)
@@ -574,23 +622,26 @@ def _group_types(onto: Ontology, typed_log: list[int], class_log: list[int]) -> 
 
 def _append_grouped(
     index: dict[int, tuple], keys: list[int], values: list
-) -> dict[int, None]:
+) -> Counter[int]:
     """Append each ``values[i]`` to the tuple of ``keys[i]`` in index, and
-    return the keys whose tuples grew.
+    return the keys whose tuples grew, with how many values each got.
 
-    A stable sort groups the log, so each key's values keep log order; keys
-    new to the index are added in order of first appearance, as appending
-    one by one would add them.
+    A counting sort groups the log, so each key's values keep log order and
+    no index of the log is sorted; keys new to the index are added in order
+    of first appearance, as appending one by one would add them.
     """
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    runs = {
-        k: tuple(map(values.__getitem__, run))
-        for k, run in groupby(order, keys.__getitem__)
-    }
-    grown = dict.fromkeys(keys)
-    for k in grown:
-        index[k] = index.get(k, ()) + runs[k]
-    return grown
+    counts = Counter(keys)  # in order of first appearance
+    free = dict(zip(counts, accumulate(counts.values(), initial=0)))  # next slot
+    grouped = [None] * len(keys)
+    for k, v in zip(keys, values):
+        i = free[k]
+        free[k] = i + 1
+        grouped[i] = v
+    del free
+    runs = iter(grouped)
+    for k, n in counts.items():
+        index[k] = index.get(k, ()) + tuple(islice(runs, n))
+    return counts
 
 
 def _closure(edges: dict[int, set[int]]) -> dict[int, set[int]]:
@@ -611,8 +662,11 @@ def _reachable(edges: dict[int, set[int]], start: int) -> set[int]:
     return out
 
 
-def _warn_cycles(above: dict[int, set[int]], label: str, names: list[str]) -> None:
-    """Log each group of nodes that reach each other, given the closure."""
+def _warn_cycles(
+    above: dict[int, set[int]], label: str, name: Callable[[int], str]
+) -> None:
+    """Log each group of nodes that reach each other, given the closure and
+    each node's name."""
     seen: set[frozenset[int]] = set()
     for node, reach in above.items():
         if node in reach:
@@ -624,5 +678,5 @@ def _warn_cycles(above: dict[int, set[int]], label: str, names: list[str]) -> No
                 log.warning(
                     "%s cycle collapsed to one equivalence group: %s",
                     label,
-                    ", ".join(sorted(names[m] for m in group)),
+                    ", ".join(sorted(name(m) for m in group)),
                 )

@@ -182,6 +182,65 @@ def test_eval_relation_kind_scores_relations(world, capsys):
     assert lines["recall"] == "1.0000"
 
 
+@pytest.mark.parametrize(
+    ("predicted", "gold", "kind", "found"),
+    [
+        ("relations.tsv", "gold_instances.tsv", "instance", "relation"),
+        ("instances.tsv", "gold_relations.tsv", "relation", "instance"),
+    ],
+    ids=["relations-as-instance", "instances-as-relation"],
+)
+def test_eval_predicted_without_the_kind_exits_3(world, capsys, predicted, gold, kind, found):
+    """Rows of none of the kind asked for mean a wrong file or kind, not a
+    score of 0: the error names the kinds the file holds."""
+    data, out = world
+    assert main(["eval", str(out / predicted), str(data / gold), "--kind", kind]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and predicted in captured.err
+    assert f"no {kind} row" in captured.err and f"kind {found}" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_empty_predicted_scores_0(world, tmp_path, capsys):
+    """An alignment with no row at all is a real result, and scores 0."""
+    data, _ = world
+    predicted = tmp_path / "instances.tsv"
+    predicted.write_text("", encoding="utf-8")
+    assert main(["eval", str(predicted), str(data / "gold_instances.tsv")]) == 0
+    lines = dict(
+        line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
+    )
+    assert lines["precision"] == lines["recall"] == lines["f1"] == "0.0000"
+    assert lines["predicted_in_gold_region"] == lines["correct"] == "0"
+
+
+def test_odd_lexical_forms_round_trip_and_align(tmp_path, capsys):
+    """A lone surrogate, which the escape \\uD800 gives, and a character
+    outside the BMP survive the store's UTF-8 term table: each form reads
+    back exactly and finds its term again, and both persons align."""
+    names = ["\ud800 lone", "café \U0001F600"]
+    for side, ns in (("left", "http://one.example/"), ("right", "http://two.example/")):
+        (tmp_path / f"{side}.nt").write_text(
+            f'<{ns}p0> <{ns}name> "\\uD800 lone" .\n'
+            f'<{ns}p1> <{ns}name> "café \\U0001F600" .\n',
+            encoding="utf-8",
+        )
+    onto = load_ontology(tmp_path / "left.nt")
+    forms = [f'"{name}"' for name in names]
+    for form in forms:
+        t = onto.term_id(form)
+        assert t is not None and onto.lexical(t) == form
+    for t in range(onto.term_count()):
+        assert onto.term_id(onto.lexical(t)) == t
+    out = tmp_path / "out"
+    assert main(["align", str(tmp_path / "left.nt"), str(tmp_path / "right.nt"),
+                 "--out", str(out)]) == 0
+    rows = read_alignment(out / "instances.tsv")
+    assert sorted((r.left, r.right) for r in rows) == [
+        (f"http://one.example/p{i}", f"http://two.example/p{i}") for i in range(2)
+    ]
+
+
 def test_zero_iterations_yields_empty_unconverged_outputs(world, tmp_path):
     data, _ = world
     out = tmp_path / "none"

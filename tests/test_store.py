@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ontoalign.engine import AlignmentConfig, bootstrap
 from ontoalign.ntriples import load_ontology
 from ontoalign.store import (
     CLASS,
@@ -337,12 +338,13 @@ def test_single_relation_pairs_share_one_tuple_per_relation(tmp_path):
 
 def test_store_keeps_few_bytes_per_statement(tmp_path):
     """The statements live in flat columns of shared ints and shared
-    relation tuples, the load keeps no list of string triples, and no
-    lexical index of the terms stays resident: per inverse-closed statement
-    the store holds about 127 bytes, terms included, and loading it peaks
-    at about 143. With a resident term index and a relation tuple per term
-    it held 141 and peaked at 154; the row-tuple store with its pair dict
-    held 302 and peaked at 509."""
+    relation tuples, the load keeps no list of string triples, the terms'
+    lexical forms live in one UTF-8 buffer, and no lexical index of the
+    terms stays resident: per inverse-closed statement the store holds about
+    91 bytes, terms included, and loading it peaks at about 99. With a
+    string per term it held 127 and peaked at 143; with a resident term
+    index and a relation tuple per term it held 141 and peaked at 154; the
+    row-tuple store with its pair dict held 302 and peaked at 509."""
     generate_pair(tmp_path, instances=400, seed=1)
     gc.collect()
     tracemalloc.start()
@@ -352,14 +354,15 @@ def test_store_keeps_few_bytes_per_statement(tmp_path):
     finally:
         tracemalloc.stop()
     statements = onto.statement_count()
-    assert live / statements < 158
-    assert peak / statements < 178
+    assert live / statements < 114
+    assert peak / statements < 124
 
 
 def test_equal_relation_and_class_sequences_share_one_tuple(tmp_path):
     """Terms with equal relation sequences hold one tuple object, a
-    single-row term holds the (r,) that relations_between returns, and
-    instances with equal class sequences share their class tuple."""
+    single-row term holds the (r,) that relations_between returns,
+    single-row terms with the same object hold one (o,), and instances with
+    equal class sequences share their class tuple."""
     generate_pair(tmp_path, instances=400, seed=1)
     for name in ("left.nt", "right.nt"):
         onto = load_ontology(tmp_path / name)
@@ -369,18 +372,53 @@ def test_equal_relation_and_class_sequences_share_one_tuple(tmp_path):
         assert len(by_value) < len(onto.subject_relations) / 10
         assert all(len(ids) == 1 for ids in by_value.values())
         singles = 0
+        one_row: dict[int, set[int]] = {}
         for s, rels in enumerate(onto.subject_relations):
             if len(rels) == 1:
-                o = onto.subject_objects[s][0]
-                assert rels is onto.relations_between(s, o)
+                objs = onto.subject_objects[s]
+                assert rels is onto.relations_between(s, objs[0])
+                one_row.setdefault(objs[0], set()).add(id(objs))
                 singles += 1
-        assert singles > 0
+        assert singles > len(one_row) > 0
+        assert all(len(ids) == 1 for ids in one_row.values())
         classes: dict[tuple[int, ...], set[int]] = {}
         for x in onto.instances():
             cs = onto.classes_of(x)
             classes.setdefault(cs, set()).add(id(cs))
         assert len(classes) > 1
         assert all(len(ids) == 1 for ids in classes.values())
+
+
+def test_every_term_id_is_one_int_object(tmp_path):
+    """The term lists hand out the int objects the columns and the type
+    tuples hold, and the literal seeds and the penalty index keep those
+    objects rather than equal copies."""
+    generate_pair(tmp_path, instances=400, seed=1)
+    o1, o2 = (load_ontology(tmp_path / name) for name in ("left.nt", "right.nt"))
+    objects = []
+    for onto in (o1, o2):
+        listed = onto.instances() + onto.literals() + onto.classes()
+        assert sorted(listed) == list(range(onto.term_count()))
+        by_id = {t: t for t in listed}
+        objects.append(by_id)
+        slots = [t for objs in onto.subject_objects for t in objs]
+        slots += [t for ts in onto.relation_subjects for t in ts]
+        slots += [c for x in onto.instances() for c in onto.classes_of(x)]
+        assert len(slots) > onto.term_count() > 256
+        assert all(t is by_id[t] for t in slots)
+    state = bootstrap(o1, o2, AlignmentConfig(negative_evidence=True))
+    for parts_of, partners in ((state.literals.left_sorted, objects[1]),
+                               (state.literals.right_sorted, objects[0])):
+        seeded = [b for parts in parts_of for b, _ in parts]
+        assert len(seeded) > 256
+        assert all(b is partners[b] for b in seeded)
+    assert len(state.penalty_index) > 256
+    assert all(x2 is objects[1][x2] for x2 in state.penalty_index)
+    # classes take the first ids, so ids above the small-int cache need many
+    many = ontology_from_triples((f"x{i}", RDF_TYPE, f"C{i}") for i in range(300))
+    by_id = {c: c for c in many.classes()}
+    assert len(by_id) == 300
+    assert all(c is by_id[c] for x in many.instances() for c in many.classes_of(x))
 
 
 def test_term_id_finds_every_term_by_its_lexical_form(tmp_path):
