@@ -16,6 +16,7 @@ from .engine import (
     EquivalenceTable,
     IterationStats,
     MaximalAssignment,
+    PartnerMaps,
     SubrelationTable,
     bootstrap,
     compute_class_alignment,
@@ -53,6 +54,7 @@ __all__ = [
     "Metrics",
     "Ontology",
     "ParseError",
+    "PartnerMaps",
     "SubrelationTable",
     "bootstrap",
     "build_functionality_table",

@@ -130,8 +130,13 @@ def _manifest_lines(
         kv[f"{base}.instance_sweep.seconds"] = f"{s.instance_sweep_seconds:.3f}"
         kv[f"{base}.assignment.seconds"] = f"{s.assignment_seconds:.3f}"
         kv[f"{base}.relation_sweep.seconds"] = f"{s.relation_sweep_seconds:.3f}"
-        if s.peak_rss_mb is not None:
-            kv[f"{base}.peak_rss_mb"] = f"{s.peak_rss_mb:.1f}"
+        for key, peak in (
+            ("instance_sweep.peak_rss_mb", s.instance_sweep_peak_rss_mb),
+            ("assignment.peak_rss_mb", s.assignment_peak_rss_mb),
+            ("peak_rss_mb", s.peak_rss_mb),
+        ):
+            if peak is not None:
+                kv[f"{base}.{key}"] = f"{peak:.1f}"
     for name, (path, count) in outputs.items():
         kv[f"output.{name}.path"] = str(path)
         kv[f"output.{name}.rows"] = count

@@ -37,7 +37,6 @@ import time
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Collection, NamedTuple
@@ -118,8 +117,11 @@ class IterationStats:
     `seconds` is the whole iteration's wall time. The three phase times
     within it are the instance sweep and the relation sweep, each with the
     build of its evidence view, and the assignment with its change count.
-    `peak_rss_mb` is the process's peak resident memory at the iteration's
-    end (see `peak_rss_mb`), None without the `resource` module.
+    `instance_sweep_peak_rss_mb`, `assignment_peak_rss_mb` and `peak_rss_mb`
+    are the process's peak resident memory (see `peak_rss_mb`) right after
+    the instance sweep, the assignment and the relation sweep, the
+    iteration's end; so the first of them to reach a peak names its phase.
+    Each is None without the `resource` module.
     """
 
     iteration: int
@@ -134,6 +136,8 @@ class IterationStats:
     instance_sweep_seconds: float
     assignment_seconds: float
     relation_sweep_seconds: float
+    instance_sweep_peak_rss_mb: float | None
+    assignment_peak_rss_mb: float | None
     peak_rss_mb: float | None
 
 
@@ -197,22 +201,30 @@ class MaximalAssignment:
     partner (and score); backward is the mirror. Ties break toward the
     lexically smallest partner identifier. A pair that is best both ways
     carries the same p in both maps, the p of its table row. Treat as
-    immutable: `partners` is built from the two maps once.
+    immutable.
     """
 
     forward: dict[int, tuple[int, float]] = field(default_factory=dict)
     backward: dict[int, tuple[int, float]] = field(default_factory=dict)
 
-    @cached_property
-    def partners(self) -> tuple[dict[int, Partners], dict[int, Partners]]:
-        """The assignment's pairs, forward and backward, as partner maps seen
-        from the first ontology and from the second (as `_partner_maps`
-        gives them). Built on first use, then shared by every evidence view
-        over this assignment."""
-        return (
-            _assignment_partners(self.forward, self.backward),
-            _assignment_partners(self.backward, self.forward),
-        )
+
+class PartnerMaps:
+    """An assignment's pairs as partner maps: `left` seen from the first
+    ontology and `right` from the second (as `_partner_maps` gives them).
+
+    Each assignment's maps are built once, by the iteration that computes
+    it or by `bootstrap`, and carried in the state beside it (see
+    `AlignmentState`). Three evidence views read them: the relation sweep's
+    that follows the assignment, the next instance sweep's and the class
+    phase's.
+    """
+
+    # __weakref__ lets a test see when the maps are freed
+    __slots__ = ("left", "right", "__weakref__")
+
+    def __init__(self, assignment: MaximalAssignment) -> None:
+        self.left = _assignment_partners(assignment.forward, assignment.backward)
+        self.right = _assignment_partners(assignment.backward, assignment.forward)
 
 
 def _assignment_partners(
@@ -307,11 +319,21 @@ class LiteralShare(NamedTuple):
 
 @dataclass
 class AlignmentState:
-    """Everything one iteration reads; treat as an immutable snapshot.
+    """One iteration's outcome and everything the next one reads; treat as
+    an immutable snapshot.
 
     The literal seeds' partner maps in `literals` are built once, by
     `bootstrap`, and passed on unchanged from state to state; so is the
     `penalty_index` (see `_penalty_index`), empty without negative evidence.
+
+    `partners` are the partner maps of `assignment`. The next iteration
+    reads `subrel` and `partners` in its instance sweep and `assignment` in
+    its change count, and never `equiv`: the table is the iteration's
+    outcome, kept for the caller and the final result. The iteration's own
+    copy of the state drops each part once its last reader is done (see
+    `_advance`), so while it runs, `equiv` and then `partners` are None.
+    Where nothing else holds the state, as in `run_fixpoint`, which hands
+    each state over to the next iteration, each part is freed then.
     """
 
     o1: Ontology
@@ -321,8 +343,9 @@ class AlignmentState:
     fun2: FunctionalityTable
     literals: LiteralShare
     penalty_index: PenaltyIndex
-    equiv: EquivalenceTable
+    equiv: EquivalenceTable | None
     assignment: MaximalAssignment
+    partners: PartnerMaps | None
     subrel: SubrelationTable | None  # None means the uniform bootstrap prior
     iteration: int = 0
 
@@ -366,21 +389,22 @@ class EvidenceView:
 
     * The literal share is the run's `LiteralShare`: seeds are clamped, so
       every view sees them all.
-    * The instance share is the previous maximal assignment alone
-      (`assignment.partners`, whose entries carry the stored p), so an
-      instance's best partner is among its partners, and a stored pair that
-      is best in neither direction carries no evidence. The assignment
-      builds it once, so the relation sweep that follows the assignment,
-      the next instance sweep and the class phase read one build.
+    * The instance share is the previous maximal assignment alone, as its
+      `PartnerMaps`, whose entries carry the stored p, so an instance's best
+      partner is among its partners, and a stored pair that is best in
+      neither direction carries no evidence. The maps are built once per
+      assignment, so the relation sweep that follows the assignment, the
+      next instance sweep and the class phase read one build.
 
     The lists hold partner tuples only, with no dict per term: the
-    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`).
+    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`). A view
+    holds the maps' tuples but not the maps, and lives as long as the
+    sweep that built it.
     """
 
-    def __init__(self, literals: LiteralShare, assignment: MaximalAssignment) -> None:
-        left, right = assignment.partners
-        self.left = _by_term(literals.left_sorted, left)
-        self.right = _by_term(literals.right_sorted, right)
+    def __init__(self, literals: LiteralShare, partners: PartnerMaps) -> None:
+        self.left = _by_term(literals.left_sorted, partners.left)
+        self.right = _by_term(literals.right_sorted, partners.right)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -424,12 +448,13 @@ def bootstrap(
     literals = LiteralShare(
         _by_term([()] * o1.term_count(), left), _by_term([()] * o2.term_count(), right)
     )
+    assignment = MaximalAssignment()
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literals=literals,
         penalty_index=_penalty_index(o2) if config.negative_evidence else {},
-        equiv=EquivalenceTable(literals),
-        assignment=MaximalAssignment(), subrel=None, iteration=0,
+        equiv=EquivalenceTable(literals), assignment=assignment,
+        partners=PartnerMaps(assignment), subrel=None, iteration=0,
     )
 
 
@@ -923,7 +948,7 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     instance, x2 second. Each call builds the sweep's evidence view, so it
     costs a copy of both seed lists; for many pairs, run the sweep.
     """
-    ev = EvidenceView(state.literals, state.assignment)
+    ev = EvidenceView(state.literals, state.partners)
     factors = _InstanceFactors(state, ev)
     return factors.probability(x, x2, factors._join(x, (x2,)).get(x2, []))
 
@@ -940,7 +965,7 @@ def update_all_instances(
     that could lift a pair over theta (see `_InstanceFactors`).
     """
     theta = state.config.theta
-    factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    factors = _InstanceFactors(state, EvidenceView(state.literals, state.partners))
     rels_of = state.o1.subject_relations
     rows: dict[int, dict[int, float]] = {}
     evaluated = ruled_out = 0
@@ -1040,10 +1065,9 @@ def _subrel_rows(
     return {q: v / den for q, v in num.items() if v > 0.0}
 
 
-def update_subrelations(
-    state: AlignmentState, assignment: MaximalAssignment
-) -> SubrelationTable:
-    """Relation-inclusion sweep over the just-computed maximal assignment.
+def update_subrelations(state: AlignmentState, partners: PartnerMaps) -> SubrelationTable:
+    """Relation-inclusion sweep over the just-computed maximal assignment,
+    given as its partner maps.
 
     Inverse relations are first-class: every directed pair with any shared
     evidence gets a computed score, including a relation against its own
@@ -1052,7 +1076,7 @@ def update_subrelations(
     relations between (y', x') are the inverses of those between (x', y'),
     so P(r^-1 in q^-1) = P(r in q): each row is computed once and written as
     (r, q), then as (r ^ 1, q ^ 1)."""
-    ev = EvidenceView(state.literals, assignment)
+    ev = EvidenceView(state.literals, partners)
     out = SubrelationTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1103,7 +1127,7 @@ def _class_rows(
 
 def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     """Directed class inclusions from the final equivalences, both ways."""
-    ev = EvidenceView(state.literals, state.assignment)
+    ev = EvidenceView(state.literals, state.partners)
     out = ClassAlignmentTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1136,22 +1160,54 @@ def _assignment_change(
 
 
 def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
-    """One full iteration: instance sweep, assignment, relation sweep."""
+    """One full iteration: instance sweep, assignment, relation sweep.
+
+    Returns the next state. `state` stays as it was, and readable: the
+    caller still holds it, so the iteration frees nothing of it. The body
+    is `run_fixpoint`'s (see `_advance`).
+    """
+    held = [state]
+    stats = _advance(held)
+    return held[0], stats
+
+
+def _advance(held: list[AlignmentState]) -> IterationStats:
+    """Replace the one state in `held` by the next one: the iteration body
+    of `step` and `run_fixpoint`.
+
+    The state is taken out of `held` and never changed. The iteration works
+    on a copy that drops each part once its last reader is done, so where
+    `held` was the state's only holder, as in `run_fixpoint`, that part is
+    freed then:
+
+    * the table at once, before the instance sweep: no phase reads it;
+    * the partner maps after the instance sweep, whose evidence view is
+      their last reader;
+    * the assignment after the change count.
+
+    So the assignment phase runs without the previous maps, and the
+    relation sweep and the class phase without the previous assignment.
+    """
     started = time.perf_counter()
+    state = replace(held.pop(), equiv=None)
     counts: dict[str, int] = {}
     table, evaluated = update_all_instances(state, counts)
     swept = time.perf_counter()
+    swept_peak = peak_rss_mb()
+    state = replace(state, partners=None)
     assignment = compute_maximal_assignment(table, state.o1, state.o2)
     changed, tracked = _assignment_change(state.assignment, assignment)
+    state = replace(state, assignment=assignment)
     assigned = time.perf_counter()
-    subrel = update_subrelations(state, assignment)
+    assigned_peak = peak_rss_mb()
+    partners = PartnerMaps(assignment)
+    subrel = update_subrelations(state, partners)
     finished = time.perf_counter()
-    fresh = replace(
-        state, equiv=table, assignment=assignment, subrel=subrel,
+    held.append(replace(
+        state, equiv=table, partners=partners, subrel=subrel, iteration=state.iteration + 1
+    ))
+    return IterationStats(
         iteration=state.iteration + 1,
-    )
-    stats = IterationStats(
-        iteration=fresh.iteration,
         changed=changed,
         tracked=tracked,
         change_fraction=(changed / tracked) if tracked else 0.0,
@@ -1163,28 +1219,38 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
         instance_sweep_seconds=swept - started,
         assignment_seconds=assigned - swept,
         relation_sweep_seconds=finished - assigned,
+        instance_sweep_peak_rss_mb=swept_peak,
+        assignment_peak_rss_mb=assigned_peak,
         peak_rss_mb=peak_rss_mb(),
     )
-    return fresh, stats
 
 
 def run_fixpoint(
     o1: Ontology, o2: Ontology, config: AlignmentConfig | None = None
 ) -> AlignmentResult:
-    """Align two ontologies end to end."""
+    """Align two ontologies end to end.
+
+    The current state lives only in a one-item list that each iteration
+    takes it from (see `_advance`), so no name here holds it during an
+    iteration: each table is freed before the next instance sweep, each
+    assignment's partner maps before the next assignment and each
+    assignment before the next relation sweep. The last state's table and
+    assignment go into the result; the class phase reads the last
+    assignment's partner maps.
+    """
     cfg = config or AlignmentConfig()
     started = time.perf_counter()
     fun1 = build_functionality_table(o1)
     fun2 = build_functionality_table(o2)
     functionality_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    state = bootstrap(o1, o2, cfg, fun1, fun2)
+    held = [bootstrap(o1, o2, cfg, fun1, fun2)]
     seed_seconds = time.perf_counter() - started
     seed_peak = peak_rss_mb()
     history: list[IterationStats] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        state, stats = step(state)
+        stats = _advance(held)
         history.append(stats)
         log.info(
             "iteration %d: %d/%d assignments changed (%.2f%%),"
@@ -1196,6 +1262,7 @@ def run_fixpoint(
         if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
             converged = True
             break
+    state = held.pop()
     started = time.perf_counter()
     classes = compute_class_alignment(state)
     class_seconds = time.perf_counter() - started

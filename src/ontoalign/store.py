@@ -441,27 +441,33 @@ def _copy_to_superproperties(
     above: dict[int, set[int]],
     relation: list[int],
 ) -> None:
-    """Append a statement sup(s, o) for each statement r(s, o) and each sup
-    above r.
+    """Append a statement sup(s, o) for each given statement r(s, o) and each
+    sup above r.
 
     Each statement k stands for two: rel[k](subj[k], obj[k]) and its
-    inverse. The relations are closed one after another, in the order of
-    `above`, and each copies the statements it holds when its turn comes,
-    copies included; a copy that repeats a statement is dropped later, with
-    every other repeat.
+    inverse. `above` is transitive, so each given statement is copied once
+    to each relation of its closure, and copies are never copied again: a
+    copy of a copy would repeat a statement copied before it, also where
+    the edges form a cycle. The relations are taken in the order of
+    `above`, each with its inverse, whose closure holds the inverses of its
+    own: the inverse's copies would be the same statements, transposed. A
+    copy that repeats a given statement is dropped later, with every other
+    repeat.
     """
     if not above:
         return
-    # the statements each closed relation holds, by position
-    holds: dict[int, list[int]] = {r: [] for r in above}
+    # the given statements of each closed relation and its inverse, by position
+    holds: dict[int, list[int]] = {r & ~1: [] for r in above}
     for k, r in enumerate(rel):
-        for q in (r, r ^ 1):
-            if q in holds:
-                holds[q].append(k)
+        given = holds.get(r & ~1)
+        if given is not None:
+            given.append(k)
     for r, sups in above.items():
+        given = holds.pop(r & ~1, None)
+        if given is None:  # copied with its inverse
+            continue
         for sup in sups:
-            for k in holds[r][:]:
-                n = len(rel)
+            for k in given:
                 if rel[k] == r:
                     subj.append(subj[k])
                     obj.append(obj[k])
@@ -469,9 +475,6 @@ def _copy_to_superproperties(
                     subj.append(obj[k])
                     obj.append(subj[k])
                 rel.append(relation[sup])
-                for q in (sup, sup ^ 1):
-                    if q in holds:
-                        holds[q].append(n)
 
 
 def _fill_columns(

@@ -9,6 +9,7 @@ person/restaurant data is optional; that test skips when the files are absent.
 
 import os
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -161,7 +162,7 @@ def test_row_join_keeps_every_relation_to_one_object():
     assert assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4) >= 2
     _assert_lockstep(o1, o2, theta=cfg.theta, negative=True)
     state, _ = step(step(bootstrap(o1, o2, cfg))[0])
-    ev = EvidenceView(state.literals, state.assignment)
+    ev = EvidenceView(state.literals, state.partners)
     decisive = engine._InstanceFactors(state, ev)._decisive
     assert o1.relation_id("bornIn") in decisive and o1.relation_id("diedIn") in decisive
     assert state.equiv.get(o1.term_id("a0"), x2) > cfg.theta
@@ -207,7 +208,7 @@ def test_mirrored_inclusions_match_oracle_exactly():
             for table in (sub12, sub21):
                 for (r, q), p in table.items():
                     assert table.get((r ^ 1, q ^ 1)) == p, f"iteration {i} inverse of {(r, q)}"
-            ev = EvidenceView(state.literals, state.assignment)
+            ev = EvidenceView(state.literals, state.partners)
             several += sum(
                 len(ev.left[x]) > 1 and len(ev.left[y]) > 1
                 for r in o1.relation_ids() for x, y in o1.pairs(r)
@@ -440,6 +441,39 @@ def test_input_order_and_layout_do_not_change_the_output(tmp_path, flags):
                     if l.startswith(key))
 
     assert statements(outputs["repeated"]) == statements(outputs["original"])
+
+
+@pytest.mark.parametrize("flags", [(), ("--negative-evidence",)], ids=["default", "negative"])
+def test_order_keeping_rename_gives_the_renamed_output(tmp_path, flags):
+    """On a noisy pair, giving every left person a new name, so that the
+    names keep their lexical order among themselves and against every other
+    term, gives TSVs identical up to the rename. The order is kept because
+    the assignment breaks ties by it."""
+    data = tmp_path / "data"
+    generate_pair(data, instances=300, seed=4, attribute_drop=0.3,
+                  perturb_literals=0.3, scramble_phones=0.3)
+    left = (data / "left.nt").read_text(encoding="utf-8")
+    person = re.compile(r"http://one\.example/person\d+")
+    # the shared prefix keeps each new name where the old one sorted among
+    # the other terms, and the ranks keep the persons' own order
+    renamed = {old: f"http://one.example/person-{rank:05d}"
+               for rank, old in enumerate(sorted(set(person.findall(left))))}
+    assert len(renamed) == 300
+    (tmp_path / "renamed.nt").write_text(
+        person.sub(lambda m: renamed[m.group()], left), encoding="utf-8")
+    outputs = {}
+    for name, left_path in (("original", data / "left.nt"), ("renamed", tmp_path / "renamed.nt")):
+        out = outputs[name] = tmp_path / f"out_{name}"
+        assert main(["align", str(left_path), str(data / "right.nt"),
+                     "--out", str(out), *flags]) == 0
+    for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
+        expected = ""
+        for row in (outputs["original"] / tsv).read_text(encoding="utf-8").splitlines(True):
+            name, rest = row.split("\t", 1)
+            expected += f"{renamed.get(name, name)}\t{rest}"
+        assert (outputs["renamed"] / tsv).read_text(encoding="utf-8") == expected, tsv
+    instances = (outputs["renamed"] / "instances.tsv").read_text(encoding="utf-8")
+    assert sum(row.split("\t")[0] in renamed.values() for row in instances.splitlines()) >= 100
 
 
 # ------------------------------------------------- inclusion directions

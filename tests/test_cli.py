@@ -366,9 +366,10 @@ def test_manifest_times_the_bootstrap_phases(world):
 
 
 def test_manifest_reports_peak_memory_per_phase(world):
-    """The peak after loading and at the end of each iteration only grow,
-    up to the process's peak: the first phase to reach it is where it
-    happened."""
+    """The peak after loading and after each phase of each iteration (the
+    instance sweep, the assignment and the relation sweep, which ends it)
+    only grow, up to the process's peak: the first phase to reach it is
+    where it happened."""
     _, out = world
     manifest = dict(
         line.split("=", 1)
@@ -377,7 +378,9 @@ def test_manifest_reports_peak_memory_per_phase(world):
     iterations = int(manifest["iterations"])
     assert iterations >= 1
     peaks = [float(manifest["phase.load.peak_rss_mb"])]
-    peaks += [float(manifest[f"iteration.{i}.peak_rss_mb"]) for i in range(1, iterations + 1)]
+    for i in range(1, iterations + 1):
+        for phase in ("instance_sweep.", "assignment.", ""):
+            peaks.append(float(manifest[f"iteration.{i}.{phase}peak_rss_mb"]))
     peaks.append(float(manifest["process.peak_rss_mb"]))
     assert 0.0 < peaks[0]
     assert peaks == sorted(peaks)

@@ -1,5 +1,6 @@
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from ontoalign.engine import (
     AlignmentConfig,
     EquivalenceTable,
     EvidenceView,
-    MaximalAssignment,
+    PartnerMaps,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
@@ -30,7 +31,9 @@ from ontoalign.engine import (
     _partner_maps,
     _sorted_product,
 )
+from ontoalign.ntriples import load_ontology
 from ontoalign.store import INSTANCE
+from ontoalign.synth import generate_pair
 
 
 def ids(onto, *names):
@@ -137,6 +140,74 @@ def test_sweep_reads_a_snapshot_and_leaves_it_untouched(alice):
     table, _ = update_all_instances(state)
     assert engine_table_dict(state.equiv) == before  # input never mutated
     assert table is not state.equiv
+
+
+def _generated_pair(directory):
+    generate_pair(directory, instances=60, seed=3)
+    return (load_ontology(directory / "left.nt", origin="first"),
+            load_ontology(directory / "right.nt", origin="second"))
+
+
+def _readable(state):
+    maps = state.partners
+    return (list(state.equiv.pairs()), dict(state.assignment.forward),
+            dict(state.assignment.backward), dict(maps.left), dict(maps.right))
+
+
+def test_step_leaves_the_state_it_is_given_unchanged(tmp_path):
+    """`step` returns the next state and leaves its argument readable and
+    as it was: its table, its assignment and the assignment's partner
+    maps."""
+    state = bootstrap(*_generated_pair(tmp_path))
+    for _ in range(3):
+        before = _readable(state)
+        maps = state.partners
+        fresh, _ = step(state)
+        assert _readable(state) == before
+        assert state.partners is maps
+        assert fresh.assignment is not state.assignment and fresh.assignment.forward
+        state = fresh
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["default", "negative"])
+def test_fixpoint_frees_each_iteration_after_its_last_reader(tmp_path, monkeypatch, negative):
+    """`run_fixpoint` holds only what the next phase reads: iteration 1's
+    table is freed before iteration 2's instance sweep starts, its partner
+    maps before iteration 2's assignment starts, and its assignment before
+    iteration 2's relation sweep starts."""
+    o1, o2 = _generated_pair(tmp_path)
+    first = {}
+    dead = []
+    originals = {name: getattr(engine, name) for name in (
+        "update_all_instances", "compute_maximal_assignment", "update_subrelations")}
+
+    def check(*names):
+        dead.extend((name, first[name]() is None) for name in names if name in first)
+
+    def sweep(state, counts=None):
+        check("table")
+        table, evaluated = originals["update_all_instances"](state, counts)
+        first.setdefault("table", weakref.ref(table))
+        return table, evaluated
+
+    def assign(table, o1, o2):
+        check("maps")
+        return originals["compute_maximal_assignment"](table, o1, o2)
+
+    def relations(state, partners):
+        check("assignment", "maps")
+        first.setdefault("assignment", weakref.ref(state.assignment))
+        first.setdefault("maps", weakref.ref(partners))
+        return originals["update_subrelations"](state, partners)
+
+    for name, wrapper in (("update_all_instances", sweep),
+                          ("compute_maximal_assignment", assign),
+                          ("update_subrelations", relations)):
+        monkeypatch.setattr(engine, name, wrapper)
+    cfg = AlignmentConfig(max_iterations=2, negative_evidence=negative)
+    result = run_fixpoint(o1, o2, cfg)
+    assert len(result.iterations) == 2
+    assert dead == [("table", True), ("maps", True), ("assignment", True), ("maps", True)]
 
 
 def test_role_swap_is_an_exact_mirror(alice):
@@ -286,31 +357,32 @@ def test_assignment_partner_maps_equal_the_maps_of_its_pair_list(order1, order2,
     )
     pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
     pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
-    assert assignment.partners == _partner_maps(list(dict.fromkeys(pairs)))
+    maps = PartnerMaps(assignment)
+    assert (maps.left, maps.right) == _partner_maps(list(dict.fromkeys(pairs)))
     if entries == _SHARED_BESTS:
-        left, right = assignment.partners
+        left, right = maps.left, maps.right
         assert len(right[ids2[0]]) == 2 and len(left[ids1[2]]) == 2
         assert len(left[ids1[3]]) == 2
 
 
 def test_views_over_one_assignment_share_its_maps(monkeypatch):
-    """The relation sweep, the next instance sweep and the class phase read
-    the one build of an assignment's partner maps; each view joins it with
-    the literal share, whose terms it never meets."""
+    """A run builds each assignment's partner maps once, in `bootstrap` and
+    in each iteration: the relation sweep, the next instance sweep and the
+    class phase read that build. Each view joins it with the literal share,
+    whose terms it never meets."""
     o1, o2 = alice_pair()
-    state, _ = step(bootstrap(o1, o2))
     builds = []
+    build = engine._assignment_partners
     monkeypatch.setattr(
-        engine, "_assignment_partners", lambda *maps: builds.append(maps) or {}
+        engine, "_assignment_partners", lambda *maps: builds.append(maps) or build(*maps)
     )
-    assignment = MaximalAssignment(state.assignment.forward, state.assignment.backward)
-    for _ in range(3):
-        EvidenceView(state.literals, assignment)
-    assert len(builds) == 2
+    result = run_fixpoint(o1, o2)
+    assert len(builds) == 2 * (len(result.iterations) + 1)
     monkeypatch.undo()
-    left, right = state.assignment.partners
+    state, _ = step(bootstrap(o1, o2))
+    left, right = state.partners.left, state.partners.right
     assert left and right
-    view = EvidenceView(state.literals, state.assignment)
+    view = EvidenceView(state.literals, state.partners)
     for own, literal, joined, o in (
         (left, state.literals.left_sorted, view.left, o1),
         (right, state.literals.right_sorted, view.right, o2),
@@ -318,7 +390,8 @@ def test_views_over_one_assignment_share_its_maps(monkeypatch):
         assert len(literal) == o.term_count() and any(literal)
         assert not any(literal[t] for t in own)
         assert joined == [own.get(t) or literal[t] for t in range(o.term_count())]
-    assert MaximalAssignment().partners == ({}, {})
+    empty = bootstrap(o1, o2).partners
+    assert empty.left == {} and empty.right == {}
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -344,7 +417,7 @@ def test_seeds_with_several_partners_read_the_same_everywhere(swap):
         for b in literals2:
             assert table.get(a, b) == seeds.get((a, b), 0.0)
         assert table.get(a, max(literals2) + 1) == 0.0
-    view = EvidenceView(state.literals, state.assignment)
+    view = EvidenceView(state.literals, state.partners)
     for a in literals1:
         assert view.left[a] == tuple(sorted(
             (b, p) for (a2, b), p in seeds.items() if a2 == a
@@ -481,7 +554,7 @@ def test_join_gives_the_factors_of_the_enumeration():
         )
         state = bootstrap(o1, o2)
         for _ in range(3):
-            factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+            factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.partners))
             between = factors._between2
 
             def counted(y2, x2):
@@ -740,7 +813,7 @@ def test_decisive_penalty_rules_out_city_mates():
     negative, _ = step(bootstrap(o1, o2, AlignmentConfig(negative_evidence=True)))
     plain, _ = step(bootstrap(o1, o2))
     factors = engine._InstanceFactors(
-        negative, EvidenceView(negative.literals, negative.assignment)
+        negative, EvidenceView(negative.literals, negative.partners)
     )
     assert o1.relation_id("key") in factors._decisive
     assert 1.0 - _sorted_product(factors._join(x, (mate,)).get(mate, [])) > 0.3
@@ -802,7 +875,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     theta = cfg.theta
     assert_sweeps_store_one_pair_scores(o1, o2, cfg, 5)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.partners))
     assert o1.relation_id("key") in factors._decisive
     assert o1.relation_id("home") not in factors._decisive
     assert o1.relation_id("club") not in factors._decisive

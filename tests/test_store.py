@@ -248,6 +248,10 @@ _RELATIONS = ("r0", "r1", "r2", "r3", "r0" + INVERSE_MARK)
            ("e1", "r0" + INVERSE_MARK, "e3"), ("e3", "r0" + INVERSE_MARK, "e0")],
     subprops=[("r0" + INVERSE_MARK, "r1"), ("r1", "r2"), ("r2", "r3")],
 )
+@example(  # a cycle through "r0⁻¹": copying copies again wrote 180 288 statements
+    plain=[("e0", "r0", "e0")] * 3,
+    subprops=[("r0", "r0"), ("r1", "r2"), ("r2", "r0"), ("r0" + INVERSE_MARK, "r1")],
+)
 def test_store_matches_brute_force_statement_set(plain, subprops):
     """Every index holds each inverse-closed statement exactly once, and each
     relation's statements are its inverse's, transposed, in the same order."""
