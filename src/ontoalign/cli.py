@@ -19,10 +19,17 @@ import hashlib
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
-from .engine import AlignmentConfig, AlignmentResult, peak_rss_mb, result_rows, run_fixpoint
+from .engine import (
+    AlignmentConfig,
+    AlignmentResult,
+    Phases,
+    peak_rss_mb,
+    result_rows,
+    run_fixpoint,
+    timed,
+)
 from .evaluation import evaluate_instances, evaluate_threshold_sweep
 from .functionality import build_functionality_table
 from .literals import MEASURES
@@ -90,25 +97,16 @@ def _manifest_lines(
     args: argparse.Namespace,
     result: AlignmentResult,
     outputs: dict[str, tuple[Path, int]],
-    load_seconds: float,
-    load_peak: float | None,
+    loaded: Phases,
 ) -> list[str]:
     cfg = result.config
     kv: dict[str, object] = {
         "converged": str(result.converged).lower(),
         "iterations": len(result.iterations),
-        "phase.load.seconds": f"{load_seconds:.3f}",
-        "phase.functionality.seconds": f"{result.functionality_seconds:.3f}",
-        "phase.seed.seconds": f"{result.seed_seconds:.3f}",
-        "phase.classes.seconds": f"{result.class_seconds:.3f}",
     }
     peak = peak_rss_mb()
     if peak is not None:
         kv["process.peak_rss_mb"] = f"{peak:.1f}"
-    if load_peak is not None:
-        kv["phase.load.peak_rss_mb"] = f"{load_peak:.1f}"
-    if result.seed_peak_rss_mb is not None:
-        kv["phase.seed.peak_rss_mb"] = f"{result.seed_peak_rss_mb:.1f}"
     for side, path, onto in (("left", args.left, result.o1), ("right", args.right, result.o2)):
         kv[f"input.{side}.path"] = path
         kv[f"input.{side}.sha256"] = _digest(path)
@@ -127,16 +125,16 @@ def _manifest_lines(
         kv[f"{base}.pairs_evaluated"] = s.pairs_evaluated
         kv[f"{base}.pairs_ruled_out_by_penalties"] = s.pairs_ruled_out_by_penalties
         kv[f"{base}.seconds"] = f"{s.seconds:.3f}"
-        kv[f"{base}.instance_sweep.seconds"] = f"{s.instance_sweep_seconds:.3f}"
-        kv[f"{base}.assignment.seconds"] = f"{s.assignment_seconds:.3f}"
-        kv[f"{base}.relation_sweep.seconds"] = f"{s.relation_sweep_seconds:.3f}"
-        for key, peak in (
-            ("instance_sweep.peak_rss_mb", s.instance_sweep_peak_rss_mb),
-            ("assignment.peak_rss_mb", s.assignment_peak_rss_mb),
-            ("peak_rss_mb", s.peak_rss_mb),
-        ):
+        end = s.phases["relation_sweep"][1]  # the relation sweep ends the iteration
+        if end is not None:
+            kv[f"{base}.peak_rss_mb"] = f"{end:.1f}"
+    records = [("phase", {**loaded, **result.phases})]
+    records += [(f"iteration.{s.iteration}", s.phases) for s in result.iterations]
+    for prefix, phases in records:
+        for name, (seconds, peak) in phases.items():
+            kv[f"{prefix}.{name}.seconds"] = f"{seconds:.3f}"
             if peak is not None:
-                kv[f"{base}.{key}"] = f"{peak:.1f}"
+                kv[f"{prefix}.{name}.peak_rss_mb"] = f"{peak:.1f}"
     for name, (path, count) in outputs.items():
         kv[f"output.{name}.path"] = str(path)
         kv[f"output.{name}.rows"] = count
@@ -149,15 +147,14 @@ def cmd_align(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    started = time.perf_counter()
+    loaded: Phases = {}
     try:
-        o1 = load_ontology(args.left, origin="first")
-        o2 = load_ontology(args.right, origin="second")
+        with timed(loaded, "load"):
+            o1 = load_ontology(args.left, origin="first")
+            o2 = load_ontology(args.right, origin="second")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    load_seconds = time.perf_counter() - started
-    load_peak = peak_rss_mb()
     result = run_fixpoint(o1, o2, config)
     instances, relations, classes = result_rows(result)
     out = Path(args.out)
@@ -171,7 +168,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             outputs[name] = (path, write_alignment(rows, path))
         manifest = out / "manifest.txt"
         manifest.write_text(
-            "\n".join(_manifest_lines(args, result, outputs, load_seconds, load_peak))
+            "\n".join(_manifest_lines(args, result, outputs, loaded))
             + "\n",
             encoding="utf-8",
         )

@@ -36,10 +36,11 @@ import sys
 import time
 from bisect import bisect_left
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .functionality import FunctionalityTable, build_functionality_table
 from .literals import MEASURES, build_key_index
@@ -114,14 +115,12 @@ class IterationStats:
     positive factors is formed. Each is still counted in `pairs_evaluated`.
     It is 0 without negative evidence and in the first iteration.
 
-    `seconds` is the whole iteration's wall time. The three phase times
-    within it are the instance sweep and the relation sweep, each with the
-    build of its evidence view, and the assignment with its change count.
-    `instance_sweep_peak_rss_mb`, `assignment_peak_rss_mb` and `peak_rss_mb`
-    are the process's peak resident memory (see `peak_rss_mb`) right after
-    the instance sweep, the assignment and the relation sweep, the
-    iteration's end; so the first of them to reach a peak names its phase.
-    Each is None without the `resource` module.
+    `phases` records the instance sweep, the assignment and the relation
+    sweep, in that order (see `timed`); each sweep's time includes the build
+    of its evidence view, the assignment's its change count and the
+    relation sweep's the assignment's partner maps. The relation sweep's
+    peak is the iteration's end; so the first phase to reach a peak names
+    it.
     """
 
     iteration: int
@@ -132,13 +131,12 @@ class IterationStats:
     subrelations: int
     pairs_evaluated: int
     pairs_ruled_out_by_penalties: int
-    seconds: float
-    instance_sweep_seconds: float
-    assignment_seconds: float
-    relation_sweep_seconds: float
-    instance_sweep_peak_rss_mb: float | None
-    assignment_peak_rss_mb: float | None
-    peak_rss_mb: float | None
+    phases: Phases
+
+    @property
+    def seconds(self) -> float:
+        """The whole iteration's wall time: the sum of its phases'."""
+        return sum(seconds for seconds, _ in self.phases.values())
 
 
 def peak_rss_mb() -> float | None:
@@ -149,6 +147,18 @@ def peak_rss_mb() -> float | None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # kilobytes on Linux, bytes on macOS
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+Phases = dict[str, tuple[float, float | None]]  # name -> (seconds, peak MB)
+
+
+@contextmanager
+def timed(phases: Phases, name: str) -> Iterator[None]:
+    """Record the block as phase `name` of `phases`: its wall time, and the
+    process's peak resident memory right after it (see `peak_rss_mb`)."""
+    started = time.perf_counter()
+    yield
+    phases[name] = (time.perf_counter() - started, peak_rss_mb())
 
 
 class EquivalenceTable:
@@ -319,8 +329,8 @@ class LiteralShare(NamedTuple):
 
 @dataclass
 class AlignmentState:
-    """One iteration's outcome and everything the next one reads; treat as
-    an immutable snapshot.
+    """One iteration's outcome and everything the next one reads. Only the
+    iteration body changes it (see `_advance`).
 
     The literal seeds' partner maps in `literals` are built once, by
     `bootstrap`, and passed on unchanged from state to state; so is the
@@ -329,11 +339,11 @@ class AlignmentState:
     `partners` are the partner maps of `assignment`. The next iteration
     reads `subrel` and `partners` in its instance sweep and `assignment` in
     its change count, and never `equiv`: the table is the iteration's
-    outcome, kept for the caller and the final result. The iteration's own
-    copy of the state drops each part once its last reader is done (see
-    `_advance`), so while it runs, `equiv` and then `partners` are None.
-    Where nothing else holds the state, as in `run_fixpoint`, which hands
-    each state over to the next iteration, each part is freed then.
+    outcome, kept for the caller and the final result. The iteration
+    replaces each part once its last reader is done (see `_advance`), so
+    while it runs, `equiv` and then `partners` are None for a while. Where
+    nothing else holds the state, as in `run_fixpoint`, each part is freed
+    then.
     """
 
     o1: Ontology
@@ -357,12 +367,10 @@ class AlignmentState:
 
 @dataclass
 class AlignmentResult:
-    """A finished run. `functionality_seconds` is the wall time of both
-    functionality tables, `seed_seconds` that of the rest of `bootstrap`
-    (the literal seeds and their partner maps), and `class_seconds` that of
-    the class inclusions, computed once after the last iteration.
-    `seed_peak_rss_mb` is the process's peak resident memory right after
-    `bootstrap` (see `peak_rss_mb`)."""
+    """A finished run. `phases` records, in this order (see `timed`),
+    `functionality`, both functionality tables; `seed`, the rest of
+    `bootstrap` (the literal seeds and their partner maps); and `classes`,
+    the class inclusions, computed once after the last iteration."""
 
     o1: Ontology
     o2: Ontology
@@ -373,10 +381,7 @@ class AlignmentResult:
     classes: ClassAlignmentTable
     iterations: list[IterationStats]
     converged: bool
-    class_seconds: float
-    functionality_seconds: float = 0.0
-    seed_seconds: float = 0.0
-    seed_peak_rss_mb: float | None = None
+    phases: Phases
 
 
 class EvidenceView:
@@ -1163,22 +1168,21 @@ def step(state: AlignmentState) -> tuple[AlignmentState, IterationStats]:
     """One full iteration: instance sweep, assignment, relation sweep.
 
     Returns the next state. `state` stays as it was, and readable: the
-    caller still holds it, so the iteration frees nothing of it. The body
+    iteration advances a copy of it, so it frees nothing of it. The body
     is `run_fixpoint`'s (see `_advance`).
     """
-    held = [state]
-    stats = _advance(held)
-    return held[0], stats
+    state = replace(state)
+    stats = _advance(state)
+    return state, stats
 
 
-def _advance(held: list[AlignmentState]) -> IterationStats:
-    """Replace the one state in `held` by the next one: the iteration body
+def _advance(state: AlignmentState) -> IterationStats:
+    """Advance `state` in place to the next iteration's: the iteration body
     of `step` and `run_fixpoint`.
 
-    The state is taken out of `held` and never changed. The iteration works
-    on a copy that drops each part once its last reader is done, so where
-    `held` was the state's only holder, as in `run_fixpoint`, that part is
-    freed then:
+    Each part of the state is replaced once its last reader is done, so
+    where nothing else holds the parts, as in `run_fixpoint`, each is freed
+    then:
 
     * the table at once, before the instance sweep: no phase reads it;
     * the partner maps after the instance sweep, whose evidence view is
@@ -1188,40 +1192,30 @@ def _advance(held: list[AlignmentState]) -> IterationStats:
     So the assignment phase runs without the previous maps, and the
     relation sweep and the class phase without the previous assignment.
     """
-    started = time.perf_counter()
-    state = replace(held.pop(), equiv=None)
+    phases: Phases = {}
     counts: dict[str, int] = {}
-    table, evaluated = update_all_instances(state, counts)
-    swept = time.perf_counter()
-    swept_peak = peak_rss_mb()
-    state = replace(state, partners=None)
-    assignment = compute_maximal_assignment(table, state.o1, state.o2)
-    changed, tracked = _assignment_change(state.assignment, assignment)
-    state = replace(state, assignment=assignment)
-    assigned = time.perf_counter()
-    assigned_peak = peak_rss_mb()
-    partners = PartnerMaps(assignment)
-    subrel = update_subrelations(state, partners)
-    finished = time.perf_counter()
-    held.append(replace(
-        state, equiv=table, partners=partners, subrel=subrel, iteration=state.iteration + 1
-    ))
+    with timed(phases, "instance_sweep"):
+        state.equiv = None
+        state.equiv, evaluated = update_all_instances(state, counts)
+    with timed(phases, "assignment"):
+        state.partners = None
+        assignment = compute_maximal_assignment(state.equiv, state.o1, state.o2)
+        changed, tracked = _assignment_change(state.assignment, assignment)
+        state.assignment = assignment
+    with timed(phases, "relation_sweep"):
+        state.partners = PartnerMaps(assignment)
+        state.subrel = update_subrelations(state, state.partners)
+    state.iteration += 1
     return IterationStats(
-        iteration=state.iteration + 1,
+        iteration=state.iteration,
         changed=changed,
         tracked=tracked,
         change_fraction=(changed / tracked) if tracked else 0.0,
-        equivalences=len(table),
-        subrelations=len(subrel),
+        equivalences=len(state.equiv),
+        subrelations=len(state.subrel),
         pairs_evaluated=evaluated,
         pairs_ruled_out_by_penalties=counts["pairs_ruled_out_by_penalties"],
-        seconds=time.perf_counter() - started,
-        instance_sweep_seconds=swept - started,
-        assignment_seconds=assigned - swept,
-        relation_sweep_seconds=finished - assigned,
-        instance_sweep_peak_rss_mb=swept_peak,
-        assignment_peak_rss_mb=assigned_peak,
-        peak_rss_mb=peak_rss_mb(),
+        phases=phases,
     )
 
 
@@ -1230,27 +1224,24 @@ def run_fixpoint(
 ) -> AlignmentResult:
     """Align two ontologies end to end.
 
-    The current state lives only in a one-item list that each iteration
-    takes it from (see `_advance`), so no name here holds it during an
-    iteration: each table is freed before the next instance sweep, each
+    One state is advanced in place (see `_advance`), and nothing else holds
+    its parts: each table is freed before the next instance sweep, each
     assignment's partner maps before the next assignment and each
     assignment before the next relation sweep. The last state's table and
     assignment go into the result; the class phase reads the last
     assignment's partner maps.
     """
     cfg = config or AlignmentConfig()
-    started = time.perf_counter()
-    fun1 = build_functionality_table(o1)
-    fun2 = build_functionality_table(o2)
-    functionality_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    held = [bootstrap(o1, o2, cfg, fun1, fun2)]
-    seed_seconds = time.perf_counter() - started
-    seed_peak = peak_rss_mb()
+    phases: Phases = {}
+    with timed(phases, "functionality"):
+        fun1 = build_functionality_table(o1)
+        fun2 = build_functionality_table(o2)
+    with timed(phases, "seed"):
+        state = bootstrap(o1, o2, cfg, fun1, fun2)
     history: list[IterationStats] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        stats = _advance(held)
+        stats = _advance(state)
         history.append(stats)
         log.info(
             "iteration %d: %d/%d assignments changed (%.2f%%),"
@@ -1262,18 +1253,14 @@ def run_fixpoint(
         if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
             converged = True
             break
-    state = held.pop()
-    started = time.perf_counter()
-    classes = compute_class_alignment(state)
-    class_seconds = time.perf_counter() - started
+    with timed(phases, "classes"):
+        classes = compute_class_alignment(state)
     if not converged and cfg.max_iterations > 0:
         log.warning("stopped at max_iterations=%d without converging", cfg.max_iterations)
     return AlignmentResult(
         o1=o1, o2=o2, config=cfg, equiv=state.equiv, assignment=state.assignment,
         subrel=state.subrel if state.subrel is not None else SubrelationTable(),
-        classes=classes, iterations=history, converged=converged,
-        class_seconds=class_seconds, functionality_seconds=functionality_seconds,
-        seed_seconds=seed_seconds, seed_peak_rss_mb=seed_peak,
+        classes=classes, iterations=history, converged=converged, phases=phases,
     )
 
 

@@ -2,7 +2,7 @@
 
 The parser is deliberately forgiving: each line is parsed independently,
 malformed lines are counted and skipped, and the loader aborts only when the
-skipped fraction exceeds a configurable bound. Literal objects keep their
+skipped fraction exceeds `MAX_SKIP_FRACTION`. Literal objects keep their
 datatype/language tag in the lexical form (e.g. '"1955"^^<...#integer>'), so
 distinct tags intern as distinct terms.
 """
@@ -18,6 +18,8 @@ from typing import Iterable, Iterator
 from .store import Ontology, ontology_from_triples
 
 log = logging.getLogger("ontoalign.ntriples")
+
+MAX_SKIP_FRACTION = 0.01  # most malformed lines a loaded input may have, as a fraction
 
 
 class ParseError(Exception):
@@ -107,12 +109,11 @@ def parse_ntriples(
 def load_ontology(
     paths: str | Path | Iterable[str | Path],
     origin: str = "first",
-    max_skip_fraction: float = 0.01,
 ) -> Ontology:
     """Load and schema-close one ontology from N-Triples files.
 
     `paths` may be a file, a directory (all *.nt inside, sorted), or a list.
-    Aborts with ParseError when more than `max_skip_fraction` of the non-blank
+    Aborts with ParseError when more than `MAX_SKIP_FRACTION` of the non-blank
     lines are malformed, so silently corrupted dumps do not produce silently
     tiny ontologies, and when the store keeps no statement and no type edge,
     so an input that is empty, or whose every line is rejected, does not
@@ -125,10 +126,10 @@ def load_ontology(
     # the store reads the parser's triples as they come; none is kept whole
     onto = ontology_from_triples(_parse_files(files, stats), origin=origin)
     total = stats.parsed + stats.skipped
-    if total and stats.skipped / total > max_skip_fraction:
+    if total and stats.skipped / total > MAX_SKIP_FRACTION:
         raise ParseError(
             f"{stats.skipped} of {total} lines malformed"
-            f" (> {max_skip_fraction:.0%}); first offenders: {stats.samples}"
+            f" (> {MAX_SKIP_FRACTION:.0%}); first offenders: {stats.samples}"
         )
     if not onto.statement_count() and not any(map(onto.instances_of, onto.classes())):
         raise ParseError(
@@ -194,10 +195,13 @@ def _field_unescape(value: str) -> str:
 
 
 def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:
-    """Write alignment rows as TSV, sorted by (kind, left, descending score,
-    right, direction): a total order, so the bytes do not depend on the order
-    of the rows given."""
-    ordered = sorted(rows, key=lambda r: (r.kind, r.left, -r.score, r.right, r.direction))
+    """Write alignment rows as TSV, sorted by (kind, left, descending printed
+    score, right, direction): a total order on what is written, so the bytes
+    do not depend on the order of the rows given, nor on digits of a score
+    that are not written, which can follow that order."""
+    ordered = sorted(
+        rows, key=lambda r: (r.kind, r.left, -round(r.score, 6), r.right, r.direction)
+    )
     with open(path, "w", encoding="utf-8") as fh:
         for r in ordered:
             fh.write(

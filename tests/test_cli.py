@@ -418,6 +418,36 @@ def test_manifest_times_each_phase_of_every_iteration(world):
         assert sum(phases) <= float(manifest[f"iteration.{n}.seconds"]) + 0.002
 
 
+def test_manifest_records_every_phase_and_the_readme_names_it(world):
+    """Every phase of the run and of each iteration has a `.seconds` and a
+    `.peak_rss_mb` key, and the manifest holds no other timing key than
+    those, the process's peak and each iteration's total and end. The
+    README names each of them, with N for the iteration number, so a new
+    phase cannot go undocumented."""
+    _, out = world
+    manifest = dict(
+        line.split("=", 1)
+        for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    units = ("seconds", "peak_rss_mb")
+    timing = {k for k in manifest if k.endswith(tuple(f".{u}" for u in units))}
+    iterations = range(1, int(manifest["iterations"]) + 1)
+    assert iterations
+    totals = {"process.peak_rss_mb"} | {f"iteration.{n}.{u}" for n in iterations for u in units}
+    phases = {k.rsplit(".", 1)[0] for k in timing - totals}
+    assert all(re.fullmatch(r"phase\.\w+|iteration\.\d+\.\w+", p) for p in phases), phases
+    assert {"phase.load", "phase.functionality", "phase.seed", "phase.classes"} <= phases
+    per_iteration = [{p.split(".", 2)[2] for p in phases if p.startswith(f"iteration.{n}.")}
+                     for n in iterations]
+    assert per_iteration[0] >= {"instance_sweep", "assignment", "relation_sweep"}
+    assert all(names == per_iteration[0] for names in per_iteration)
+    assert timing == totals | {f"{p}.{u}" for p in phases for u in units}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {re.sub(r"^iteration\.\d+\.", "iteration.N.", k) for k in timing}
+    missing = [k for k in sorted(documented) if f"`{k}`" not in readme]
+    assert not missing, missing
+
+
 @pytest.mark.parametrize("bad_arg", ["predicted", "gold"])
 def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
     data, out = world
