@@ -16,7 +16,6 @@ from .engine import (
     EquivalenceTable,
     IterationStats,
     MaximalAssignment,
-    PartnerMaps,
     SubrelationTable,
     bootstrap,
     compute_class_alignment,
@@ -54,7 +53,6 @@ __all__ = [
     "Metrics",
     "Ontology",
     "ParseError",
-    "PartnerMaps",
     "SubrelationTable",
     "bootstrap",
     "build_functionality_table",

@@ -117,10 +117,9 @@ class IterationStats:
 
     `phases` records the instance sweep, the assignment and the relation
     sweep, in that order (see `timed`); each sweep's time includes the build
-    of its evidence view, the assignment's its change count and the
-    relation sweep's the assignment's partner maps. The relation sweep's
-    peak is the iteration's end; so the first phase to reach a peak names
-    it.
+    of its evidence view and the assignment's its change count. The
+    relation sweep's peak is the iteration's end; so the first phase to
+    reach a peak names it.
     """
 
     iteration: int
@@ -218,46 +217,6 @@ class MaximalAssignment:
     backward: dict[int, tuple[int, float]] = field(default_factory=dict)
 
 
-class PartnerMaps:
-    """An assignment's pairs as partner maps: `left` seen from the first
-    ontology and `right` from the second (as `_partner_maps` gives them).
-
-    Each assignment's maps are built once, by the iteration that computes
-    it or by `bootstrap`, and carried in the state beside it (see
-    `AlignmentState`). Three evidence views read them: the relation sweep's
-    that follows the assignment, the next instance sweep's and the class
-    phase's.
-    """
-
-    # __weakref__ lets a test see when the maps are freed
-    __slots__ = ("left", "right", "__weakref__")
-
-    def __init__(self, assignment: MaximalAssignment) -> None:
-        self.left = _assignment_partners(assignment.forward, assignment.backward)
-        self.right = _assignment_partners(assignment.backward, assignment.forward)
-
-
-def _assignment_partners(
-    best: dict[int, tuple[int, float]], mirror: dict[int, tuple[int, float]]
-) -> dict[int, Partners]:
-    """Each term's partners in an assignment: its own best, from `best`, and
-    every term whose best it is, from `mirror`. A term is usually its best's
-    best, so most terms get the one-entry tuple of their best, shared with
-    `best`; only the others are sorted."""
-    out: dict[int, Partners] = {t: (entry,) for t, entry in best.items()}
-    more: dict[int, list[tuple[int, float]]] = {}
-    for u, (t, p) in mirror.items():
-        own = best.get(t)
-        if own is None or own[0] != u:
-            more.setdefault(t, []).append((u, p))
-    for t, extra in more.items():
-        own = best.get(t)
-        if own is not None:
-            extra.append(own)
-        out[t] = tuple(sorted(extra))
-    return out
-
-
 @dataclass
 class SubrelationTable:
     """Directed relation-inclusion probabilities, sparse, both directions."""
@@ -282,21 +241,14 @@ Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by
 PenaltyIndex = dict[int, dict[int, list[int]]]
 
 
-def _partner_maps(
-    pairs: list[tuple[int, int, float]],
-) -> tuple[dict[int, Partners], dict[int, Partners]]:
-    """Each term's partners, seen from the first ontology and from the
-    second."""
-    return _grouped_partners(pairs, 0, 1), _grouped_partners(pairs, 1, 0)
-
-
-def _grouped_partners(
-    pairs: list[tuple[int, int, float]], term: int, partner: int
-) -> dict[int, Partners]:
-    """The partners of each term at position `term` of the pairs, which
-    list each pair once. A sort groups the pairs by term and partner, with
-    no dict per term kept alive."""
-    out: dict[int, Partners] = {}
+def _partners_of(
+    pairs: list[tuple[int, int, float]], count: int, term: int, partner: int
+) -> list[Partners]:
+    """The sorted partners of each term at position `term` of the pairs,
+    which list each pair once, as a list indexed by term id below `count`,
+    with () for a term without pairs. A sort groups the pairs by term and
+    partner, with no dict per term kept alive."""
+    out: list[Partners] = [()] * count
     ordered = sorted(pairs, key=itemgetter(term, partner))
     for t, run in groupby(ordered, itemgetter(term)):
         parts = [(pair[partner], pair[2]) for pair in run]
@@ -304,17 +256,34 @@ def _grouped_partners(
     return out
 
 
-def _by_term(base: list[Partners], partners: dict[int, Partners]) -> list[Partners]:
+def _with_assignment(
+    base: list[Partners],
+    best: dict[int, tuple[int, float]],
+    mirror: dict[int, tuple[int, float]],
+) -> list[Partners]:
     """A copy of `base`, a list of partner tuples indexed by term id, with
-    the entries of `partners` written over it."""
+    each assigned term's partners written over it: its own best, from
+    `best`, and every term whose best it is, from `mirror`. A term is
+    usually its best's best, so most terms get the one-entry tuple of their
+    best; only the others are sorted."""
     out = base.copy()
-    for term, parts in partners.items():
-        out[term] = parts
+    for t, entry in best.items():
+        out[t] = (entry,)
+    more: dict[int, list[tuple[int, float]]] = {}
+    for u, (t, p) in mirror.items():
+        own = best.get(t)
+        if own is None or own[0] != u:
+            more.setdefault(t, []).append((u, p))
+    for t, extra in more.items():
+        own = best.get(t)
+        if own is not None:
+            extra.append(own)
+        out[t] = tuple(sorted(extra))
     return out
 
 
 class LiteralShare(NamedTuple):
-    """The clamped seed pairs' partner tuples (see `_partner_maps`), per
+    """The clamped seed pairs' partner tuples (see `_partners_of`), per
     ontology a list indexed by term id, with () for a term without seeds:
     the literal share of every equivalence table and every evidence view.
 
@@ -332,16 +301,16 @@ class AlignmentState:
     """One iteration's outcome and everything the next one reads. Only the
     iteration body changes it (see `_advance`).
 
-    The literal seeds' partner maps in `literals` are built once, by
+    The literal seeds' partner lists in `literals` are built once, by
     `bootstrap`, and passed on unchanged from state to state; so is the
     `penalty_index` (see `_penalty_index`), empty without negative evidence.
 
-    `partners` are the partner maps of `assignment`. The next iteration
-    reads `subrel` and `partners` in its instance sweep and `assignment` in
-    its change count, and never `equiv`: the table is the iteration's
-    outcome, kept for the caller and the final result. The iteration
-    replaces each part once its last reader is done (see `_advance`), so
-    while it runs, `equiv` and then `partners` are None for a while. Where
+    The next iteration reads `subrel` and `assignment` in its instance
+    sweep, whose evidence view it builds from them, and `assignment` again
+    in its change count. It never reads `equiv`: the table is the
+    iteration's outcome, kept for the caller and the final result. The
+    iteration replaces each part once its last reader is done (see
+    `_advance`), so while it runs, `equiv` is None for a while. Where
     nothing else holds the state, as in `run_fixpoint`, each part is freed
     then.
     """
@@ -355,7 +324,6 @@ class AlignmentState:
     penalty_index: PenaltyIndex
     equiv: EquivalenceTable | None
     assignment: MaximalAssignment
-    partners: PartnerMaps | None
     subrel: SubrelationTable | None  # None means the uniform bootstrap prior
     iteration: int = 0
 
@@ -369,7 +337,7 @@ class AlignmentState:
 class AlignmentResult:
     """A finished run. `phases` records, in this order (see `timed`),
     `functionality`, both functionality tables; `seed`, the rest of
-    `bootstrap` (the literal seeds and their partner maps); and `classes`,
+    `bootstrap` (the literal seeds and their partner lists); and `classes`,
     the class inclusions, computed once after the last iteration."""
 
     o1: Ontology
@@ -394,22 +362,21 @@ class EvidenceView:
 
     * The literal share is the run's `LiteralShare`: seeds are clamped, so
       every view sees them all.
-    * The instance share is the previous maximal assignment alone, as its
-      `PartnerMaps`, whose entries carry the stored p, so an instance's best
-      partner is among its partners, and a stored pair that is best in
-      neither direction carries no evidence. The maps are built once per
-      assignment, so the relation sweep that follows the assignment, the
-      next instance sweep and the class phase read one build.
+    * The instance share is the previous maximal assignment alone, read
+      straight from its two maps (see `_with_assignment`): an instance's
+      partners are its best and every instance whose best it is, each with
+      the stored p, so a stored pair that is best in neither direction
+      carries no evidence.
 
     The lists hold partner tuples only, with no dict per term: the
-    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`). A view
-    holds the maps' tuples but not the maps, and lives as long as the
-    sweep that built it.
+    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`). Each
+    sweep builds its own view, and the view lives as long as the sweep.
     """
 
-    def __init__(self, literals: LiteralShare, partners: PartnerMaps) -> None:
-        self.left = _by_term(literals.left_sorted, partners.left)
-        self.right = _by_term(literals.right_sorted, partners.right)
+    def __init__(self, literals: LiteralShare, assignment: MaximalAssignment) -> None:
+        fwd, bwd = assignment.forward, assignment.backward
+        self.left = _with_assignment(literals.left_sorted, fwd, bwd)
+        self.right = _with_assignment(literals.right_sorted, bwd, fwd)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -449,17 +416,16 @@ def bootstrap(
     config = config or AlignmentConfig()
     fun1 = fun1 or build_functionality_table(o1)
     fun2 = fun2 or build_functionality_table(o2)
-    left, right = _partner_maps(literal_seed_pairs(o1, o2, MEASURES[config.literal_mode]))
+    pairs = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
     literals = LiteralShare(
-        _by_term([()] * o1.term_count(), left), _by_term([()] * o2.term_count(), right)
+        _partners_of(pairs, o1.term_count(), 0, 1), _partners_of(pairs, o2.term_count(), 1, 0)
     )
-    assignment = MaximalAssignment()
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literals=literals,
         penalty_index=_penalty_index(o2) if config.negative_evidence else {},
-        equiv=EquivalenceTable(literals), assignment=assignment,
-        partners=PartnerMaps(assignment), subrel=None, iteration=0,
+        equiv=EquivalenceTable(literals), assignment=MaximalAssignment(),
+        subrel=None, iteration=0,
     )
 
 
@@ -950,10 +916,11 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     Reads the state's tables as the previous iteration and applies the
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
-    instance, x2 second. Each call builds the sweep's evidence view, so it
-    costs a copy of both seed lists; for many pairs, run the sweep.
+    instance, x2 second. Each call builds the sweep's evidence view from the
+    state's seeds and assignment, so it costs a copy of both seed lists; for
+    many pairs, run the sweep.
     """
-    ev = EvidenceView(state.literals, state.partners)
+    ev = EvidenceView(state.literals, state.assignment)
     factors = _InstanceFactors(state, ev)
     return factors.probability(x, x2, factors._join(x, (x2,)).get(x2, []))
 
@@ -970,7 +937,7 @@ def update_all_instances(
     that could lift a pair over theta (see `_InstanceFactors`).
     """
     theta = state.config.theta
-    factors = _InstanceFactors(state, EvidenceView(state.literals, state.partners))
+    factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     rels_of = state.o1.subject_relations
     rows: dict[int, dict[int, float]] = {}
     evaluated = ruled_out = 0
@@ -1070,9 +1037,9 @@ def _subrel_rows(
     return {q: v / den for q, v in num.items() if v > 0.0}
 
 
-def update_subrelations(state: AlignmentState, partners: PartnerMaps) -> SubrelationTable:
-    """Relation-inclusion sweep over the just-computed maximal assignment,
-    given as its partner maps.
+def update_subrelations(state: AlignmentState) -> SubrelationTable:
+    """Relation-inclusion sweep over the state's assignment, the one just
+    computed.
 
     Inverse relations are first-class: every directed pair with any shared
     evidence gets a computed score, including a relation against its own
@@ -1081,7 +1048,7 @@ def update_subrelations(state: AlignmentState, partners: PartnerMaps) -> Subrela
     relations between (y', x') are the inverses of those between (x', y'),
     so P(r^-1 in q^-1) = P(r in q): each row is computed once and written as
     (r, q), then as (r ^ 1, q ^ 1)."""
-    ev = EvidenceView(state.literals, partners)
+    ev = EvidenceView(state.literals, state.assignment)
     out = SubrelationTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1132,7 +1099,7 @@ def _class_rows(
 
 def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
     """Directed class inclusions from the final equivalences, both ways."""
-    ev = EvidenceView(state.literals, state.partners)
+    ev = EvidenceView(state.literals, state.assignment)
     out = ClassAlignmentTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
@@ -1185,12 +1152,12 @@ def _advance(state: AlignmentState) -> IterationStats:
     then:
 
     * the table at once, before the instance sweep: no phase reads it;
-    * the partner maps after the instance sweep, whose evidence view is
-      their last reader;
     * the assignment after the change count.
 
-    So the assignment phase runs without the previous maps, and the
-    relation sweep and the class phase without the previous assignment.
+    Each sweep builds its evidence view from the state's assignment and
+    drops it when done, so the assignment phase runs without the instance
+    sweep's view, and the relation sweep and the class phase without the
+    previous assignment.
     """
     phases: Phases = {}
     counts: dict[str, int] = {}
@@ -1198,13 +1165,11 @@ def _advance(state: AlignmentState) -> IterationStats:
         state.equiv = None
         state.equiv, evaluated = update_all_instances(state, counts)
     with timed(phases, "assignment"):
-        state.partners = None
         assignment = compute_maximal_assignment(state.equiv, state.o1, state.o2)
         changed, tracked = _assignment_change(state.assignment, assignment)
         state.assignment = assignment
     with timed(phases, "relation_sweep"):
-        state.partners = PartnerMaps(assignment)
-        state.subrel = update_subrelations(state, state.partners)
+        state.subrel = update_subrelations(state)
     state.iteration += 1
     return IterationStats(
         iteration=state.iteration,
@@ -1225,11 +1190,10 @@ def run_fixpoint(
     """Align two ontologies end to end.
 
     One state is advanced in place (see `_advance`), and nothing else holds
-    its parts: each table is freed before the next instance sweep, each
-    assignment's partner maps before the next assignment and each
-    assignment before the next relation sweep. The last state's table and
-    assignment go into the result; the class phase reads the last
-    assignment's partner maps.
+    its parts: each table is freed before the next instance sweep, and
+    each assignment before the next relation sweep. The last state's table
+    and assignment go into the result; the class phase builds its evidence
+    view from the last assignment.
     """
     cfg = config or AlignmentConfig()
     phases: Phases = {}

@@ -43,13 +43,14 @@ class ParseStats:
 # admits only the N-Triples escapes: one of \t \b \n \r \f \" \' \\, \u with
 # exactly 4 hex digits, or \U with exactly 8 and at most U+10FFFF. Its tag is
 # kept whole.
+# A '#' after the final '.' starts a comment, as in N-Triples 1.1.
 _LINE = re.compile(
     r'^(?:<(?P<s>[^<>"]*)>|(?P<sb>_:\S+))\s+'
     r'<(?P<p>[^<>"]*)>\s+'
     r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:\S+)'
     r'|"(?P<text>[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}'
     r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\]*)*)"'
-    r'(?P<tag>@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>"]*>)?)\s*\.\s*$'
+    r'(?P<tag>@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>"]*>)?)\s*\.\s*(?:#.*)?$'
 )
 _ESCAPE = re.compile(r"\\(u.{4}|U.{8}|.)")
 _ESCAPES = {

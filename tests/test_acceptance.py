@@ -162,7 +162,7 @@ def test_row_join_keeps_every_relation_to_one_object():
     assert assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4) >= 2
     _assert_lockstep(o1, o2, theta=cfg.theta, negative=True)
     state, _ = step(step(bootstrap(o1, o2, cfg))[0])
-    ev = EvidenceView(state.literals, state.partners)
+    ev = EvidenceView(state.literals, state.assignment)
     decisive = engine._InstanceFactors(state, ev)._decisive
     assert o1.relation_id("bornIn") in decisive and o1.relation_id("diedIn") in decisive
     assert state.equiv.get(o1.term_id("a0"), x2) > cfg.theta
@@ -208,7 +208,7 @@ def test_mirrored_inclusions_match_oracle_exactly():
             for table in (sub12, sub21):
                 for (r, q), p in table.items():
                     assert table.get((r ^ 1, q ^ 1)) == p, f"iteration {i} inverse of {(r, q)}"
-            ev = EvidenceView(state.literals, state.partners)
+            ev = EvidenceView(state.literals, state.assignment)
             several += sum(
                 len(ev.left[x]) > 1 and len(ev.left[y]) > 1
                 for r in o1.relation_ids() for x, y in o1.pairs(r)
@@ -407,6 +407,26 @@ def _structure_only(lines):
             for line in lines if not _PERSON_KEY.match(line)]
 
 
+# The generated copies both order tests run on: a noisy pair, and a
+# structure-only copy of the clean pair; each is given as the generator's
+# knobs and the edit of each side's lines.
+_COPIES = (
+    ("noisy", dict(attribute_drop=0.3, perturb_literals=0.3, scramble_phones=0.3), list),
+    ("structure", {}, _structure_only),
+)
+
+
+def _generated_copies(tmp_path):
+    """Each of `_COPIES` as its directory and its two sides' lines."""
+    for copy, knobs, edit in _COPIES:
+        data = tmp_path / copy / "data"
+        generate_pair(data, instances=300, seed=4, **knobs)
+        yield tmp_path / copy, [
+            edit((data / f"{side}.nt").read_text(encoding="utf-8").splitlines(keepends=True))
+            for side in ("left", "right")
+        ]
+
+
 @pytest.mark.parametrize("flags", [(), ("--negative-evidence",)], ids=["default", "negative"])
 def test_input_order_and_layout_do_not_change_the_output(tmp_path, flags):
     """On a noisy pair and on a structure-only copy, whose many equal
@@ -414,13 +434,8 @@ def test_input_order_and_layout_do_not_change_the_output(tmp_path, flags):
     repeating a tenth of the left side's lines or splitting the left side
     into a directory of three files gives byte-identical TSVs; a repeated
     line adds no statement."""
-    noise = dict(attribute_drop=0.3, perturb_literals=0.3, scramble_phones=0.3)
-    for copy, knobs, edit in (("noisy", noise, list), ("structure", {}, _structure_only)):
-        data = tmp_path / copy / "data"
-        generate_pair(data, instances=300, seed=4, **knobs)
-        sides = [edit((data / f"{side}.nt").read_text(encoding="utf-8")
-                      .splitlines(keepends=True)) for side in ("left", "right")]
-        _check_order_and_layout(tmp_path / copy, flags, *sides)
+    for work, sides in _generated_copies(tmp_path):
+        _check_order_and_layout(work, flags, *sides)
 
 
 def _check_order_and_layout(work, flags, left, right):
@@ -470,33 +485,39 @@ def _check_order_and_layout(work, flags, left, right):
 
 @pytest.mark.parametrize("flags", [(), ("--negative-evidence",)], ids=["default", "negative"])
 def test_order_keeping_rename_gives_the_renamed_output(tmp_path, flags):
-    """On a noisy pair, giving every left person a new name, so that the
-    names keep their lexical order among themselves and against every other
-    term, gives TSVs identical up to the rename. The order is kept because
-    the assignment breaks ties by it."""
-    data = tmp_path / "data"
-    generate_pair(data, instances=300, seed=4, attribute_drop=0.3,
-                  perturb_literals=0.3, scramble_phones=0.3)
-    left = (data / "left.nt").read_text(encoding="utf-8")
+    """On a noisy pair and on a structure-only copy, giving every left
+    person a new name, so that the names keep their lexical order among
+    themselves and against every other term, gives TSVs identical up to the
+    rename. The order is kept because the assignment breaks ties by it."""
+    for work, (left, right) in _generated_copies(tmp_path):
+        _check_rename(work, flags, "".join(left), "".join(right))
+
+
+def _check_rename(work, flags, left, right):
+    """Align the given text of both sides, and of the left side with its
+    persons renamed in order, in `work`, and require the same TSVs up to
+    the rename."""
     person = re.compile(r"http://one\.example/person\d+")
     # the shared prefix keeps each new name where the old one sorted among
     # the other terms, and the ranks keep the persons' own order
     renamed = {old: f"http://one.example/person-{rank:05d}"
                for rank, old in enumerate(sorted(set(person.findall(left))))}
     assert len(renamed) == 300
-    (tmp_path / "renamed.nt").write_text(
-        person.sub(lambda m: renamed[m.group()], left), encoding="utf-8")
+    sides = {"left.nt": left, "right.nt": right,
+             "renamed.nt": person.sub(lambda m: renamed[m.group()], left)}
+    for name, text in sides.items():
+        (work / name).write_text(text, encoding="utf-8")
     outputs = {}
-    for name, left_path in (("original", data / "left.nt"), ("renamed", tmp_path / "renamed.nt")):
-        out = outputs[name] = tmp_path / f"out_{name}"
-        assert main(["align", str(left_path), str(data / "right.nt"),
+    for name, left_path in (("original", "left.nt"), ("renamed", "renamed.nt")):
+        out = outputs[name] = work / f"out_{name}"
+        assert main(["align", str(work / left_path), str(work / "right.nt"),
                      "--out", str(out), *flags]) == 0
     for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
         expected = ""
         for row in (outputs["original"] / tsv).read_text(encoding="utf-8").splitlines(True):
             name, rest = row.split("\t", 1)
             expected += f"{renamed.get(name, name)}\t{rest}"
-        assert (outputs["renamed"] / tsv).read_text(encoding="utf-8") == expected, tsv
+        assert (outputs["renamed"] / tsv).read_text(encoding="utf-8") == expected, (work.name, tsv)
     instances = (outputs["renamed"] / "instances.tsv").read_text(encoding="utf-8")
     assert sum(row.split("\t")[0] in renamed.values() for row in instances.splitlines()) >= 100
 

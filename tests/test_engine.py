@@ -19,7 +19,7 @@ from ontoalign.engine import (
     AlignmentConfig,
     EquivalenceTable,
     EvidenceView,
-    PartnerMaps,
+    LiteralShare,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
@@ -28,7 +28,7 @@ from ontoalign.engine import (
     run_fixpoint,
     step,
     update_all_instances,
-    _partner_maps,
+    _partners_of,
     _sorted_product,
 )
 from ontoalign.ntriples import load_ontology
@@ -149,22 +149,18 @@ def _generated_pair(directory):
 
 
 def _readable(state):
-    maps = state.partners
     return (list(state.equiv.pairs()), dict(state.assignment.forward),
-            dict(state.assignment.backward), dict(maps.left), dict(maps.right))
+            dict(state.assignment.backward))
 
 
 def test_step_leaves_the_state_it_is_given_unchanged(tmp_path):
     """`step` returns the next state and leaves its argument readable and
-    as it was: its table, its assignment and the assignment's partner
-    maps."""
+    as it was: its table and its assignment."""
     state = bootstrap(*_generated_pair(tmp_path))
     for _ in range(3):
         before = _readable(state)
-        maps = state.partners
         fresh, _ = step(state)
         assert _readable(state) == before
-        assert state.partners is maps
         assert fresh.assignment is not state.assignment and fresh.assignment.forward
         state = fresh
 
@@ -172,14 +168,13 @@ def test_step_leaves_the_state_it_is_given_unchanged(tmp_path):
 @pytest.mark.parametrize("negative", [False, True], ids=["default", "negative"])
 def test_fixpoint_frees_each_iteration_after_its_last_reader(tmp_path, monkeypatch, negative):
     """`run_fixpoint` holds only what the next phase reads: iteration 1's
-    table is freed before iteration 2's instance sweep starts, its partner
-    maps before iteration 2's assignment starts, and its assignment before
-    iteration 2's relation sweep starts."""
+    table is freed before iteration 2's instance sweep starts, and its
+    assignment before iteration 2's relation sweep starts."""
     o1, o2 = _generated_pair(tmp_path)
     first = {}
     dead = []
     originals = {name: getattr(engine, name) for name in (
-        "update_all_instances", "compute_maximal_assignment", "update_subrelations")}
+        "update_all_instances", "update_subrelations")}
 
     def check(*names):
         dead.extend((name, first[name]() is None) for name in names if name in first)
@@ -190,24 +185,18 @@ def test_fixpoint_frees_each_iteration_after_its_last_reader(tmp_path, monkeypat
         first.setdefault("table", weakref.ref(table))
         return table, evaluated
 
-    def assign(table, o1, o2):
-        check("maps")
-        return originals["compute_maximal_assignment"](table, o1, o2)
-
-    def relations(state, partners):
-        check("assignment", "maps")
+    def relations(state):
+        check("assignment")
         first.setdefault("assignment", weakref.ref(state.assignment))
-        first.setdefault("maps", weakref.ref(partners))
-        return originals["update_subrelations"](state, partners)
+        return originals["update_subrelations"](state)
 
     for name, wrapper in (("update_all_instances", sweep),
-                          ("compute_maximal_assignment", assign),
                           ("update_subrelations", relations)):
         monkeypatch.setattr(engine, name, wrapper)
     cfg = AlignmentConfig(max_iterations=2, negative_evidence=negative)
     result = run_fixpoint(o1, o2, cfg)
     assert len(result.iterations) == 2
-    assert dead == [("table", True), ("maps", True), ("assignment", True), ("maps", True)]
+    assert dead == [("table", True), ("assignment", True)]
 
 
 def test_role_swap_is_an_exact_mirror(alice):
@@ -243,17 +232,17 @@ def test_assignment_ties_break_toward_smaller_lexical():
 _TIE_PROBABILITIES = (0.25, 0.5, 1.0)
 
 
-def _reference_partner_maps(pairs):
-    """`_partner_maps` with a dict per term, each term's partners sorted at
-    the end."""
+def _reference_partners(pairs, count):
+    """`_partners_of` both ways with a dict per term, each term's partners
+    sorted at the end."""
     left: dict[int, dict[int, float]] = {}
     right: dict[int, dict[int, float]] = {}
     for a, b, p in pairs:
         left.setdefault(a, {})[b] = p
         right.setdefault(b, {})[a] = p
     return (
-        {a: tuple(sorted(row.items())) for a, row in left.items()},
-        {b: tuple(sorted(row.items())) for b, row in right.items()},
+        [tuple(sorted(left.get(a, {}).items())) for a in range(count)],
+        [tuple(sorted(right.get(b, {}).items())) for b in range(count)],
     )
 
 
@@ -267,13 +256,14 @@ def _reference_partner_maps(pairs):
     )
 )
 @example([(1, 2, 0.25), (0, 2, 1.0), (2, 2, 0.5), (1, 0, 1.0), (1, 3, 0.125)])
-def test_partner_maps_group_by_sorting_like_a_dict_per_term(pairs):
-    """The sort-grouped partner maps of pairs listed once each equal a dict
-    per term: every term's partners ascend, each with its p."""
-    left, right = _partner_maps(pairs)
-    assert (left, right) == _reference_partner_maps(pairs)
+def test_seed_partners_group_by_sorting_like_a_dict_per_term(pairs):
+    """The sort-grouped partner lists of pairs listed once each equal a
+    dict per term: every term's partners ascend, each with its p, and a
+    term without pairs has ()."""
+    left, right = _partners_of(pairs, 7, 0, 1), _partners_of(pairs, 7, 1, 0)
+    assert (left, right) == _reference_partners(pairs, 7)
     for side in (left, right):
-        for parts in side.values():
+        for parts in side:
             partners = [b for b, _ in parts]
             assert partners == sorted(set(partners))
     for a, b, p in pairs:
@@ -340,11 +330,12 @@ _SHARED_BESTS = [
 @example(range(6), range(6), _SHARED_BESTS)
 @example(range(6)[::-1], range(6)[::-1], _SHARED_BESTS)
 @example(range(6), range(6), [(j, i, p) for i, j, p in _SHARED_BESTS])
-def test_assignment_partner_maps_equal_the_maps_of_its_pair_list(order1, order2, entries):
-    """The assignment's own partner maps equal `_partner_maps` over its
-    forward pairs followed by its backward pairs, each pair once (a pair
-    that is best both ways is in both), also where several instances share
-    one best partner, on either side."""
+def test_view_of_an_assignment_groups_its_pair_list(order1, order2, entries):
+    """An evidence view over an empty literal share holds the grouping, by
+    `_partners_of`, of the assignment's forward pairs followed by its
+    backward pairs, each pair once (a pair that is best both ways is in
+    both), also where several instances share one best partner, on either
+    side."""
     o1 = make_ontology("first", [], types=[(f"a{k}", "C") for k in order1])
     o2 = make_ontology("second", [], types=[(f"b{k}", "C") for k in order2])
     ids1 = {k: o1.term_id(f"a{k}") for k in order1}
@@ -352,46 +343,42 @@ def test_assignment_partner_maps_equal_the_maps_of_its_pair_list(order1, order2,
     rows: dict[int, dict[int, float]] = {}
     for i, j, p in entries:
         rows.setdefault(ids1[i], {})[ids2[j]] = p
-    assignment = compute_maximal_assignment(
-        EquivalenceTable(bootstrap(o1, o2).literals, rows), o1, o2
-    )
+    n1, n2 = o1.term_count(), o2.term_count()
+    empty = LiteralShare([()] * n1, [()] * n2)
+    assignment = compute_maximal_assignment(EquivalenceTable(empty, rows), o1, o2)
     pairs = [(a, b, p) for a, (b, p) in assignment.forward.items()]
     pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
-    maps = PartnerMaps(assignment)
-    assert (maps.left, maps.right) == _partner_maps(list(dict.fromkeys(pairs)))
+    pairs = list(dict.fromkeys(pairs))
+    view = EvidenceView(empty, assignment)
+    assert view.left == _partners_of(pairs, n1, 0, 1)
+    assert view.right == _partners_of(pairs, n2, 1, 0)
     if entries == _SHARED_BESTS:
-        left, right = maps.left, maps.right
+        left, right = view.left, view.right
         assert len(right[ids2[0]]) == 2 and len(left[ids1[2]]) == 2
         assert len(left[ids1[3]]) == 2
 
 
-def test_views_over_one_assignment_share_its_maps(monkeypatch):
-    """A run builds each assignment's partner maps once, in `bootstrap` and
-    in each iteration: the relation sweep, the next instance sweep and the
-    class phase read that build. Each view joins it with the literal share,
-    whose terms it never meets."""
+def test_a_view_joins_the_literal_share_and_the_assignment():
+    """A view joins the run's literal share with the assignment's partners,
+    and the two never meet: no term with a seed has an assignment partner.
+    Over the bootstrap's empty assignment a view is the literal share."""
     o1, o2 = alice_pair()
-    builds = []
-    build = engine._assignment_partners
-    monkeypatch.setattr(
-        engine, "_assignment_partners", lambda *maps: builds.append(maps) or build(*maps)
-    )
-    result = run_fixpoint(o1, o2)
-    assert len(builds) == 2 * (len(result.iterations) + 1)
-    monkeypatch.undo()
     state, _ = step(bootstrap(o1, o2))
-    left, right = state.partners.left, state.partners.right
-    assert left and right
-    view = EvidenceView(state.literals, state.partners)
-    for own, literal, joined, o in (
-        (left, state.literals.left_sorted, view.left, o1),
-        (right, state.literals.right_sorted, view.right, o2),
+    assert state.assignment.forward and state.assignment.backward
+    n1, n2 = o1.term_count(), o2.term_count()
+    own = EvidenceView(LiteralShare([()] * n1, [()] * n2), state.assignment)
+    view = EvidenceView(state.literals, state.assignment)
+    for assigned, literal, joined in (
+        (own.left, state.literals.left_sorted, view.left),
+        (own.right, state.literals.right_sorted, view.right),
     ):
-        assert len(literal) == o.term_count() and any(literal)
-        assert not any(literal[t] for t in own)
-        assert joined == [own.get(t) or literal[t] for t in range(o.term_count())]
-    empty = bootstrap(o1, o2).partners
-    assert empty.left == {} and empty.right == {}
+        assert any(assigned) and any(literal)
+        assert not any(literal[t] and assigned[t] for t in range(len(literal)))
+        assert joined == [assigned[t] or literal[t] for t in range(len(literal))]
+    start = bootstrap(o1, o2)
+    empty = EvidenceView(start.literals, start.assignment)
+    assert empty.left == start.literals.left_sorted
+    assert empty.right == start.literals.right_sorted
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -417,7 +404,7 @@ def test_seeds_with_several_partners_read_the_same_everywhere(swap):
         for b in literals2:
             assert table.get(a, b) == seeds.get((a, b), 0.0)
         assert table.get(a, max(literals2) + 1) == 0.0
-    view = EvidenceView(state.literals, state.partners)
+    view = EvidenceView(state.literals, state.assignment)
     for a in literals1:
         assert view.left[a] == tuple(sorted(
             (b, p) for (a2, b), p in seeds.items() if a2 == a
@@ -554,7 +541,8 @@ def test_join_gives_the_factors_of_the_enumeration():
         )
         state = bootstrap(o1, o2)
         for _ in range(3):
-            factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.partners))
+            ev = EvidenceView(state.literals, state.assignment)
+            factors = engine._InstanceFactors(state, ev)
             between = factors._between2
 
             def counted(y2, x2):
@@ -813,7 +801,7 @@ def test_decisive_penalty_rules_out_city_mates():
     negative, _ = step(bootstrap(o1, o2, AlignmentConfig(negative_evidence=True)))
     plain, _ = step(bootstrap(o1, o2))
     factors = engine._InstanceFactors(
-        negative, EvidenceView(negative.literals, negative.partners)
+        negative, EvidenceView(negative.literals, negative.assignment)
     )
     assert o1.relation_id("key") in factors._decisive
     assert 1.0 - _sorted_product(factors._join(x, (mate,)).get(mate, [])) > 0.3
@@ -875,7 +863,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     theta = cfg.theta
     assert_sweeps_store_one_pair_scores(o1, o2, cfg, 5)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.partners))
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     assert o1.relation_id("key") in factors._decisive
     assert o1.relation_id("home") not in factors._decisive
     assert o1.relation_id("club") not in factors._decisive

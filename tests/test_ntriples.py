@@ -65,6 +65,30 @@ def test_parse_blank_nodes_and_comments():
     assert out == [("_:b1", "u:p", "_:b2")]
 
 
+@pytest.mark.parametrize("gap", [" ", ""], ids=["space", "no-space"])
+def test_comment_after_the_final_dot_is_ignored(gap):
+    """A '#' after a triple's final '.' starts a comment, with or without a
+    space before it. A '#' before the dot leaves the line malformed, and one
+    inside an IRI or a literal is part of the term."""
+    objects = {
+        "<u:o>": "u:o",
+        "_:b2": "_:b2",
+        '"x"': '"x"',
+        '"42"^^<http://www.w3.org/2001/XMLSchema#integer>':
+            '"42"^^<http://www.w3.org/2001/XMLSchema#integer>',
+        '"x"@en': '"x"@en',
+    }
+    for obj, parsed in objects.items():
+        stats = ParseStats()
+        line = f"<u:s> <u:p> {obj} .{gap}# trailing comment"
+        assert parse(line, stats) == [("u:s", "u:p", parsed)], line
+        assert stats.skipped == 0
+    stats = ParseStats()
+    assert parse("<u:s> <u:p> <u:o> # c .", stats) == []
+    assert stats.skipped == 1
+    assert parse('<u:s#a> <u:p> "a # b" .' + gap + "#c") == [("u:s#a", "u:p", '"a # b"')]
+
+
 def test_malformed_lines_are_skipped_and_counted():
     stats = ParseStats()
     out = parse(
