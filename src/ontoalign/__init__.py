@@ -12,11 +12,10 @@ from .engine import (
     AlignmentConfig,
     AlignmentResult,
     AlignmentState,
-    ClassAlignmentTable,
     EquivalenceTable,
+    InclusionTable,
     IterationStats,
     MaximalAssignment,
-    SubrelationTable,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
@@ -45,15 +44,14 @@ __all__ = [
     "AlignmentResult",
     "AlignmentRow",
     "AlignmentState",
-    "ClassAlignmentTable",
     "EquivalenceTable",
     "FunctionalityTable",
+    "InclusionTable",
     "IterationStats",
     "MaximalAssignment",
     "Metrics",
     "Ontology",
     "ParseError",
-    "SubrelationTable",
     "bootstrap",
     "build_functionality_table",
     "compute_class_alignment",

@@ -218,22 +218,17 @@ class MaximalAssignment:
 
 
 @dataclass
-class SubrelationTable:
-    """Directed relation-inclusion probabilities, sparse, both directions."""
+class InclusionTable:
+    """Directed inclusion probabilities, sparse, both directions: P(r in r')
+    of relations or P(c in c') of classes. Each direction keys a score by
+    (included term, including term), so `o2_to_o1` has the second
+    ontology's term first."""
 
     o1_to_o2: dict[tuple[int, int], float] = field(default_factory=dict)
     o2_to_o1: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.o1_to_o2) + len(self.o2_to_o1)
-
-
-@dataclass
-class ClassAlignmentTable:
-    """Directed class-inclusion probabilities with supporting-instance counts."""
-
-    o1_to_o2: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
-    o2_to_o1: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
 
 
 Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by partner
@@ -324,7 +319,7 @@ class AlignmentState:
     penalty_index: PenaltyIndex
     equiv: EquivalenceTable | None
     assignment: MaximalAssignment
-    subrel: SubrelationTable | None  # None means the uniform bootstrap prior
+    subrel: InclusionTable | None  # None means the uniform bootstrap prior
     iteration: int = 0
 
     @property
@@ -345,8 +340,8 @@ class AlignmentResult:
     config: AlignmentConfig
     equiv: EquivalenceTable
     assignment: MaximalAssignment
-    subrel: SubrelationTable
-    classes: ClassAlignmentTable
+    subrel: InclusionTable
+    classes: InclusionTable
     iterations: list[IterationStats]
     converged: bool
     phases: Phases
@@ -447,11 +442,11 @@ _WALK_PER_LOOKUP = 4
 
 # An aligned relation r2 of a first-ontology relation r and the two penalty
 # weights of a statement of r against it (see `_penalty_weights`).
-PenaltyWeight = tuple[int, float | None, float | None]
+PenaltyWeight = tuple[int, float, float]
 # One candidate-independent part of a pair's penalties: the object's sorted
 # partners, the aligned relation and the two penalty weights (see
 # `_penalty_plan`).
-PenaltyTerm = tuple[Partners, int, float | None, float | None]
+PenaltyTerm = tuple[Partners, int, float, float]
 
 
 class _InstanceFactors:
@@ -774,14 +769,14 @@ class _InstanceFactors:
         return acc
 
     def _penalty_weights(
-        self, subrel: SubrelationTable | None
+        self, subrel: InclusionTable | None
     ) -> dict[int, tuple[PenaltyWeight, ...]]:
         """Per first-ontology relation r, one entry per aligned relation r2
         of r, that is per r2 with a stored inclusion score either way: r2 and
-        the two weights fun1(r) P(r2 in r) and fun2(r2) P(r in r2), each None
-        where its inclusion is not positive. Empty during the bootstrap
-        iteration (the prior is implicit), so penalties only ever weigh
-        computed alignments."""
+        the two weights fun1(r) P(r2 in r) and fun2(r2) P(r in r2), each 0.0
+        where its inclusion is not stored, which makes its factor exactly
+        1.0. Empty during the bootstrap iteration (the prior is implicit), so
+        penalties only ever weigh computed alignments."""
         if subrel is None:
             return {}
         aligned: dict[int, set[int]] = {}
@@ -792,16 +787,10 @@ class _InstanceFactors:
         weights: dict[int, tuple[PenaltyWeight, ...]] = {}
         for r, r2s in aligned.items():
             fr = self._fun1(r)
-            entries = []
-            for r2 in sorted(r2s):
-                s21 = self._sub21(r2, r)
-                s12 = self._sub12(r, r2)
-                entries.append((
-                    r2,
-                    fr * s21 if s21 > 0.0 else None,
-                    self._fun2(r2) * s12 if s12 > 0.0 else None,
-                ))
-            weights[r] = tuple(entries)
+            weights[r] = tuple(
+                (r2, fr * self._sub21(r2, r), self._fun2(r2) * self._sub12(r, r2))
+                for r2 in sorted(r2s)
+            )
         return weights
 
     def _decisive_relations(self, theta: float) -> dict[int, tuple[int, ...]]:
@@ -814,8 +803,7 @@ class _InstanceFactors:
         decisive: dict[int, tuple[int, ...]] = {}
         for r, entries in self._weights.items():
             r2s = tuple(
-                r2 for r2, w21, w12 in entries
-                if any(w is not None and 1.0 - w <= theta for w in (w21, w12))
+                r2 for r2, w21, w12 in entries if 1.0 - max(w21, w12) <= theta
             )
             if r2s:
                 decisive[r] = r2s
@@ -844,7 +832,9 @@ class _InstanceFactors:
         relation and disagreeing is no worse than not having it at all.
         x's plan (see `_penalty_plan`) is built once for all its candidates;
         each weight w is fixed before the inner product, as in
-        1 - fun(r) P(incl) inner, which multiplies left to right.
+        1 - fun(r) P(incl) inner, which multiplies left to right. A weight
+        of 0.0 gives the factor exactly 1.0, which neither cuts the pair
+        (p > floor wherever this runs) nor moves the product.
         """
         if x != self._plan_of:
             self._plan_of, self._plan = x, self._penalty_plan(x)
@@ -859,13 +849,8 @@ class _InstanceFactors:
                         if b == y2:
                             inner *= 1.0 - pe
                         break
-            if w21 is not None:
-                f = 1.0 - w21 * inner
-                if p * f <= floor:
-                    return None
-                pens.append(f)
-            if w12 is not None:
-                f = 1.0 - w12 * inner
+            for w in (w21, w12):
+                f = 1.0 - w * inner
                 if p * f <= floor:
                     return None
                 pens.append(f)
@@ -1037,7 +1022,7 @@ def _subrel_rows(
     return {q: v / den for q, v in num.items() if v > 0.0}
 
 
-def update_subrelations(state: AlignmentState) -> SubrelationTable:
+def update_subrelations(state: AlignmentState) -> InclusionTable:
     """Relation-inclusion sweep over the state's assignment, the one just
     computed.
 
@@ -1049,7 +1034,7 @@ def update_subrelations(state: AlignmentState) -> SubrelationTable:
     so P(r^-1 in q^-1) = P(r in q): each row is computed once and written as
     (r, q), then as (r ^ 1, q ^ 1)."""
     ev = EvidenceView(state.literals, state.assignment)
-    out = SubrelationTable()
+    out = InclusionTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
         (state.o2, state.o1, ev.right, out.o2_to_o1),
@@ -1073,16 +1058,14 @@ def _class_rows(
     other: Ontology,
     partners: list[Partners],
     cls: int,
-) -> dict[int, tuple[float, int]]:
+) -> dict[int, float]:
     """Inclusion of one class into every candidate class of the other side:
     the average, over its instances, of the probability that some other-side
-    class member is equal. Returns score and the number of supporting
-    instances."""
+    class member is equal. Returns each candidate's score."""
     insts = side.instances_of(cls)
     if not insts:
         return {}
     acc: dict[int, float] = {}
-    support: dict[int, int] = {}
     for x in insts:
         prods: dict[int, float] = {}
         for x2, p in partners[x]:
@@ -1092,22 +1075,21 @@ def _class_rows(
             contribution = 1.0 - prod
             if contribution > 0.0:
                 acc[c2] = acc.get(c2, 0.0) + contribution
-                support[c2] = support.get(c2, 0) + 1
     n = len(insts)
-    return {c2: (v / n, support[c2]) for c2, v in acc.items()}
+    return {c2: v / n for c2, v in acc.items()}
 
 
-def compute_class_alignment(state: AlignmentState) -> ClassAlignmentTable:
+def compute_class_alignment(state: AlignmentState) -> InclusionTable:
     """Directed class inclusions from the final equivalences, both ways."""
     ev = EvidenceView(state.literals, state.assignment)
-    out = ClassAlignmentTable()
+    out = InclusionTable()
     for side, other, partners, scores in (
         (state.o1, state.o2, ev.left, out.o1_to_o2),
         (state.o2, state.o1, ev.right, out.o2_to_o1),
     ):
         for c in sorted(side.classes()):
-            for c_other, entry in _class_rows(side, other, partners, c).items():
-                scores[(c, c_other)] = entry
+            for c_other, p in _class_rows(side, other, partners, c).items():
+                scores[(c, c_other)] = p
     return out
 
 
@@ -1223,7 +1205,7 @@ def run_fixpoint(
         log.warning("stopped at max_iterations=%d without converging", cfg.max_iterations)
     return AlignmentResult(
         o1=o1, o2=o2, config=cfg, equiv=state.equiv, assignment=state.assignment,
-        subrel=state.subrel if state.subrel is not None else SubrelationTable(),
+        subrel=state.subrel if state.subrel is not None else InclusionTable(),
         classes=classes, iterations=history, converged=converged, phases=phases,
     )
 
@@ -1233,14 +1215,34 @@ def run_fixpoint(
 CLASS_SCORE_FLOOR = 0.4  # least class-inclusion score that result_rows reports
 
 
+def _inclusion_rows(
+    table: InclusionTable,
+    kind: str,
+    lexical1: Callable[[int], str],
+    lexical2: Callable[[int], str],
+) -> list[AlignmentRow]:
+    """One row per entry of `table`, both directions, with the first
+    ontology's term on the left; `lexical1` and `lexical2` name the terms of
+    each ontology."""
+    rows = [
+        AlignmentRow(lexical1(a), lexical2(b), p, kind, "left_in_right")
+        for (a, b), p in table.o1_to_o2.items()
+    ]
+    rows += [
+        AlignmentRow(lexical1(a), lexical2(b), p, kind, "right_in_left")
+        for (b, a), p in table.o2_to_o1.items()
+    ]
+    return rows
+
+
 def result_rows(
     result: AlignmentResult,
 ) -> tuple[list[AlignmentRow], list[AlignmentRow], list[AlignmentRow]]:
     """Materialize the result as alignment rows (instances, relations, classes).
 
     Instance rows are the forward maximal assignment. Relation and class rows
-    keep the first ontology's term on the left and encode the inclusion
-    direction explicitly; a class row is kept when its score is at least
+    come from their inclusion tables, one row per entry (see
+    `_inclusion_rows`); a class row is kept when its score is at least
     `CLASS_SCORE_FLOOR`.
     """
     o1, o2 = result.o1, result.o2
@@ -1248,29 +1250,11 @@ def result_rows(
         AlignmentRow(o1.lexical(x), o2.lexical(b), p, "instance", "equivalence")
         for x, (b, p) in result.assignment.forward.items()
     ]
-    relations = [
-        AlignmentRow(
-            o1.relation_lexical(r1), o2.relation_lexical(r2), p,
-            "relation", "left_in_right",
-        )
-        for (r1, r2), p in result.subrel.o1_to_o2.items()
-    ]
-    relations += [
-        AlignmentRow(
-            o1.relation_lexical(r1), o2.relation_lexical(r2), p,
-            "relation", "right_in_left",
-        )
-        for (r2, r1), p in result.subrel.o2_to_o1.items()
-    ]
-
+    relations = _inclusion_rows(
+        result.subrel, "relation", o1.relation_lexical, o2.relation_lexical
+    )
     classes = [
-        AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "left_in_right")
-        for (c1, c2), (p, _) in result.classes.o1_to_o2.items()
-        if p >= CLASS_SCORE_FLOOR
-    ]
-    classes += [
-        AlignmentRow(o1.lexical(c1), o2.lexical(c2), p, "class", "right_in_left")
-        for (c2, c1), (p, _) in result.classes.o2_to_o1.items()
-        if p >= CLASS_SCORE_FLOOR
+        row for row in _inclusion_rows(result.classes, "class", o1.lexical, o2.lexical)
+        if row.score >= CLASS_SCORE_FLOOR
     ]
     return instances, relations, classes

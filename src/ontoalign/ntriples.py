@@ -43,11 +43,12 @@ class ParseStats:
 # admits only the N-Triples escapes: one of \t \b \n \r \f \" \' \\, \u with
 # exactly 4 hex digits, or \U with exactly 8 and at most U+10FFFF. Its tag is
 # kept whole.
-# A '#' after the final '.' starts a comment, as in N-Triples 1.1.
+# A blank node label holds no '#', as in N-Triples 1.1. A '#' after the final
+# '.' starts a comment.
 _LINE = re.compile(
-    r'^(?:<(?P<s>[^<>"]*)>|(?P<sb>_:\S+))\s+'
+    r'^(?:<(?P<s>[^<>"]*)>|(?P<sb>_:[^\s#]+))\s+'
     r'<(?P<p>[^<>"]*)>\s+'
-    r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:\S+)'
+    r'(?:<(?P<o>[^<>"]*)>|(?P<ob>_:[^\s#]+)'
     r'|"(?P<text>[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}'
     r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\]*)*)"'
     r'(?P<tag>@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>"]*>)?)\s*\.\s*(?:#.*)?$'

@@ -263,13 +263,12 @@ def oracle_classes(o1, o2, equiv, fwd, bwd, measure_name="strict"):
     ev = OracleEvidence(o1, o2, equiv, fwd, bwd, measure_name)
 
     def one_side(side, other, partners):
-        out: dict[tuple[int, int], tuple[float, int]] = {}
+        out: dict[tuple[int, int], float] = {}
         for c in side.classes():
             insts = side.instances_of(c)
             if not insts:
                 continue
             acc: dict[int, float] = {}
-            support: dict[int, int] = {}
             for x in insts:
                 for c2 in other.classes():
                     members = set(other.instances_of(c2))
@@ -281,9 +280,8 @@ def oracle_classes(o1, o2, equiv, fwd, bwd, measure_name="strict"):
                     hit = 1.0 - seq_product(factors)
                     if hit > 0.0:
                         acc[c2] = acc.get(c2, 0.0) + hit
-                        support[c2] = support.get(c2, 0) + 1
             for c2, v in acc.items():
-                out[(c, c2)] = (v / len(insts), support[c2])
+                out[(c, c2)] = v / len(insts)
         return out
 
     return one_side(o1, o2, ev.left), one_side(o2, o1, ev.right)

@@ -99,9 +99,8 @@ def _assert_lockstep(o1, o2, *, theta, negative):
     for side in (0, 1):
         got, want = engine_classes[side], oracle_classes[side]
         assert got.keys() == want.keys()
-        for key, (score, support) in want.items():
-            assert got[key][0] == score
-            assert got[key][1] == support
+        for key, score in want.items():
+            assert got[key] == score
 
 
 def test_sweeps_match_brute_force_oracle_every_iteration():

@@ -83,7 +83,8 @@ def test_generator_output_is_pinned(tmp_path, knobs, expected):
 # SHA-256 of the three TSVs `align` writes for `generate --instances 300
 # --seed 4`, per config. Under negative evidence the instance sweep rules
 # pairs out by their penalties and joins candidate rows; a change there that
-# moves a stored bit changes these digests.
+# moves a stored bit changes these digests. On this pair `--literal-mode
+# alnum-lower` writes the same bytes as the default config.
 _ALIGNED_SHA256 = {
     (): {
         "classes.tsv": "b6961c834364e6e6f01174fc0af3a2513a4bb68d72dea3a535dcc2d6c82f713a",
@@ -94,6 +95,11 @@ _ALIGNED_SHA256 = {
         "classes.tsv": "67d8b700a7cf1b29c82606abaa2aa5ef6e999782fa3ce7dfbc77afb7193cd54a",
         "instances.tsv": "fca92eccd46716658ec43fc15bbcb9bb620e0003a50885ab244fb95e73ef2f10",
         "relations.tsv": "04fef1236c79126fb2038e143c1aee49225ccf2dd10d47db3cf7a429c34a54ea",
+    },
+    ("--literal-mode", "alnum-lower"): {
+        "classes.tsv": "b6961c834364e6e6f01174fc0af3a2513a4bb68d72dea3a535dcc2d6c82f713a",
+        "instances.tsv": "243c1b2e062b5b990771946cf7229bcac1a115c152adb34482c82244ede8143e",
+        "relations.tsv": "da321b96b2875235d7cc59ba18c9e8e46b133348dbf3327f14e1bae48396dfc1",
     },
 }
 

@@ -122,12 +122,11 @@ def test_class_alignment_runs_once_from_final_state():
     result = run_fixpoint(o1, o2)
     c1 = o1.term_id("Person")
     c2 = o2.term_id("Human")
-    score, support = result.classes.o1_to_o2[(c1, c2)]
-    assert score == 1.0 and support == 2
+    assert result.classes.o1_to_o2[(c1, c2)] == 1.0
     state, _ = step(step(bootstrap(o1, o2))[0])
     classes = compute_class_alignment(state)
-    assert classes.o1_to_o2[(c1, c2)] == (1.0, 2)
-    assert classes.o2_to_o1[(c2, c1)] == (1.0, 2)
+    assert classes.o1_to_o2[(c1, c2)] == 1.0
+    assert classes.o2_to_o1[(c2, c1)] == 1.0
 
 
 # ----------------------------------------------------------------- semantics
@@ -672,8 +671,7 @@ def test_class_inclusion_reads_past_ten_thousand_instances():
         types=[(f"b{i}", "Human") for i in range(10_000)],
     )
     result = run_fixpoint(o1, o2)
-    p, support = result.classes.o1_to_o2[(o1.term_id("Person"), o2.term_id("Human"))]
-    assert support == 10_000
+    p = result.classes.o1_to_o2[(o1.term_id("Person"), o2.term_id("Human"))]
     assert p < 1.0
     assert p == pytest.approx(10_000 / n, abs=1e-4)
 
@@ -939,6 +937,73 @@ def test_result_rows_shape_and_filters(alice):
     assert classes == []  # no classes declared in this fixture
 
 
+def test_result_rows_map_each_inclusion_entry_to_one_row():
+    """Every relation inclusion, inverses and both directions included,
+    gives exactly one row with its score, the first ontology's term on the
+    left and its direction; the class rows are exactly the class inclusions
+    at or above `CLASS_SCORE_FLOOR`. b0's second birth place makes the two
+    directions of bornIn/birthPlace differ, and the class Extra, held by b0
+    alone, puts Person in Extra below the floor and Extra in Person above."""
+    o1 = make_ontology(
+        "first",
+        [(f"a{i}", "label", f'"L{i}"') for i in range(4)]
+        + [(f"a{i}", "bornIn", f"c{i % 2}") for i in range(4)]
+        + [(f"c{j}", "code", f'"K{j}"') for j in range(2)],
+        types=[(f"a{i}", "Person") for i in range(4)],
+    )
+    o2 = make_ontology(
+        "second",
+        [(f"b{i}", "name", f'"L{i}"') for i in range(4)]
+        + [(f"b{i}", "birthPlace", f"d{i % 2}") for i in range(4)]
+        + [("b0", "birthPlace", "d1")]
+        + [(f"d{j}", "ref", f'"K{j}"') for j in range(2)],
+        types=[(f"b{i}", "Human") for i in range(4)] + [("b0", "Extra")],
+    )
+    result = run_fixpoint(o1, o2)
+    _, relations, classes = result_rows(result)
+    rel1 = {o1.relation_lexical(r): r for r in o1.relation_ids()}
+    rel2 = {o2.relation_lexical(r): r for r in o2.relation_ids()}
+
+    def entries(rows, id1, id2):
+        """Each row as its table key, direction and score."""
+        out = []
+        for row in rows:
+            a, b = id1(row.left), id2(row.right)
+            key = (a, b) if row.direction == "left_in_right" else (b, a)
+            out.append((row.direction, key, row.score))
+        return out
+
+    subrel = result.subrel
+    assert sorted(entries(relations, rel1.get, rel2.get)) == sorted(
+        [("left_in_right", key, p) for key, p in subrel.o1_to_o2.items()]
+        + [("right_in_left", key, p) for key, p in subrel.o2_to_o1.items()]
+    )
+    born, place = o1.relation_id("bornIn"), o2.relation_id("birthPlace")
+    for r1, r2 in ((born, place), (born ^ 1, place ^ 1)):
+        assert subrel.o1_to_o2[(r1, r2)] == 1.0
+        assert 0.0 < subrel.o2_to_o1[(r2, r1)] < 1.0
+    scores = {(r.left, r.right, r.direction): r.score for r in relations}
+    assert scores[("bornIn", "birthPlace", "left_in_right")] == 1.0
+    assert scores[("bornIn", "birthPlace", "right_in_left")] < 1.0
+    assert {r.kind for r in relations} == {"relation"}
+
+    person, human, extra = o1.term_id("Person"), o2.term_id("Human"), o2.term_id("Extra")
+    table = result.classes
+    assert table.o1_to_o2[(person, extra)] < CLASS_SCORE_FLOOR
+    assert table.o2_to_o1[(extra, person)] >= CLASS_SCORE_FLOOR
+    assert table.o1_to_o2[(person, human)] >= CLASS_SCORE_FLOOR
+    assert sorted(entries(classes, o1.term_id, o2.term_id)) == sorted(
+        [("left_in_right", key, p) for key, p in table.o1_to_o2.items()
+         if p >= CLASS_SCORE_FLOOR]
+        + [("right_in_left", key, p) for key, p in table.o2_to_o1.items()
+           if p >= CLASS_SCORE_FLOOR]
+    )
+    assert ("Person", "Extra", "left_in_right") not in {
+        (r.left, r.right, r.direction) for r in classes
+    }
+    assert {r.kind for r in classes} == {"class"}
+
+
 def test_result_rows_class_threshold():
     o1 = make_ontology(
         "first",
@@ -970,8 +1035,7 @@ def test_result_rows_drop_class_rows_below_the_threshold():
             types=[(f"b{i}", "Human") for i in range(4)],
         )
         result = run_fixpoint(o1, o2)
-        scores = [p for p, _ in result.classes.o1_to_o2.values()]
-        scores += [p for p, _ in result.classes.o2_to_o1.values()]
+        scores = [*result.classes.o1_to_o2.values(), *result.classes.o2_to_o1.values()]
         assert len(scores) == 2
         for p in scores:
             assert 0.0 < p < 1.0 and (p >= CLASS_SCORE_FLOOR) == kept, (aligned, p)

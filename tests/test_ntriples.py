@@ -65,6 +65,17 @@ def test_parse_blank_nodes_and_comments():
     assert out == [("_:b1", "u:p", "_:b2")]
 
 
+@pytest.mark.parametrize(
+    "line", ["<u:s> <u:p> _:b2#c .", "_:b1#x <u:p> <u:o> ."], ids=["object", "subject"]
+)
+def test_blank_node_label_stops_at_a_hash(line):
+    """A blank node label holds no '#', so the '#' starts a comment and the
+    line loses the rest of its triple: it is malformed and skipped."""
+    stats = ParseStats()
+    assert list(parse_ntriples([line], stats)) == []
+    assert stats.skipped == 1
+
+
 @pytest.mark.parametrize("gap", [" ", ""], ids=["space", "no-space"])
 def test_comment_after_the_final_dot_is_ignored(gap):
     """A '#' after a triple's final '.' starts a comment, with or without a
