@@ -100,15 +100,21 @@ class IterationStats:
     """What one iteration did.
 
     `pairs_evaluated` counts the candidate pairs the instance sweep scored:
-    the pairs reached through a statement whose bounded contribution could
-    lift a pair over theta, by a landing with a nonzero weight. Pairs reached
-    only through weak statements, such as those naming a hub value, or only
-    through zero-weight landings are never scored, since they could never
-    be stored. Under negative evidence, an instance with a decisive penalty
-    has only the candidates that escape it scored, and none where the
-    penalty's object has no partner: a penalty alone would take every other
-    candidate to theta or below (see `_InstanceFactors`). So the count
-    drops under negative evidence, while every stored pair stays the same.
+    the pairs reached through a strong landing group, one whose bounded
+    contribution could lift a pair over theta, with a nonzero weight (see
+    `_InstanceFactors`). Pairs reached only through weak groups, such as a
+    hub value's holders or a city's people under a crossed inclusion, or
+    only through zero-weight landings are never scored, since they could
+    never be stored. Iteration 2 scores 90 379 pairs on the benchmark's
+    `clean` input (seed 1) and 18 397 on `hub` (seed 1), against 165 463
+    and 33 530 when whole statements were bounded; `negative` scores 22 620
+    per run either way.
+
+    Under negative evidence, an instance with a decisive penalty has only
+    the candidates that escape it scored, and none where the penalty's
+    object has no partner: a penalty alone would take every other candidate
+    to theta or below (see `_InstanceFactors`). So the count drops under
+    negative evidence, while every stored pair stays the same.
 
     `pairs_ruled_out_by_penalties` counts the escaping candidates whose
     penalty product alone is at or below theta, so that none of their
@@ -432,11 +438,14 @@ def bootstrap(
 # 2**-53), so the bound still holds for computed values, whatever theta is.
 _TERM_SLACK = 2.0**-50
 
-# A weak statement's partner y2 is walked when it has at most this many
-# statements per candidate; otherwise each candidate's statements with y2 are
-# looked up. On the benchmark's three inputs a walked statement costs
-# 0.06-0.2 us and a looked-up candidate 0.7-1.2 us (medians), and the summed
-# cost of the two choices is flat for ratios from 3 to 8.
+# A weak landing group is walked when it has at most this many members per
+# candidate; otherwise each candidate's statements with the group's y2 are
+# looked up. The penalty path's join makes the same choice per partner y2
+# (see `_add_factors`). On the weak groups that meet a candidate in the
+# benchmark's `clean` and `hub` inputs (seed 1; `negative` has none), a
+# walked member costs 0.11-0.13 us and a looked-up candidate 0.41-0.52 us
+# (medians, Python 3.11 on a 2-core VM), and the summed cost of the two
+# choices is flat within noise for ratios from 2 to 8.
 _WALK_PER_LOOKUP = 4
 
 
@@ -460,14 +469,23 @@ class _InstanceFactors:
     Candidates of a different term kind are skipped: a resource never equals
     a literal.
 
-    A statement whose object is a hub value lands on every holder of that
-    value, yet it can add at most its bound (see `_bound`) to 1 - p of any one
-    candidate. `candidates` enumerates only through the statements whose
-    bounds together could lift a pair over theta, then gives each candidate
-    the factors of the other ("weak") statements by lookup. A pair reached
-    only through weak statements could never be stored; every other pair gets
-    the factor list that full enumeration gives, so its value is unchanged.
-    Penalties only lower a score, so they change nothing of this.
+    The landings of one statement r(x, y) fall into landing groups: one per
+    partner y2 of y and relation q, holding the instances x2 with q(y2, x2).
+    Every x2 of a group gets the same factor (1 - c0 P(y, y2))
+    (1 - c1 P(y, y2)), formed once per group (see `_factor`). Since
+    1 - prod(1 - a_i) <= sum(a_i), the group adds at most its bound
+    (c0 + c1) P(y, y2) + `_TERM_SLACK` to 1 - p of any one candidate. A hub
+    value's holders form one group with a small bound, and so do the people
+    of a city reached through a crossed inclusion, such as birth places
+    landing on death places. `candidates` enumerates only the strong
+    groups, those whose bounds together could lift a pair over theta, then
+    gives each candidate the factors of the other ("weak") groups by lookup.
+    A pair reached only through weak groups could never be stored; every
+    other pair gets the factor list that full enumeration gives, so its
+    value is unchanged. Penalties only lower a score, so they change nothing
+    of this. Bounding groups rather than whole statements takes the pairs
+    iteration 2 scores on the benchmark's `clean` input from 165 463 to
+    90 379 (see `IterationStats`).
 
     A landing whose two weights are both 0.0, such as one through a relation
     pair with no stored inclusion, adds no factor and makes no candidate: its
@@ -536,8 +554,7 @@ class _InstanceFactors:
         # statement q(y2, x2), the two weights of their factor before
         # P(y, y2); filled on first use (see `_coefficient`)
         self._coefs: defaultdict[int, dict[int, tuple[float, float]]] = defaultdict(dict)
-        self._landings: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._bounds: dict[tuple[int, int], float | None] = {}
+        self._grouped: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     def _coefficient(
         self, coefs: dict[int, tuple[float, float]], r: int, q: int
@@ -551,100 +568,69 @@ class _InstanceFactors:
         )
         return c
 
-    def _add_hits(
-        self, acc: dict[int, list[float]], r: int, pyy: float, hits
-    ) -> None:
-        """Append to each candidate x2 the factor of statement r(x, y) with
-        the second-ontology statement q(y2, x2), for every (q, x2) in `hits`,
-        where pyy is P(y, y2): the one place a factor is formed."""
-        coefs = self._coefs[r]
-        kinds2 = self._kinds2
-        for q, x2 in hits:
-            if kinds2[x2] != INSTANCE:
-                continue
-            c = coefs.get(q) or self._coefficient(coefs, r, q)
-            if c[0] or c[1]:
-                acc.setdefault(x2, []).append((1.0 - c[0] * pyy) * (1.0 - c[1] * pyy))
+    def _factor(
+        self, coefs: dict[int, tuple[float, float]], r: int, q: int, pyy: float
+    ) -> tuple[float, float] | None:
+        """The factor of statement r(x, y) on every x2 of the landing group
+        (y2, q), where pyy is P(y, y2), and the group's bound: the one place
+        a factor is formed. None where both weights are 0.0, so that the
+        factor would be exactly 1.0.
+
+        The factor (1 - c0 pyy) (1 - c1 pyy) takes at most (c0 + c1) pyy
+        from 1, and the bound adds `_TERM_SLACK` to that."""
+        c0, c1 = coefs.get(q) or self._coefficient(coefs, r, q)
+        if not (c0 or c1):
+            return None
+        return (1.0 - c0 * pyy) * (1.0 - c1 * pyy), (c0 + c1) * pyy + _TERM_SLACK
 
     def _add_factors(
         self,
         acc: dict[int, list[float]],
         r: int,
         parts: Partners,
-        among: Collection[int] | None = None,
+        among: Collection[int],
     ) -> None:
         """Append the factors of statement r(x, y), whose object has the
-        partners `parts`, to every candidate they land on, or, given `among`,
-        to those candidates only.
+        partners `parts`, to the candidates in `among` they land on.
 
-        With `among`, each partner y2's statements are walked and kept where
-        they land in `among`, unless they outnumber it more than
-        `_WALK_PER_LOOKUP` times; then each candidate's statements with y2
-        are looked up instead. Both find the same statements q(y2, x2), each
-        once; only their order differs, and factors are multiplied sorted."""
-        rels2, objs2 = self._rels2, self._objs2
-        for y2, pyy in parts:
-            hits = zip(rels2[y2], objs2[y2])
-            if among is not None:
-                if len(objs2[y2]) <= _WALK_PER_LOOKUP * len(among):
-                    hits = [(q, x2) for q, x2 in hits if x2 in among]
-                else:
-                    between = self._between2
-                    hits = [(q, x2) for x2 in among for q in between(y2, x2)]
-                if not hits:
-                    continue
-            self._add_hits(acc, r, pyy, hits)
-
-    def _landing(self, y2: int) -> tuple[int, tuple[int, ...]]:
-        """How many instance statements q(y2, x2) there are, and their
-        distinct relations q."""
-        landing = self._landings.get(y2)
-        if landing is None:
-            kinds2 = self._kinds2
-            rels = [
-                q for q, x2 in zip(self._rels2[y2], self._objs2[y2])
-                if kinds2[x2] == INSTANCE
-            ]
-            landing = self._landings[y2] = (len(rels), tuple(dict.fromkeys(rels)))
-        return landing
-
-    def _bound(
-        self, r: int, y: int, parts: tuple[tuple[int, float], ...]
-    ) -> float | None:
-        """Upper bound on what statement r(x, y) adds to 1 - p of any one
-        candidate, or None when the statement is to be enumerated.
-
-        Per candidate, the statement contributes one factor per partner
-        (y2, P(y, y2)) and relation q of a statement q(y2, x2). Since
-        1 - prod(1 - a_i) <= sum(a_i), the sum over all distinct (y2, q) of
-        (both factor weights) * P(y, y2) bounds it. None means the bound
-        passes theta, or that the partners land on no more statements than
-        there are terms, so that bounding could save no enumeration. A bound
-        of 0.0 means every factor of the statement is exactly 1.0.
-        """
-        key = (r, y)
-        if key in self._bounds:
-            return self._bounds[key]
-        landings = [(pyy, self._landing(y2)) for y2, pyy in parts]
-        if sum(n for _, (n, _) in landings) <= sum(len(qs) for _, (_, qs) in landings):
-            return None
+        Each partner y2's statements are walked and kept where they land in
+        `among`, unless they outnumber it more than `_WALK_PER_LOOKUP`
+        times; then each candidate's statements with y2 are looked up
+        instead. Both find the same statements q(y2, x2), each once; only
+        their order differs, and factors are multiplied sorted."""
+        rels2, objs2, kinds2 = self._rels2, self._objs2, self._kinds2
         coefs = self._coefs[r]
-        bound: float | None = None
-        mass = 0.0
-        terms = 0
-        for pyy, (_, qs) in landings:
-            for q in qs:
-                c1, c2 = coefs.get(q) or self._coefficient(coefs, r, q)
-                mass += (c1 + c2) * pyy
-                terms += 1
-            if mass + terms * _TERM_SLACK > self._limit:
-                break
-        else:
-            bound = 0.0 if mass == 0.0 else mass + terms * _TERM_SLACK
-        # only statements that can be bounded are cached; their objects are
-        # the ones many instances share
-        self._bounds[key] = bound
-        return bound
+        for y2, pyy in parts:
+            if len(objs2[y2]) <= _WALK_PER_LOOKUP * len(among):
+                hits = [(q, x2) for q, x2 in zip(rels2[y2], objs2[y2]) if x2 in among]
+            else:
+                between = self._between2
+                hits = [(q, x2) for x2 in among for q in between(y2, x2)]
+            for q, x2 in hits:
+                if kinds2[x2] != INSTANCE:
+                    continue
+                weighed = self._factor(coefs, r, q, pyy)
+                if weighed is not None:
+                    acc.setdefault(x2, []).append(weighed[0])
+
+    def _groups(self, y2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """y2's landing groups: per relation q of a statement q(y2, x2) with
+        an instance x2, q and those x2, each once. () where no relation
+        repeats among y2's statements, so that each landing is a group of
+        its own, walked straight from the columns. Kept for the sweep."""
+        groups = self._grouped.get(y2)
+        if groups is None:
+            rels = self._rels2[y2]
+            groups = ()
+            if len(set(rels)) < len(rels):
+                kinds2 = self._kinds2
+                members: dict[int, list[int]] = {}
+                for q, x2 in zip(rels, self._objs2[y2]):
+                    if kinds2[x2] == INSTANCE:
+                        members.setdefault(q, []).append(x2)
+                groups = tuple((q, tuple(x2s)) for q, x2s in members.items())
+            self._grouped[y2] = groups
+        return groups
 
     def row(self, x: int, floor: float) -> tuple[dict[int, float], int, int]:
         """x's candidates scored above `floor`, with their scores; how many
@@ -679,42 +665,74 @@ class _InstanceFactors:
     def candidates(self, x: int) -> dict[int, list[float]]:
         """Factors per candidate partner of x that could score above theta.
 
-        Most statements have one partner that lands on at most one
-        statement, such as a literal seed of a unique value. No relation
-        repeats there, so there is nothing to bound (see `_bound`): their
-        factor is added straight away.
+        Each statement r(x, y) lands through each partner y2 of y on the
+        landing groups of y2 (see `_groups`). A group whose bound alone
+        passes theta is strong and enumerates its members at once. The
+        others are sorted by bound, and the smallest of them stay weak while
+        their bounds sum to at most theta; the rest are strong as well. A
+        weak group then adds its factor to the candidates the strong groups
+        found: it walks its members when they are at most `_WALK_PER_LOOKUP`
+        times as many as the candidates, and looks each candidate up
+        otherwise.
         """
-        left, rels1, objs1 = self._left, self._rels1[x], self._objs1[x]
-        acc: dict[int, list[float]] = {}
-        weak = []
+        left, kinds2 = self._left, self._kinds2
         rels2, objs2 = self._rels2, self._objs2
-        for r, y in zip(rels1, objs1):
-            parts = left[y]
-            if not parts:
-                continue
-            if len(parts) == 1 and len(objs2[parts[0][0]]) <= 1:
-                y2, pyy = parts[0]
-                self._add_hits(acc, r, pyy, zip(rels2[y2], objs2[y2]))
-                continue
-            bound = self._bound(r, y, parts)
-            if bound is None:
-                self._add_factors(acc, r, parts)
-            elif bound > 0.0:
-                weak.append((bound, r, y, parts))
+        limit = self._limit
+        acc: dict[int, list[float]] = {}
+        # (bound, factor, y2, q, members) of each group within theta alone
+        weak: list[tuple[float, float, int, int, tuple[int, ...]]] = []
+        for r, y in zip(self._rels1[x], self._objs1[x]):
+            coefs = self._coefs[r]
+            for y2, pyy in left[y]:
+                rels = rels2[y2]
+                groups = self._groups(y2) if len(rels) > 1 else ()
+                if groups:
+                    for q, x2s in groups:
+                        weighed = self._factor(coefs, r, q, pyy)
+                        if weighed is None:
+                            continue
+                        f, bound = weighed
+                        if bound > limit:
+                            for x2 in x2s:
+                                acc.setdefault(x2, []).append(f)
+                        else:
+                            weak.append((bound, f, y2, q, x2s))
+                    continue
+                for q, x2 in zip(rels, objs2[y2]):
+                    if kinds2[x2] != INSTANCE:
+                        continue
+                    weighed = self._factor(coefs, r, q, pyy)
+                    if weighed is None:
+                        continue
+                    f, bound = weighed
+                    if bound > limit:
+                        acc.setdefault(x2, []).append(f)
+                    else:
+                        weak.append((bound, f, y2, q, (x2,)))
         if not weak:
             return acc
-        # the smallest bounds stay weak while their sum stays within theta
-        weak.sort()
+        weak.sort(key=itemgetter(0))
         total = 0.0
-        for i, (bound, r, _, parts) in enumerate(weak):
-            total += bound
-            if total > self._limit:
-                for _, r, _, parts in weak[i:]:
-                    self._add_factors(acc, r, parts)
+        for i, group in enumerate(weak):
+            total += group[0]
+            if total > limit:
+                for _, f, _, _, x2s in weak[i:]:
+                    for x2 in x2s:
+                        acc.setdefault(x2, []).append(f)
                 del weak[i:]
                 break
-        for _, r, _, parts in weak:
-            self._add_factors(acc, r, parts, acc)
+        walk = _WALK_PER_LOOKUP * len(acc)
+        between = self._between2
+        for _, f, y2, q, x2s in weak:
+            if len(x2s) <= walk:
+                for x2 in x2s:
+                    fs = acc.get(x2)
+                    if fs is not None:
+                        fs.append(f)
+            else:
+                for x2, fs in acc.items():
+                    if q in between(y2, x2):
+                        fs.append(f)
         return acc
 
     def _escaping(

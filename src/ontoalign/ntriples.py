@@ -214,6 +214,9 @@ def write_alignment(rows: Iterable[AlignmentRow], path: str | Path) -> int:
 
 
 def read_alignment(path: str | Path) -> list[AlignmentRow]:
+    """Read an alignment TSV as `write_alignment` writes it. A row without
+    five columns, or whose score is not a number in [0, 1], raises
+    ParseError naming the file and line."""
     rows: list[AlignmentRow] = []
     for n, line in enumerate(read_utf8_lines(path), 1):
         line = line.rstrip("\n")
@@ -226,6 +229,9 @@ def read_alignment(path: str | Path) -> list[AlignmentRow]:
             score = float(parts[2])
         except ValueError:
             raise ParseError(f"{path}:{n}: score {parts[2]!r} is not a number") from None
+        # a probability; this also rejects nan, which fails every comparison
+        if not 0.0 <= score <= 1.0:
+            raise ParseError(f"{path}:{n}: score {parts[2]!r} is not in [0, 1]")
         rows.append(
             AlignmentRow(
                 _field_unescape(parts[0]), _field_unescape(parts[1]),

@@ -535,6 +535,23 @@ def test_non_numeric_score_exits_3(world, tmp_path, capsys):
     assert err.startswith("error: ") and "predicted.tsv:2" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("score", ["nan", "7.5", "-0.25", "inf"])
+@pytest.mark.parametrize("sweep", [False, True], ids=["eval", "sweep"])
+def test_score_outside_0_1_exits_3(world, tmp_path, capsys, score, sweep):
+    """A gold pair scored nan or out of [0, 1] is not a prediction: read as
+    one, it would count as correct, and a sweep would drop the nan row."""
+    data, _ = world
+    gold = (data / "gold_instances.tsv").read_text(encoding="utf-8")
+    left, right = gold.splitlines()[0].split("\t")[:2]
+    bad = tmp_path / "predicted.tsv"
+    bad.write_text(f"a\tb\t1.0\tinstance\tequivalence\n{left}\t{right}\t{score}"
+                   "\tinstance\tequivalence\n", encoding="utf-8")
+    args = ["eval", str(bad), str(data / "gold_instances.tsv")] + ["--sweep"] * sweep
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "predicted.tsv:2" in err and repr(score) in err
+
+
 def test_usage_errors_exit_2(world, tmp_path, capsys):
     data, aligned = world
     with pytest.raises(SystemExit) as exc:

@@ -525,6 +525,39 @@ def test_hub_value_adds_no_candidates():
         assert len(state.assignment.forward) == 60
 
 
+def test_crossed_landing_adds_no_candidates():
+    """Sixteen persons per side with unique keys, born two to a city. On the
+    second side each also died in a city, the next one, except b0, who died
+    where born. So birth places are included in death places, and the other
+    way round, with a stored score below theta. a1's birth city lands on
+    its two natives and, crossed, on the three who died there: b14 and b15
+    are reached only through that crossed landing, which can never lift a
+    pair over theta, so they are not a1's candidates. Every pair that is
+    not scored stays at or below theta."""
+    statements1, statements2 = [], []
+    for i in range(16):
+        born, died = f'"C{i // 2}"', f'"C{(i // 2 + 1) % 8}"' if i else '"C0"'
+        statements1 += [(f"a{i}", "key", f'"K{i}"'), (f"a{i}", "born", born)]
+        statements2 += [
+            (f"b{i}", "ref", f'"K{i}"'), (f"b{i}", "birthPlace", born), (f"b{i}", "diedIn", died),
+        ]
+    o1, o2 = make_ontology("first", statements1), make_ontology("second", statements2)
+    state, _ = step(bootstrap(o1, o2))
+    theta = state.config.theta
+    crossed = state.subrel.o1_to_o2[(o1.relation_id("born"), o2.relation_id("diedIn"))]
+    assert 0.0 < crossed < theta
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    x = o1.term_id("a1")
+    assert set(factors.candidates(x)) == set(ids(o2, "b0", "b1"))
+    for mate in ids(o2, "b14", "b15"):
+        assert 0.0 < instance_equivalence(state, x, mate) <= theta
+    for x in o1.instances():
+        scored = factors.candidates(x)
+        for x2 in o2.instances():
+            if x2 not in scored:
+                assert instance_equivalence(state, x, x2) <= theta
+
+
 def test_join_gives_the_factors_of_the_enumeration():
     """For every instance x, the join of x's statements with all the
     candidates that `candidates` enumerates, and with each candidate alone,
