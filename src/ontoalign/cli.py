@@ -124,6 +124,7 @@ def _manifest_lines(
         kv[f"{base}.subrelations"] = s.subrelations
         kv[f"{base}.pairs_evaluated"] = s.pairs_evaluated
         kv[f"{base}.pairs_ruled_out_by_penalties"] = s.pairs_ruled_out_by_penalties
+        kv[f"{base}.instances_ruled_out"] = s.instances_ruled_out
         kv[f"{base}.seconds"] = f"{s.seconds:.3f}"
         end = s.phases["relation_sweep"][1]  # the relation sweep ends the iteration
         if end is not None:

@@ -38,6 +38,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple
@@ -115,6 +116,9 @@ class IterationStats:
     object has no partner: a penalty alone would take every other candidate
     to theta or below (see `_InstanceFactors`). So the count drops under
     negative evidence, while every stored pair stays the same.
+    `instances_ruled_out` counts the instances of that last kind, found
+    before any of their candidates (see `_InstanceFactors.stranded`); it is
+    0 without negative evidence and in the first iteration.
 
     `pairs_ruled_out_by_penalties` counts the escaping candidates whose
     penalty product alone is at or below theta, so that none of their
@@ -136,6 +140,7 @@ class IterationStats:
     subrelations: int
     pairs_evaluated: int
     pairs_ruled_out_by_penalties: int
+    instances_ruled_out: int
     phases: Phases
 
     @property
@@ -506,9 +511,12 @@ class _InstanceFactors:
     `_decisive_relations`). A candidate x2 with no statement r2(x2, y2) for
     a partner y2 of y has the inner product exactly 1.0, so the factor
     1 - w, and every positive score p <= 1 has p (1 - w) <= theta: such a
-    pair is never stored. An instance with
-    decisive penalties therefore has only the candidates that escape all of
-    them scored (see `_escaping`), penalties first: a candidate whose
+    pair is never stored. So an instance with a decisive statement whose
+    object has no partner has no candidate at all; the sweep finds these
+    instances in one pass over the decisive relations' statements (see
+    `stranded`) and forms nothing for them. Any other instance with
+    decisive penalties has only the candidates that escape all of them
+    scored (see `_escaping`), penalties first: a candidate whose
     penalty product P alone is at or below theta is ruled out before any
     positive factor is formed, since p <= 1 gives p P <= P. The other
     candidates get their full factor lists from one join of x's statements
@@ -520,6 +528,7 @@ class _InstanceFactors:
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
         cfg = state.config
         self._left = ev.left
+        self._o1 = state.o1
         self._rels1 = state.o1.subject_relations
         self._objs1 = state.o1.subject_objects
         self._rels2 = state.o2.subject_relations
@@ -632,15 +641,39 @@ class _InstanceFactors:
             self._grouped[y2] = groups
         return groups
 
+    @cached_property
+    def stranded(self) -> set[int]:
+        """The first-ontology instances with a statement r(x, y) whose
+        relation r is decisive and whose object y has no partner: no
+        candidate of x escapes that penalty (see `_decisive_relations`), so
+        x has none. Found in one pass over the decisive relations' columns,
+        on the first read; the one-pair operation never reads it.
+
+        The decisive relations include inverses, whose subjects are mostly
+        literals; only instances are kept."""
+        out: set[int] = set()
+        if not self._decisive:
+            return out
+        o1, left = self._o1, self._left
+        kinds1 = o1.kinds()
+        for r in self._decisive:
+            for x, y in zip(o1.relation_subjects[r], o1.relation_objects[r]):
+                if not left[y] and kinds1[x] == INSTANCE:
+                    out.add(x)
+        return out
+
     def row(self, x: int, floor: float) -> tuple[dict[int, float], int, int]:
         """x's candidates scored above `floor`, with their scores; how many
         candidates were scored; and how many of those were ruled out by
-        their penalties alone. Where x has decisive penalties, the escaping
+        their penalties alone. A `stranded` x has no candidate and builds
+        no penalty term. Where x has other decisive penalties, the escaping
         candidates whose penalty product is above `floor` (see `_escaping`)
         are joined with x's statements at once (see `_join`) and scored with
         that product; otherwise every candidate of `candidates` is scored.
         """
         decisive, left = self._decisive, self._left
+        if decisive and x in self.stranded:
+            return {}, 0, 0
         terms = [
             (left[y], r2)
             for r, y in zip(self._rels1[x], self._objs1[x])
@@ -742,36 +775,44 @@ class _InstanceFactors:
         penalty product P is above `floor`, each with P, and how many
         escaped. Each term (parts, r2), from a statement r(x, y) with y's
         partners `parts`, needs a statement r2(x2, y2) with y2 among them.
-        No other candidate can be stored (see `_decisive_relations`), so x
-        has none where a term's y has no partner.
+        No other candidate can be stored (see `_decisive_relations`). Every
+        term has partners: x is not `stranded`.
 
-        The term whose partners have the fewest statements is walked for its
-        candidates; each other term keeps those that have such a statement,
-        read off the candidate's objects grouped by relation. P is formed as
-        `probability` forms it, and where P <= floor the pair is ruled out,
-        as p P <= P for every p <= 1. A candidate kept always has a positive
-        factor: the landing through which it escapes has a positive weight,
-        as the penalty weight that makes the term decisive does."""
-        if not all(parts for parts, _ in terms):
-            return {}, 0
+        The term whose partners have the fewest statements, the first of
+        them on a tie, is walked for its candidates, in the order its
+        partners' statements give them, each once; each other term keeps
+        those that have such a statement, read off the candidate's objects
+        grouped by relation. P is formed as `probability` forms it, and
+        where P <= floor the pair is ruled out, as p P <= P for every
+        p <= 1. A candidate kept always has a positive factor: the landing
+        through which it escapes has a positive weight, as the penalty
+        weight that makes the term decisive does."""
         rels2, objs2, grouped = self._rels2, self._objs2, self._objs
-        terms.sort(key=lambda term: sum(len(objs2[y2]) for y2, _ in term[0]))
-        (parts, r2), rest = terms[0], terms[1:]
+        walked, least = 0, -1
+        for i, (parts, _) in enumerate(terms):
+            size = 0
+            for y2, _ in parts:
+                size += len(objs2[y2])
+            if least < 0 or size < least:
+                walked, least = i, size
+        parts, r2 = terms[walked]
+        rest = terms[:walked] + terms[walked + 1:]
         q = r2 ^ 1  # r2(x2, y2) seen from its object side
         kept: dict[int, float] = {}
+        seen: set[int] = set()
         escaped = 0
-        for x2 in dict.fromkeys(
-            x2 for y2, _ in parts for q2, x2 in zip(rels2[y2], objs2[y2]) if q2 == q
-        ):
-            objs = grouped.get(x2)  # None for a term that is not an instance
-            if objs is None or not all(
-                any(y2 in objs.get(r2, ()) for y2, _ in parts) for parts, r2 in rest
-            ):
-                continue
-            escaped += 1
-            penalty = self._penalty(x, x2, 1.0, floor)
-            if penalty is not None and penalty > floor:
-                kept[x2] = penalty
+        for y2, _ in parts:
+            for q2, x2 in zip(rels2[y2], objs2[y2]):
+                if q2 != q or x2 in seen:
+                    continue
+                seen.add(x2)
+                objs = grouped.get(x2)  # None for a term that is not an instance
+                if objs is None or not _holds_each(objs, rest):
+                    continue
+                escaped += 1
+                penalty = self._penalty(x, x2, 1.0, floor)
+                if penalty is not None and penalty > floor:
+                    kept[x2] = penalty
         return kept, escaped
 
     def _join(self, x: int, among: Collection[int]) -> dict[int, list[float]]:
@@ -905,6 +946,22 @@ class _InstanceFactors:
         return p * penalty
 
 
+def _holds_each(objs: dict[int, list[int]], terms: list[tuple[Partners, int]]) -> bool:
+    """Whether a candidate whose objects, grouped by relation, are `objs`
+    has for each term (parts, r2) an object under r2 among the partners
+    `parts` (see `_InstanceFactors._escaping`)."""
+    for parts, r2 in terms:
+        held = objs.get(r2)
+        if not held:
+            return False
+        for y2, _ in parts:
+            if y2 in held:
+                break
+        else:
+            return False
+    return True
+
+
 def _sorted_product(factors: list[float]) -> float:
     factors.sort()
     prod = 1.0
@@ -934,10 +991,11 @@ def update_all_instances(
     """One full instance sweep: a fresh table from the previous snapshot.
 
     Returns the new table and the number of candidate pairs evaluated. Given
-    `counts`, it also sets `counts["pairs_ruled_out_by_penalties"]` (see
-    `IterationStats`). The sweep never enumerates the full cross product:
-    candidates come only from shared evidence, and only through statements
-    that could lift a pair over theta (see `_InstanceFactors`).
+    `counts`, it also sets `counts["pairs_ruled_out_by_penalties"]` and
+    `counts["instances_ruled_out"]` (see `IterationStats`). The sweep never
+    enumerates the full cross product: candidates come only from shared
+    evidence, and only through statements that could lift a pair over theta
+    (see `_InstanceFactors`).
     """
     theta = state.config.theta
     factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
@@ -954,6 +1012,7 @@ def update_all_instances(
             rows[x] = row
     if counts is not None:
         counts["pairs_ruled_out_by_penalties"] = ruled_out
+        counts["instances_ruled_out"] = len(factors.stranded)
     return EquivalenceTable(state.literals, rows), evaluated
 
 
@@ -1180,6 +1239,7 @@ def _advance(state: AlignmentState) -> IterationStats:
         subrelations=len(state.subrel),
         pairs_evaluated=evaluated,
         pairs_ruled_out_by_penalties=counts["pairs_ruled_out_by_penalties"],
+        instances_ruled_out=counts["instances_ruled_out"],
         phases=phases,
     )
 

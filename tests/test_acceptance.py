@@ -375,7 +375,10 @@ def test_negative_evidence_collapses_recall_under_format_conflicts(tmp_path):
 # ------------------------------------------------------------ determinism
 
 
-def test_byte_identical_outputs_across_reruns(tmp_path):
+@pytest.mark.parametrize("flags", [(), ("--negative-evidence",)], ids=["default", "negative"])
+def test_byte_identical_outputs_across_reruns(tmp_path, flags):
+    """Two runs on one input write the same bytes; each config writes
+    instance rows, so the check is not vacuous."""
     data = tmp_path / "data"
     assert main(["generate", "--out-dir", str(data), "--instances", "80",
                  "--seed", "21"]) == 0
@@ -383,8 +386,9 @@ def test_byte_identical_outputs_across_reruns(tmp_path):
     for name in ("first", "again"):
         out = tmp_path / name
         assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *flags]) == 0
         outs[name] = out
+    assert (outs["first"] / "instances.tsv").read_text().splitlines()
     for tsv in ("instances.tsv", "relations.tsv", "classes.tsv"):
         reference = (outs["first"] / tsv).read_bytes()
         assert (outs["again"] / tsv).read_bytes() == reference, tsv

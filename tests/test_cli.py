@@ -428,8 +428,8 @@ def test_manifest_records_every_phase_and_the_readme_names_it(world):
     """Every phase of the run and of each iteration has a `.seconds` and a
     `.peak_rss_mb` key, and the manifest holds no other timing key than
     those, the process's peak and each iteration's total and end. The
-    README names each of them, with N for the iteration number, so a new
-    phase cannot go undocumented."""
+    README names each of them and every other per-iteration key, with N for
+    the iteration number, so a new phase or count cannot go undocumented."""
     _, out = world
     manifest = dict(
         line.split("=", 1)
@@ -449,7 +449,10 @@ def test_manifest_records_every_phase_and_the_readme_names_it(world):
     assert all(names == per_iteration[0] for names in per_iteration)
     assert timing == totals | {f"{p}.{u}" for p in phases for u in units}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    documented = {re.sub(r"^iteration\.\d+\.", "iteration.N.", k) for k in timing}
+    per_iteration_keys = {k for k in manifest if k.startswith("iteration.")}
+    documented = {
+        re.sub(r"^iteration\.\d+\.", "iteration.N.", k) for k in timing | per_iteration_keys
+    }
     missing = [k for k in sorted(documented) if f"`{k}`" not in readme]
     assert not missing, missing
 

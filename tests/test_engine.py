@@ -847,12 +847,16 @@ def test_decisive_penalty_rules_out_city_mates():
 
 def test_key_without_a_partner_gives_no_row():
     """Where a person's key literal has no seed, its key penalty rules out
-    every candidate, so it gets no row and no candidate is scored for it."""
+    every candidate, so it gets no row and no candidate is scored for it:
+    the sweep finds it stranded before it forms any term."""
     o1, o2 = shared_city_pair(keyless=2)
     cfg = AlignmentConfig(negative_evidence=True)
     state, _ = step(bootstrap(o1, o2, cfg))
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    assert factors.stranded == set(ids(o1, "a0", "a1"))
     fresh, stats = step(state)
     assert stats.pairs_evaluated == 4
+    assert stats.instances_ruled_out == 2
     for i in range(6):
         x = o1.term_id(f"a{i}")
         if i < 2:
@@ -932,6 +936,37 @@ def test_decisive_cut_stores_what_one_pair_scores_store():
         )
         decisive += assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4)
     assert decisive >= 12
+
+
+def test_stranded_instances_are_those_with_a_decisive_value_without_a_partner():
+    """On random worlds under negative evidence, drawn as the decisive-cut
+    test draws them, each sweep's stranded set is exactly the instances
+    with a statement of a decisive relation whose object has no entry in
+    the sweep's view, and the iteration counts it."""
+    rng = random.Random(1)
+    stranded = kept = 0
+    for case in range(12):
+        cfg = AlignmentConfig(theta=(0.05, 0.1, 0.3)[case % 3], negative_evidence=True)
+        o1, o2 = random_world_pair(
+            rng, n_inst=rng.randint(8, 14), n_attr=rng.randint(1, 3),
+            drop=rng.choice((0.0, 0.15, 0.3)), value_pool=2 if case % 4 == 1 else None,
+        )
+        state = bootstrap(o1, o2, cfg)
+        for _ in range(4):
+            ev = EvidenceView(state.literals, state.assignment)
+            factors = engine._InstanceFactors(state, ev)
+            expected = {
+                x for x in o1.instances()
+                if any(r in factors._decisive and ev.left[y] == () for r, y in o1.rows(x))
+            }
+            assert factors.stranded == expected
+            state, stats = step(state)
+            assert stats.instances_ruled_out == len(expected)
+            stranded += len(expected)
+            kept += sum(
+                any(r in factors._decisive for r, _ in o1.rows(x)) for x in o1.instances()
+            ) - len(expected)
+    assert stranded and kept  # both kinds of instance with a decisive value occur
 
 
 # factors in [0, 1], with the edges and subnormals drawn often
