@@ -444,13 +444,18 @@ def bootstrap(
 _TERM_SLACK = 2.0**-50
 
 # A weak landing group is walked when it has at most this many members per
-# candidate; otherwise each candidate's statements with the group's y2 are
-# looked up. The penalty path's join makes the same choice per partner y2
-# (see `_add_factors`). On the weak groups that meet a candidate in the
-# benchmark's `clean` and `hub` inputs (seed 1; `negative` has none), a
-# walked member costs 0.11-0.13 us and a looked-up candidate 0.41-0.52 us
-# (medians, Python 3.11 on a 2-core VM), and the summed cost of the two
-# choices is flat within noise for ratios from 2 to 8.
+# candidate; otherwise each candidate is looked up in a set of the group's
+# members, built once per sweep (see `candidates`). On the weak groups that
+# meet a candidate in the benchmark's `clean` and `hub` inputs (seed 1;
+# `negative` has none), a walked member costs 0.03-0.07 us, a looked-up
+# candidate 0.08-0.10 us and a set 0.06-0.09 us per member to build (best
+# of 9 replays of a run's groups, Python 3.11 on a 2-core VM). Their summed
+# cost is flat within 1% for ratios from 2 to 8, and so are `align_s` and
+# the peak in the benchmark; at 1, `clean` builds 2 523 sets instead of 783
+# and peaks about 2 MB higher. The penalty path's join makes the same choice
+# per partner y2 (see `_add_factors`), looking a candidate up with
+# `Ontology.relations_between`, which cost about four walked members when
+# the weak step used it.
 _WALK_PER_LOOKUP = 4
 
 
@@ -564,6 +569,9 @@ class _InstanceFactors:
         # P(y, y2); filled on first use (see `_coefficient`)
         self._coefs: defaultdict[int, dict[int, tuple[float, float]]] = defaultdict(dict)
         self._grouped: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        # the members of a looked-up weak landing group (y2, q), as a set;
+        # filled on first use (see `candidates`)
+        self._member_sets: dict[tuple[int, int], frozenset[int]] = {}
 
     def _coefficient(
         self, coefs: dict[int, tuple[float, float]], r: int, q: int
@@ -705,8 +713,8 @@ class _InstanceFactors:
         their bounds sum to at most theta; the rest are strong as well. A
         weak group then adds its factor to the candidates the strong groups
         found: it walks its members when they are at most `_WALK_PER_LOOKUP`
-        times as many as the candidates, and looks each candidate up
-        otherwise.
+        times as many as the candidates, and otherwise looks each candidate
+        up in a set of its members, built once per sweep per group.
         """
         left, kinds2 = self._left, self._kinds2
         rels2, objs2 = self._rels2, self._objs2
@@ -754,18 +762,23 @@ class _InstanceFactors:
                         acc.setdefault(x2, []).append(f)
                 del weak[i:]
                 break
+        if not acc:
+            return acc
         walk = _WALK_PER_LOOKUP * len(acc)
-        between = self._between2
+        member_sets = self._member_sets
         for _, f, y2, q, x2s in weak:
             if len(x2s) <= walk:
                 for x2 in x2s:
                     fs = acc.get(x2)
                     if fs is not None:
                         fs.append(f)
-            else:
-                for x2, fs in acc.items():
-                    if q in between(y2, x2):
-                        fs.append(f)
+                continue
+            members = member_sets.get((y2, q))
+            if members is None:
+                members = member_sets[(y2, q)] = frozenset(x2s)
+            for x2, fs in acc.items():
+                if x2 in members:
+                    fs.append(f)
         return acc
 
     def _escaping(
@@ -1063,8 +1076,14 @@ def _subrel_rows(
     Each is one minus the ascending product of the misses 1 - P(u) P(v) of
     the transported pairs (u, v) concerned, so it does not depend on the
     order in which they are visited (see `update_subrelations`).
+
+    The relations between a transported pair (u, v) are read off the other
+    side's columns in the loop, as `Ontology.relations_between` reads them:
+    the shorter of u's and v's object tuples is scanned, v's rows inverted,
+    and each relation is added in the order that method returns it.
     """
     rels = other.relations_between
+    rels_of, objs_of = other.subject_relations, other.subject_objects
     num: dict[int, float] = {}
     den = 0.0
     for x, y in side.pairs(relation):
@@ -1080,8 +1099,20 @@ def _subrel_rows(
             (v, pv), = ey
             hit = 1.0 - (1.0 - pu * pv)
             den += hit
-            for q in rels(u, v):
+            col, back = objs_of[u], objs_of[v]
+            if len(back) < len(col):  # v's rows, inverted
+                col, key, flip = back, u, 1
+                qs = rels_of[v]
+            else:
+                key, flip = v, 0
+                qs = rels_of[u]
+            n = col.count(key)
+            i = -1
+            while n:
+                i = col.index(key, i + 1)
+                q = qs[i] ^ flip
                 num[q] = num.get(q, 0.0) + hit
+                n -= 1
             continue
         misses: list[float] = []
         per_rel: dict[int, list[float]] = {}
@@ -1253,7 +1284,8 @@ def run_fixpoint(
     its parts: each table is freed before the next instance sweep, and
     each assignment before the next relation sweep. The last state's table
     and assignment go into the result; the class phase builds its evidence
-    view from the last assignment.
+    view from the last assignment. A run whose last assignment has no pair
+    although both ontologies hold instances logs a warning.
     """
     cfg = config or AlignmentConfig()
     phases: Phases = {}
@@ -1281,6 +1313,11 @@ def run_fixpoint(
         classes = compute_class_alignment(state)
     if not converged and cfg.max_iterations > 0:
         log.warning("stopped at max_iterations=%d without converging", cfg.max_iterations)
+    if history and not state.assignment.forward and o1.instances() and o2.instances():
+        log.warning(
+            "no instance pair assigned after %d iterations at theta=%g",
+            len(history), cfg.theta,
+        )
     return AlignmentResult(
         o1=o1, o2=o2, config=cfg, equiv=state.equiv, assignment=state.assignment,
         subrel=state.subrel if state.subrel is not None else InclusionTable(),

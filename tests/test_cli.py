@@ -281,6 +281,36 @@ def test_no_assignment_change_converges_under_convergence_0(tmp_path):
     assert manifest["iteration.2.changed"] == "0"
 
 
+@pytest.mark.parametrize("flags, rows, warned", [
+    ((), 62, False),
+    (("--negative-evidence",), 0, True),
+], ids=["default", "negative"])
+def test_an_empty_alignment_is_logged_as_a_warning(tmp_path, caplog, flags, rows, warned):
+    """Negative evidence rules out every pair of this noise-free 50-person
+    pair in iteration 2 and still converges, with three empty TSVs; the run
+    warns that nothing was assigned, naming theta and the iteration count.
+    The default config assigns the 62 true instance pairs and does not
+    warn."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--out-dir", str(data), "--instances", "50",
+                 "--seed", "1"]) == 0
+    with caplog.at_level("WARNING", logger="ontoalign.engine"):
+        assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
+                     "--out", str(out), *flags]) == 0
+    manifest = dict(
+        line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert manifest["converged"] == "true"
+    assert manifest["output.instances.rows"] == str(rows)
+    assert len(read_alignment(out / "instances.tsv")) == rows
+    if warned:
+        assert manifest["output.relations.rows"] == manifest["output.classes.rows"] == "0"
+    empty = [r.getMessage() for r in caplog.records if "no instance pair" in r.getMessage()]
+    iterations = manifest["iterations"]
+    expected = [f"no instance pair assigned after {iterations} iterations at theta=0.1"]
+    assert empty == (expected if warned else [])
+
+
 @pytest.mark.parametrize(
     "content",
     [None, "", "# only a comment\n\n", f'<http://a> <{RDF_TYPE}> "lit" .\n'],

@@ -1,6 +1,7 @@
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,7 @@ from ontoalign.engine import (
     _sorted_product,
 )
 from ontoalign.ntriples import load_ontology
-from ontoalign.store import INSTANCE
+from ontoalign.store import INSTANCE, RDFS_SUBPROPERTYOF, ontology_from_triples
 from ontoalign.synth import generate_pair
 
 
@@ -558,15 +559,34 @@ def test_crossed_landing_adds_no_candidates():
                 assert instance_equivalence(state, x, x2) <= theta
 
 
+class _CountedSets(dict):
+    """A member-set cache that counts its reads, and its writes per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+        self.builds = Counter()
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.builds[key] += 1
+        super().__setitem__(key, value)
+
+
 def test_join_gives_the_factors_of_the_enumeration():
     """For every instance x, the join of x's statements with all the
     candidates that `candidates` enumerates, and with each candidate alone,
     gives each candidate the factors of the enumeration, pairs at or below
     theta included. On hub worlds a hub partner outnumbers one candidate
     more than `_WALK_PER_LOOKUP` times, so the join looks candidates up;
-    unique values have one statement, so it walks their partners."""
+    unique values have one statement, so it walks their partners. The hub
+    group is weak there, and outnumbers the candidates too, so
+    `candidates` looks them up in its member set, built once per sweep."""
     rng = random.Random(2525)
-    lookups = low = 0
+    lookups = low = set_reads = 0
     for hub in (False, True) * 3:
         o1, o2 = random_world_pair(
             rng, n_inst=rng.randint(10, 16), n_attr=3, value_pool=rng.choice((None, 3)), hub=hub,
@@ -583,6 +603,7 @@ def test_join_gives_the_factors_of_the_enumeration():
                 return between(y2, x2)
 
             factors._between2 = counted
+            sets = factors._member_sets = _CountedSets()
             for x in o1.instances():
                 expected = {x2: sorted(fs) for x2, fs in factors.candidates(x).items()}
                 together = factors._join(x, expected)
@@ -590,9 +611,16 @@ def test_join_gives_the_factors_of_the_enumeration():
                 for x2, fs in expected.items():
                     assert sorted(factors._join(x, (x2,))[x2]) == fs
                     low += 1.0 - _sorted_product(fs) <= state.config.theta
+            assert all(n == 1 for n in sets.builds.values())
+            for (y2, q), members in sets.items():
+                assert members == {
+                    x2 for r, x2 in o2.rows(y2) if r == q and o2.kind(x2) == INSTANCE
+                }
+            set_reads += sets.reads
             state, _ = step(state)
     assert lookups > 0
     assert low > 0
+    assert set_reads > 0
 
 
 @pytest.mark.parametrize(
@@ -661,6 +689,78 @@ def test_relation_inclusion_reads_every_statement():
     r1 = o1.relation_id("bornIn")
     r2 = o2.relation_id("birthPlace")
     assert full.subrel.o1_to_o2[(r1, r2)] == 0.5
+
+
+def _subrel_rows_by_lookup(side, other, partners, relation):
+    """`engine._subrel_rows` with every transported pair's relations from
+    `Ontology.relations_between` and every statement through the general
+    branch: the one-partner branch's hit is 1 - (1 - pu pv) there too."""
+    num, den = {}, 0.0
+    for x, y in side.pairs(relation):
+        if not (partners[x] and partners[y]):
+            continue
+        misses, per_rel = [], {}
+        for u, pu in partners[x]:
+            for v, pv in partners[y]:
+                miss = 1.0 - pu * pv
+                misses.append(miss)
+                for q in other.relations_between(u, v):
+                    per_rel.setdefault(q, []).append(miss)
+        den += 1.0 - _sorted_product(misses)
+        for q, fs in per_rel.items():
+            num[q] = num.get(q, 0.0) + (1.0 - _sorted_product(fs))
+    if den <= 0.0:
+        return {}
+    return {q: v / den for q, v in num.items() if v > 0.0}
+
+
+def test_relation_sweep_scan_matches_relations_between():
+    """The relation sweep reads the relations between a transported pair
+    off the other side's columns; on skewed worlds every row equals, in
+    value and order, one that looks each pair up with `relations_between`.
+    A hub object with a thousand subjects makes one column long, so both
+    scan sides occur, each with pairs linked by several relations."""
+    rng = random.Random(3535)
+    entities = ("e0", "e1", "e2", "e3", "h0", "h1")
+    objects = entities[:4] + ('"v0"', '"v1"', '"true"')
+    relations = ("r0", "r1", "r2", "r3")
+    hub = [(f"h{i}", "active", '"true"') for i in range(1_000)]
+    # one-partner pairs linked by several relations, by whether v's rows are scanned
+    several = {False: 0, True: 0}
+
+    def world():
+        plain = [
+            (rng.choice(entities), rng.choice(relations), rng.choice(objects))
+            for _ in range(rng.randint(5, 30))
+        ]
+        subprops = [
+            (rng.choice(relations), RDFS_SUBPROPERTYOF, rng.choice(relations))
+            for _ in range(rng.randint(0, 2))
+        ]
+        return ontology_from_triples(hub + plain + subprops)
+
+    for _ in range(40):
+        o1, o2 = world(), world()
+        for side, other in ((o1, o2), (o2, o1)):
+            pool = [t for t in map(other.term_id, entities + objects) if t is not None]
+            partners = []
+            for _ in range(side.term_count()):
+                n = rng.choice((0, 1, 1, 1, 1, 2))
+                partners.append(tuple(
+                    (rng.choice(pool), rng.choice((1.0, rng.random()))) for _ in range(n)
+                ))
+            for r in side.relation_ids():
+                got = engine._subrel_rows(side, other, partners, r)
+                assert list(got.items()) == list(
+                    _subrel_rows_by_lookup(side, other, partners, r).items()
+                )
+                for x, y in side.pairs(r):
+                    if len(partners[x]) == len(partners[y]) == 1:
+                        (u, _), (v, _) = partners[x][0], partners[y][0]
+                        if len(other.relations_between(u, v)) > 1:
+                            objs = other.subject_objects
+                            several[len(objs[v]) < len(objs[u])] += 1
+    assert several[False] > 0 and several[True] > 0
 
 
 def keyed_persons(n, prefix, key, extra=()):
