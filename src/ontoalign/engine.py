@@ -39,9 +39,8 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator
 
 from .functionality import FunctionalityTable, build_functionality_table
 from .literals import MEASURES, build_key_index
@@ -175,14 +174,16 @@ class EquivalenceTable:
     """Sparse term-equivalence probabilities: the run's literal seeds and one
     sweep's instance rows.
 
-    The seeds are the sorted partner tuples of the run's `LiteralShare`, read
+    The seeds are the left partner tuples of the run's `LiteralShare`, read
     in place, so a table holds them without copying them; `get` takes
-    first-ontology terms only. The instance rows, kept by first-ontology
-    term, are adopted as they are given (a sweep hands over its own); the
-    assignment takes both of its directions from these forward rows. Seeds
-    pair literals with literals and instance rows pair instances with
-    instances, so the two never share a key. `get`, `pairs` and `len` cover
-    both.
+    first-ontology terms only. The table keeps no reference to the share's
+    right tuples, so a result does not keep them alive, and counts the
+    seeds once, through the share's `len()`. The instance rows, kept by
+    first-ontology term, are adopted as they are given (a sweep hands over
+    its own); the assignment takes both of its directions from these
+    forward rows. Seeds pair literals with literals and instance rows pair
+    instances with instances, so the two never share a key. `get`, `pairs`
+    and `len` cover both.
     """
 
     def __init__(
@@ -190,7 +191,7 @@ class EquivalenceTable:
     ) -> None:
         self._seeds = literals.left_sorted
         self._fwd: dict[int, dict[int, float]] = {} if rows is None else rows
-        self._n = sum(map(len, self._fwd.values()))
+        self._n = len(literals) + sum(map(len, self._fwd.values()))
 
     def get(self, left: int, right: int) -> float:
         row = self._fwd.get(left)
@@ -210,7 +211,7 @@ class EquivalenceTable:
                 yield left, right, p
 
     def __len__(self) -> int:
-        return self._n + sum(map(len, self._seeds))
+        return self._n
 
 
 @dataclass
@@ -247,21 +248,6 @@ Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by
 PenaltyIndex = dict[int, dict[int, list[int]]]
 
 
-def _partners_of(
-    pairs: list[tuple[int, int, float]], count: int, term: int, partner: int
-) -> list[Partners]:
-    """The sorted partners of each term at position `term` of the pairs,
-    which list each pair once, as a list indexed by term id below `count`,
-    with () for a term without pairs. A sort groups the pairs by term and
-    partner, with no dict per term kept alive."""
-    out: list[Partners] = [()] * count
-    ordered = sorted(pairs, key=itemgetter(term, partner))
-    for t, run in groupby(ordered, itemgetter(term)):
-        parts = [(pair[partner], pair[2]) for pair in run]
-        out[t] = tuple(parts)
-    return out
-
-
 def _with_assignment(
     base: list[Partners],
     best: dict[int, tuple[int, float]],
@@ -288,18 +274,26 @@ def _with_assignment(
     return out
 
 
-class LiteralShare(NamedTuple):
-    """The clamped seed pairs' partner tuples (see `_partners_of`), per
-    ontology a list indexed by term id, with () for a term without seeds:
-    the literal share of every equivalence table and every evidence view.
+class LiteralShare:
+    """The clamped seed pairs' partner tuples, per ontology a list indexed
+    by term id, with () for a term without seeds: the literal share of every
+    equivalence table and every evidence view. `literal_seed_pairs` builds
+    it, and literals that share a key share one tuple.
 
     Seeds never change, so `bootstrap` builds this once per run, and every
     later state, table and view reads it in place. A lookup of one pair's p
-    searches its term's tuple.
+    searches its term's tuple. `len()` is the number of seed pairs, each
+    counted once, from the left tuples.
     """
 
-    left_sorted: list[Partners]
-    right_sorted: list[Partners]
+    __slots__ = ("left_sorted", "right_sorted")
+
+    def __init__(self, left_sorted: list[Partners], right_sorted: list[Partners]) -> None:
+        self.left_sorted = left_sorted
+        self.right_sorted = right_sorted
+
+    def __len__(self) -> int:
+        return sum(map(len, self.left_sorted))
 
 
 @dataclass
@@ -390,12 +384,47 @@ class EvidenceView:
 
 def literal_seed_pairs(
     o1: Ontology, o2: Ontology, key: Callable[[str], str]
-) -> list[tuple[int, int, float]]:
+) -> LiteralShare:
     """Every pair of cross-ontology literals that share a normalization key,
-    at p = 1."""
-    idx1 = build_key_index(o1, key)
-    idx2 = build_key_index(o2, key)
-    return [(a, b, 1.0) for k, ids1 in idx1.items() for a in ids1 for b in idx2.get(k, ())]
+    at p = 1, as the run's `LiteralShare`.
+
+    One join of the two sides' key maps (see `build_key_index`) writes each
+    literal's partner tuple, with no pair list and no sort. A key with one
+    literal on each side gives each its one-entry tuple; a key with several
+    literals on either side gives all of one side's literals one shared,
+    ascending tuple of the other side's. The name is older than the share:
+    the benchmark wraps this function as its seed span and counts the seeds
+    by `len()` of what it returns.
+    """
+    first1, more1 = build_key_index(o1, key)
+    first2, more2 = build_key_index(o2, key)
+    left: list[Partners] = [()] * o1.term_count()
+    right: list[Partners] = [()] * o2.term_count()
+    get2 = first2.get
+    single: list[int] = []  # the left literal of each key with one per side
+    for k, a in first1.items():
+        b = get2(k)
+        if b is None:
+            continue
+        if k not in more1 and k not in more2:
+            left[a] = ((b, 1.0),)
+            single.append(a)
+            continue
+        ids1, ids2 = more1.get(k, (a,)), more2.get(k, (b,))
+        to2 = tuple([(u, 1.0) for u in ids2])
+        to1 = tuple([(t, 1.0) for t in ids1])
+        for t in ids1:
+            left[t] = to2
+        for u in ids2:
+            right[u] = to1
+    # The right tuples of those keys are made in a pass of their own, so
+    # that they lie together in memory: a run's result keeps only the left
+    # tuples (see `EquivalenceTable`), and the right ones then free whole
+    # blocks for the result rows. Made in the loop above, they left the
+    # 50k-person pair about 17 MB more resident when its rows were written.
+    for a in single:
+        right[left[a][0][0]] = ((a, 1.0),)
+    return LiteralShare(left, right)
 
 
 def _penalty_index(o2: Ontology) -> PenaltyIndex:
@@ -422,10 +451,7 @@ def bootstrap(
     config = config or AlignmentConfig()
     fun1 = fun1 or build_functionality_table(o1)
     fun2 = fun2 or build_functionality_table(o2)
-    pairs = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
-    literals = LiteralShare(
-        _partners_of(pairs, o1.term_count(), 0, 1), _partners_of(pairs, o2.term_count(), 1, 0)
-    )
+    literals = literal_seed_pairs(o1, o2, MEASURES[config.literal_mode])
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literals=literals,

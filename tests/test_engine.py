@@ -25,13 +25,14 @@ from ontoalign.engine import (
     compute_class_alignment,
     compute_maximal_assignment,
     instance_equivalence,
+    literal_seed_pairs,
     result_rows,
     run_fixpoint,
     step,
     update_all_instances,
-    _partners_of,
     _sorted_product,
 )
+from ontoalign.literals import MEASURES
 from ontoalign.ntriples import load_ontology
 from ontoalign.store import INSTANCE, RDFS_SUBPROPERTYOF, ontology_from_triples
 from ontoalign.synth import generate_pair
@@ -232,42 +233,58 @@ def test_assignment_ties_break_toward_smaller_lexical():
 _TIE_PROBABILITIES = (0.25, 0.5, 1.0)
 
 
-def _reference_partners(pairs, count):
-    """`_partners_of` both ways with a dict per term, each term's partners
-    sorted at the end."""
+def _reference_partners(pairs, count1, count2):
+    """The partner tuples of the pairs (a, b, p) both ways, with a dict per
+    term: per term id below `count1` on the left and `count2` on the right,
+    its partners ascending, each with its p, and () for a term without
+    pairs."""
     left: dict[int, dict[int, float]] = {}
     right: dict[int, dict[int, float]] = {}
     for a, b, p in pairs:
         left.setdefault(a, {})[b] = p
         right.setdefault(b, {})[a] = p
     return (
-        [tuple(sorted(left.get(a, {}).items())) for a in range(count)],
-        [tuple(sorted(right.get(b, {}).items())) for b in range(count)],
+        [tuple(sorted(left.get(a, {}).items())) for a in range(count1)],
+        [tuple(sorted(right.get(b, {}).items())) for b in range(count2)],
     )
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, 6),
-                  st.sampled_from((0.125, 0.25, 0.5, 1.0))),
-        max_size=40,
-        unique_by=lambda pair: pair[:2],
+# Texts that share a key with others under one measure or both (outer
+# whitespace, case, punctuation), texts whose keys are empty under one
+# measure or both, and texts only one side can draw, so some keys match
+# nothing.
+_SHARED_TEXTS = ("Ann", " Ann", "Ann  ", "ANN", "a-n-n", "Bo", "bo", "", "  ", "-/-", "7")
+_FORMS = ('"{}"', '"{}"@en', '"{}"@fr-CA', '"{}"^^<http://www.w3.org/2001/XMLSchema#string>')
+
+
+def _literal_set(own_text):
+    texts = st.sampled_from(_SHARED_TEXTS + (own_text,))
+    forms = st.sampled_from(_FORMS)
+    return st.lists(st.builds(str.format, forms, texts), max_size=14, unique=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(MEASURES)), _literal_set("Left"), _literal_set("right"))
+@example("strict", ['"Ann"', '"Ann"@en', '" Ann"', '"Bo"'], ['"Ann"^^<x>', '"Bo"', '"Bo"@fr'])
+def test_seed_join_gives_the_partners_of_every_equal_key_pair(mode, side1, side2):
+    """The seed share of two literal sets holds, both ways, the partners of
+    every cross pair whose keys are equal and nonempty, at p = 1, ascending;
+    a key that holds several literals on either side is among them, and
+    `len()` counts each pair once."""
+    key = MEASURES[mode]
+    o1 = make_ontology("first", [(f"s{i}", "label", lit) for i, lit in enumerate(side1)])
+    o2 = make_ontology("second", [(f"t{i}", "label", lit) for i, lit in enumerate(side2)])
+    pairs = [
+        (a, b, 1.0)
+        for a in o1.literals()
+        for b in o2.literals()
+        if key(o1.lexical(a)) and key(o1.lexical(a)) == key(o2.lexical(b))
+    ]
+    share = literal_seed_pairs(o1, o2, key)
+    assert (share.left_sorted, share.right_sorted) == _reference_partners(
+        pairs, o1.term_count(), o2.term_count()
     )
-)
-@example([(1, 2, 0.25), (0, 2, 1.0), (2, 2, 0.5), (1, 0, 1.0), (1, 3, 0.125)])
-def test_seed_partners_group_by_sorting_like_a_dict_per_term(pairs):
-    """The sort-grouped partner lists of pairs listed once each equal a
-    dict per term: every term's partners ascend, each with its p, and a
-    term without pairs has ()."""
-    left, right = _partners_of(pairs, 7, 0, 1), _partners_of(pairs, 7, 1, 0)
-    assert (left, right) == _reference_partners(pairs, 7)
-    for side in (left, right):
-        for parts in side:
-            partners = [b for b, _ in parts]
-            assert partners == sorted(set(partners))
-    for a, b, p in pairs:
-        assert (b, p) in left[a] and (a, p) in right[b]
+    assert len(share) == len(pairs)
 
 
 @settings(deadline=None, max_examples=150)
@@ -331,9 +348,9 @@ _SHARED_BESTS = [
 @example(range(6)[::-1], range(6)[::-1], _SHARED_BESTS)
 @example(range(6), range(6), [(j, i, p) for i, j, p in _SHARED_BESTS])
 def test_view_of_an_assignment_groups_its_pair_list(order1, order2, entries):
-    """An evidence view over an empty literal share holds the grouping, by
-    `_partners_of`, of the assignment's forward pairs followed by its
-    backward pairs, each pair once (a pair that is best both ways is in
+    """An evidence view over an empty literal share holds the partner
+    tuples, by `_reference_partners`, of the assignment's forward pairs and
+    its backward pairs, each pair once (a pair that is best both ways is in
     both), also where several instances share one best partner, on either
     side."""
     o1 = make_ontology("first", [], types=[(f"a{k}", "C") for k in order1])
@@ -350,8 +367,7 @@ def test_view_of_an_assignment_groups_its_pair_list(order1, order2, entries):
     pairs += [(a, b, p) for b, (a, p) in assignment.backward.items()]
     pairs = list(dict.fromkeys(pairs))
     view = EvidenceView(empty, assignment)
-    assert view.left == _partners_of(pairs, n1, 0, 1)
-    assert view.right == _partners_of(pairs, n2, 1, 0)
+    assert (view.left, view.right) == _reference_partners(pairs, n1, n2)
     if entries == _SHARED_BESTS:
         left, right = view.left, view.right
         assert len(right[ids2[0]]) == 2 and len(left[ids1[2]]) == 2

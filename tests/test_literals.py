@@ -51,10 +51,14 @@ def test_key_index_groups_by_key_and_drops_empty_keys():
     onto = ontology_from_triples([
         ("x", "label", '"Alice"'),
         ("x", "label", '"Alice"@en'),
+        ("x", "label", '"Bob"'),
         ("x", "label", '"  "'),  # empty after trimming: anchors nothing
     ])
     a, b = onto.term_id('"Alice"'), onto.term_id('"Alice"@en')
-    assert build_key_index(onto, strict_key) == {"Alice": [a, b]}
+    c = onto.term_id('"Bob"')
+    first, more = build_key_index(onto, strict_key)
+    assert first == {"Alice": min(a, b), "Bob": c}
+    assert more == {"Alice": sorted([a, b])}  # only a key with several literals
 
 
 @given(st.text(min_size=0, max_size=40))
