@@ -469,19 +469,17 @@ def bootstrap(
 # 2**-53), so the bound still holds for computed values, whatever theta is.
 _TERM_SLACK = 2.0**-50
 
-# A weak landing group is walked when it has at most this many members per
-# candidate; otherwise each candidate is looked up in a set of the group's
-# members, built once per sweep (see `candidates`). On the weak groups that
-# meet a candidate in the benchmark's `clean` and `hub` inputs (seed 1;
-# `negative` has none), a walked member costs 0.03-0.07 us, a looked-up
-# candidate 0.08-0.10 us and a set 0.06-0.09 us per member to build (best
-# of 9 replays of a run's groups, Python 3.11 on a 2-core VM). Their summed
-# cost is flat within 1% for ratios from 2 to 8, and so are `align_s` and
-# the peak in the benchmark; at 1, `clean` builds 2 523 sets instead of 783
-# and peaks about 2 MB higher. The penalty path's join makes the same choice
-# per partner y2 (see `_add_factors`), looking a candidate up with
-# `Ontology.relations_between`, which cost about four walked members when
-# the weak step used it.
+# A landing group adds its factor to candidates by walking its members when
+# it has at most this many per candidate; otherwise each candidate is looked
+# up in a set of the group's members, built once per sweep (see
+# `_InstanceFactors._add_to_members`, used by the weak step and the join).
+# On the weak groups that meet a candidate in the benchmark's `clean` and
+# `hub` inputs (seed 1; `negative` has none), a walked member costs
+# 0.03-0.07 us, a looked-up candidate 0.08-0.10 us and a set 0.06-0.09 us
+# per member to build (best of 9 replays of a run's groups, Python 3.11 on
+# a 2-core VM). Their summed cost is flat within 1% for ratios from 2 to 8,
+# and so are `align_s` and the peak in the benchmark; at 1, `clean` builds
+# 2 523 sets instead of 783 and peaks about 2 MB higher.
 _WALK_PER_LOOKUP = 4
 
 
@@ -492,6 +490,7 @@ PenaltyWeight = tuple[int, float, float]
 # partners, the aligned relation and the two penalty weights (see
 # `_penalty_plan`).
 PenaltyTerm = tuple[Partners, int, float, float]
+Landing = tuple[float, float, int, int, tuple[int, ...]]  # (bound, factor, y2, q, members)
 
 
 class _InstanceFactors:
@@ -552,7 +551,8 @@ class _InstanceFactors:
     positive factor is formed, since p <= 1 gives p P <= P. The other
     candidates get their full factor lists from one join of x's statements
     with all of them at once (see `_join`), so every stored value is
-    unchanged. The other instances, every instance of the first iteration
+    unchanged; it walks the landing groups with no bound, by the weak
+    step's rule. The other instances, every instance of the first iteration
     and every run without negative evidence take the bounded path above.
     """
 
@@ -564,7 +564,6 @@ class _InstanceFactors:
         self._objs1 = state.o1.subject_objects
         self._rels2 = state.o2.subject_relations
         self._objs2 = state.o2.subject_objects
-        self._between2 = state.o2.relations_between
         self._kinds2 = state.o2.kinds()
         self._fun1 = state.fun1.fun
         self._fun2 = state.fun2.fun
@@ -625,36 +624,6 @@ class _InstanceFactors:
         if not (c0 or c1):
             return None
         return (1.0 - c0 * pyy) * (1.0 - c1 * pyy), (c0 + c1) * pyy + _TERM_SLACK
-
-    def _add_factors(
-        self,
-        acc: dict[int, list[float]],
-        r: int,
-        parts: Partners,
-        among: Collection[int],
-    ) -> None:
-        """Append the factors of statement r(x, y), whose object has the
-        partners `parts`, to the candidates in `among` they land on.
-
-        Each partner y2's statements are walked and kept where they land in
-        `among`, unless they outnumber it more than `_WALK_PER_LOOKUP`
-        times; then each candidate's statements with y2 are looked up
-        instead. Both find the same statements q(y2, x2), each once; only
-        their order differs, and factors are multiplied sorted."""
-        rels2, objs2, kinds2 = self._rels2, self._objs2, self._kinds2
-        coefs = self._coefs[r]
-        for y2, pyy in parts:
-            if len(objs2[y2]) <= _WALK_PER_LOOKUP * len(among):
-                hits = [(q, x2) for q, x2 in zip(rels2[y2], objs2[y2]) if x2 in among]
-            else:
-                between = self._between2
-                hits = [(q, x2) for x2 in among for q in between(y2, x2)]
-            for q, x2 in hits:
-                if kinds2[x2] != INSTANCE:
-                    continue
-                weighed = self._factor(coefs, r, q, pyy)
-                if weighed is not None:
-                    acc.setdefault(x2, []).append(weighed[0])
 
     def _groups(self, y2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """y2's landing groups: per relation q of a statement q(y2, x2) with
@@ -736,18 +705,15 @@ class _InstanceFactors:
         landing groups of y2 (see `_groups`). A group whose bound alone
         passes theta is strong and enumerates its members at once. The
         others are sorted by bound, and the smallest of them stay weak while
-        their bounds sum to at most theta; the rest are strong as well. A
-        weak group then adds its factor to the candidates the strong groups
-        found: it walks its members when they are at most `_WALK_PER_LOOKUP`
-        times as many as the candidates, and otherwise looks each candidate
-        up in a set of its members, built once per sweep per group.
+        their bounds sum to at most theta; the rest are strong as well. The
+        weak groups then add their factors to the candidates the strong
+        groups found, by the rule `_join` uses too (see `_add_to_members`).
         """
         left, kinds2 = self._left, self._kinds2
         rels2, objs2 = self._rels2, self._objs2
         limit = self._limit
         acc: dict[int, list[float]] = {}
-        # (bound, factor, y2, q, members) of each group within theta alone
-        weak: list[tuple[float, float, int, int, tuple[int, ...]]] = []
+        weak: list[Landing] = []  # each group within theta alone
         for r, y in zip(self._rels1[x], self._objs1[x]):
             coefs = self._coefs[r]
             for y2, pyy in left[y]:
@@ -788,11 +754,21 @@ class _InstanceFactors:
                         acc.setdefault(x2, []).append(f)
                 del weak[i:]
                 break
+        self._add_to_members(acc, weak)
+        return acc
+
+    def _add_to_members(self, acc: dict[int, list[float]], landed: list[Landing]) -> None:
+        """Append each landing group's factor to the candidates in `acc` among
+        its members: the one rule by which `candidates` adds its weak groups
+        and `_join` all of its groups. A group is walked when it has at most
+        `_WALK_PER_LOOKUP` times as many members as there are candidates;
+        otherwise each candidate is tested against the group's member set,
+        built once per sweep."""
         if not acc:
-            return acc
+            return
         walk = _WALK_PER_LOOKUP * len(acc)
         member_sets = self._member_sets
-        for _, f, y2, q, x2s in weak:
+        for _, f, y2, q, x2s in landed:
             if len(x2s) <= walk:
                 for x2 in x2s:
                     fs = acc.get(x2)
@@ -805,7 +781,6 @@ class _InstanceFactors:
             for x2, fs in acc.items():
                 if x2 in members:
                     fs.append(f)
-        return acc
 
     def _escaping(
         self, x: int, terms: list[tuple[Partners, int]], floor: float
@@ -855,15 +830,27 @@ class _InstanceFactors:
         return kept, escaped
 
     def _join(self, x: int, among: Collection[int]) -> dict[int, list[float]]:
-        """Every factor of x on each candidate in `among` that one of x's
-        statements lands on, from `_add_factors` for each statement whose
-        object has partners."""
-        acc: dict[int, list[float]] = {}
-        left = self._left
+        """Every factor of x on each candidate in `among`, in that order:
+        each statement r(x, y) lands through each partner y2 of y on y2's
+        landing groups, as in `candidates`, and each group's factor reaches
+        the candidates among its members (see `_add_to_members`)."""
+        left, kinds2 = self._left, self._kinds2
+        rels2, objs2 = self._rels2, self._objs2
+        landed: list[Landing] = []
         for r, y in zip(self._rels1[x], self._objs1[x]):
-            parts = left[y]
-            if parts:
-                self._add_factors(acc, r, parts, among)
+            coefs = self._coefs[r]
+            for y2, pyy in left[y]:
+                rels = rels2[y2]
+                groups = self._groups(y2) if len(rels) > 1 else ()
+                if not groups:
+                    pairs = zip(rels, objs2[y2])
+                    groups = [(q, (x2,)) for q, x2 in pairs if kinds2[x2] == INSTANCE]
+                for q, x2s in groups:
+                    weighed = self._factor(coefs, r, q, pyy)
+                    if weighed is not None:
+                        landed.append((weighed[1], weighed[0], y2, q, x2s))
+        acc: dict[int, list[float]] = {x2: [] for x2 in among}
+        self._add_to_members(acc, landed)
         return acc
 
     def _penalty_weights(
@@ -1021,7 +1008,7 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     """
     ev = EvidenceView(state.literals, state.assignment)
     factors = _InstanceFactors(state, ev)
-    return factors.probability(x, x2, factors._join(x, (x2,)).get(x2, []))
+    return factors.probability(x, x2, factors._join(x, (x2,))[x2])
 
 
 def update_all_instances(
@@ -1301,6 +1288,12 @@ def _advance(state: AlignmentState) -> IterationStats:
     )
 
 
+def has_converged(stats: IterationStats, config: AlignmentConfig) -> bool:
+    """The stop rule: no assigned instance changed partner in the iteration
+    of `stats`, or fewer than `config.convergence_fraction` of them did."""
+    return stats.changed == 0 or stats.change_fraction < config.convergence_fraction
+
+
 def run_fixpoint(
     o1: Ontology, o2: Ontology, config: AlignmentConfig | None = None
 ) -> AlignmentResult:
@@ -1332,7 +1325,7 @@ def run_fixpoint(
             100.0 * stats.change_fraction, stats.equivalences,
             stats.subrelations, stats.seconds,
         )
-        if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
+        if has_converged(stats, cfg):
             converged = True
             break
     with timed(phases, "classes"):

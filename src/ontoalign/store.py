@@ -36,11 +36,11 @@ scans the shorter of the two terms' object tuples with the C-level
 when those are shorter, so a hub value with thousands of subjects is never
 scanned from its own side. A pair almost always has one relation r, and the
 scan then returns ``(r,)``, one tuple per relation shared by all of r's
-statements. It is the one-pair lookup of the engine's join (the penalty
-path's candidates and the one-pair operation) and of the relation sweep's
-statements with several transported pairs. The relation sweep's other
-statements, nearly all of them, scan the same columns by the same
-shorter-side rule inside the sweep's loop, without a call per pair.
+statements. The engine calls it only for the relation sweep's statements
+with several transported pairs, and the tests take it as that sweep's
+reference: its other statements, nearly all of them, scan the same columns
+by the same shorter-side rule inside the sweep's loop, without a call per
+pair. The instance sweep reads landing groups off the columns instead.
 
 Every column slot holds the one int object of its term or relation id, the
 one the term table holds, so the columns add 8 bytes per slot and no int

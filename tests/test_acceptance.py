@@ -30,6 +30,7 @@ from ontoalign.engine import (
     EvidenceView,
     bootstrap,
     compute_class_alignment,
+    has_converged,
     run_fixpoint,
     result_rows,
     step,
@@ -37,6 +38,7 @@ from ontoalign.engine import (
 from ontoalign.evaluation import evaluate_instances
 from ontoalign.functionality import build_functionality_table
 from ontoalign.ntriples import load_gold, load_ontology
+from ontoalign.store import Ontology
 from ontoalign.synth import generate_pair
 
 TOL = 1e-9
@@ -60,7 +62,7 @@ def _engine_history(o1, o2, cfg):
                 stats.change_fraction,
             )
         )
-        if stats.changed == 0 or stats.change_fraction < cfg.convergence_fraction:
+        if has_converged(stats, cfg):
             converged = True
             break
     classes = compute_class_alignment(state)
@@ -180,6 +182,32 @@ def test_hub_worlds_match_brute_force_oracle():
             n_class=2, drop=rng.choice((0.0, 0.15)), hub=True,
         )
         _assert_lockstep(o1, o2, theta=0.1, negative=case >= 2)
+
+
+def test_instance_sweep_never_looks_pairs_up_in_the_store(monkeypatch):
+    """The instance sweep and the one-pair operation read landing groups off
+    the store's columns and never call `Ontology.relations_between`: not on
+    hub worlds, whose hub value outnumbers one candidate many times, and not
+    where candidates reach one city through two relations, with or without
+    negative evidence. Only the relation sweep, between them, may call it."""
+
+    def refuse(self, subject, obj):
+        raise AssertionError("the instance sweep called relations_between")
+
+    rng = random.Random(1789)
+    worlds = [random_world_pair(rng, n_inst=rng.randint(10, 16), hub=True) for _ in range(3)]
+    worlds.append(born_and_died_pair())
+    for o1, o2 in worlds:
+        for negative in (False, True):
+            state = bootstrap(o1, o2, AlignmentConfig(negative_evidence=negative))
+            for _ in range(3):
+                with monkeypatch.context() as patched:
+                    patched.setattr(Ontology, "relations_between", refuse)
+                    engine.update_all_instances(state)
+                    for x in o1.instances():
+                        for x2 in o2.instances():
+                            engine.instance_equivalence(state, x, x2)
+                state, _ = step(state)
 
 
 def test_mirrored_inclusions_match_oracle_exactly():

@@ -596,13 +596,11 @@ def test_join_gives_the_factors_of_the_enumeration():
     """For every instance x, the join of x's statements with all the
     candidates that `candidates` enumerates, and with each candidate alone,
     gives each candidate the factors of the enumeration, pairs at or below
-    theta included. On hub worlds a hub partner outnumbers one candidate
-    more than `_WALK_PER_LOOKUP` times, so the join looks candidates up;
-    unique values have one statement, so it walks their partners. The hub
-    group is weak there, and outnumbers the candidates too, so
-    `candidates` looks them up in its member set, built once per sweep."""
+    theta included. On hub worlds the hub group is weak in `candidates` and
+    outnumbers the candidates, and it outnumbers one candidate in the join,
+    so both test candidates against its member set, built once per sweep."""
     rng = random.Random(2525)
-    lookups = low = set_reads = 0
+    low = candidate_reads = join_reads = 0
     for hub in (False, True) * 3:
         o1, o2 = random_world_pair(
             rng, n_inst=rng.randint(10, 16), n_attr=3, value_pool=rng.choice((None, 3)), hub=hub,
@@ -611,32 +609,28 @@ def test_join_gives_the_factors_of_the_enumeration():
         for _ in range(3):
             ev = EvidenceView(state.literals, state.assignment)
             factors = engine._InstanceFactors(state, ev)
-            between = factors._between2
-
-            def counted(y2, x2):
-                nonlocal lookups
-                lookups += 1
-                return between(y2, x2)
-
-            factors._between2 = counted
             sets = factors._member_sets = _CountedSets()
             for x in o1.instances():
+                reads = sets.reads
                 expected = {x2: sorted(fs) for x2, fs in factors.candidates(x).items()}
+                candidate_reads += sets.reads - reads
                 together = factors._join(x, expected)
                 assert {x2: sorted(fs) for x2, fs in together.items()} == expected
                 for x2, fs in expected.items():
+                    reads = sets.reads
                     assert sorted(factors._join(x, (x2,))[x2]) == fs
+                    if hub:
+                        join_reads += sets.reads - reads
                     low += 1.0 - _sorted_product(fs) <= state.config.theta
             assert all(n == 1 for n in sets.builds.values())
             for (y2, q), members in sets.items():
                 assert members == {
                     x2 for r, x2 in o2.rows(y2) if r == q and o2.kind(x2) == INSTANCE
                 }
-            set_reads += sets.reads
             state, _ = step(state)
-    assert lookups > 0
     assert low > 0
-    assert set_reads > 0
+    assert candidate_reads > 0
+    assert join_reads > 0
 
 
 @pytest.mark.parametrize(
