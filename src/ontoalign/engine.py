@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterator
 
 from .functionality import FunctionalityTable, build_functionality_table
 from .literals import MEASURES, build_key_index
@@ -120,8 +120,9 @@ class IterationStats:
     0 without negative evidence and in the first iteration.
 
     `pairs_ruled_out_by_penalties` counts the escaping candidates whose
-    penalty product alone is at or below theta, so that none of their
-    positive factors is formed. Each is still counted in `pairs_evaluated`.
+    penalty product alone is at or below theta, so that none of them is
+    scored; their positive factors are still formed where x has another
+    candidate left. Each is still counted in `pairs_evaluated`.
     It is 0 without negative evidence and in the first iteration.
 
     `phases` records the instance sweep, the assignment and the relation
@@ -472,7 +473,7 @@ _TERM_SLACK = 2.0**-50
 # A landing group adds its factor to candidates by walking its members when
 # it has at most this many per candidate; otherwise each candidate is looked
 # up in a set of the group's members, built once per sweep (see
-# `_InstanceFactors._add_to_members`, used by the weak step and the join).
+# `_InstanceFactors._add_to_members`, the weak step of `candidates`).
 # On the weak groups that meet a candidate in the benchmark's `clean` and
 # `hub` inputs (seed 1; `negative` has none), a walked member costs
 # 0.03-0.07 us, a looked-up candidate 0.08-0.10 us and a set 0.06-0.09 us
@@ -520,7 +521,11 @@ class _InstanceFactors:
     value is unchanged. Penalties only lower a score, so they change nothing
     of this. Bounding groups rather than whole statements takes the pairs
     iteration 2 scores on the benchmark's `clean` input from 165 463 to
-    90 379 (see `IterationStats`).
+    90 379 (see `IterationStats`). With the floor 0.0 in place of theta,
+    every group is strong, since every bound is at least `_TERM_SLACK`:
+    `candidates` then gives every x2 that a landing reaches with all of
+    its factors, which the one-pair operation reads (see
+    `instance_equivalence`).
 
     A landing whose two weights are both 0.0, such as one through a relation
     pair with no stored inclusion, adds no factor and makes no candidate: its
@@ -547,13 +552,14 @@ class _InstanceFactors:
     `stranded`) and forms nothing for them. Any other instance with
     decisive penalties has only the candidates that escape all of them
     scored (see `_escaping`), penalties first: a candidate whose
-    penalty product P alone is at or below theta is ruled out before any
-    positive factor is formed, since p <= 1 gives p P <= P. The other
-    candidates get their full factor lists from one join of x's statements
-    with all of them at once (see `_join`), so every stored value is
-    unchanged; it walks the landing groups with no bound, by the weak
-    step's rule. The other instances, every instance of the first iteration
-    and every run without negative evidence take the bounded path above.
+    penalty product P alone is at or below theta is ruled out and never
+    scored, since p <= 1 gives p P <= P. The other candidates are scored
+    from the bounded walk above, so every stored value is unchanged: a
+    survivor that the walk enumerates gets its full factor list, and one
+    that only weak groups reach has a positive score at or below theta,
+    which its penalties only lower. The other instances, every instance of
+    the first iteration and every run without negative evidence score every
+    candidate the walk enumerates.
     """
 
     def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
@@ -585,10 +591,6 @@ class _InstanceFactors:
         self._objs = state.penalty_index
         self._plan_of: int | None = None  # the instance `_plan` belongs to
         self._plan: list[PenaltyTerm] = []
-        # A pair reached only through weak statements has p <= the sum of
-        # their bounds, so it cannot be stored. The relative margin keeps
-        # rounding in those float sums from letting such a pair over theta.
-        self._limit = cfg.theta * (1.0 - 1e-9)
         # per relation r of x's statements and relation q of a second-ontology
         # statement q(y2, x2), the two weights of their factor before
         # P(y, y2); filled on first use (see `_coefficient`)
@@ -669,10 +671,11 @@ class _InstanceFactors:
         """x's candidates scored above `floor`, with their scores; how many
         candidates were scored; and how many of those were ruled out by
         their penalties alone. A `stranded` x has no candidate and builds
-        no penalty term. Where x has other decisive penalties, the escaping
-        candidates whose penalty product is above `floor` (see `_escaping`)
-        are joined with x's statements at once (see `_join`) and scored with
-        that product; otherwise every candidate of `candidates` is scored.
+        no penalty term. Where x has other decisive penalties, only the
+        escaping candidates whose penalty product is above `floor` (see
+        `_escaping`) are scored, those of them that `candidates` gives, each
+        with that product; otherwise every candidate of `candidates` is
+        scored.
         """
         decisive, left = self._decisive, self._left
         if decisive and x in self.stranded:
@@ -686,10 +689,11 @@ class _InstanceFactors:
             penalties, scored = self._escaping(x, terms, floor)
             if not penalties:
                 return {}, scored, scored
-            acc = self._join(x, penalties)
+            found = self.candidates(x, floor)
+            acc = {x2: found[x2] for x2 in penalties if x2 in found}
             ruled_out = scored - len(penalties)
         else:
-            penalties, acc = {}, self.candidates(x)
+            penalties, acc = {}, self.candidates(x, floor)
             scored, ruled_out = len(acc), 0
         row: dict[int, float] = {}
         for x2, fs in acc.items():
@@ -698,22 +702,27 @@ class _InstanceFactors:
                 row[x2] = p
         return row, scored, ruled_out
 
-    def candidates(self, x: int) -> dict[int, list[float]]:
-        """Factors per candidate partner of x that could score above theta.
+    def candidates(self, x: int, floor: float) -> dict[int, list[float]]:
+        """Factors per candidate partner of x that could score above
+        `floor`: the one place the positive factors of a pair are gathered.
 
         Each statement r(x, y) lands through each partner y2 of y on the
         landing groups of y2 (see `_groups`). A group whose bound alone
-        passes theta is strong and enumerates its members at once. The
+        passes `floor` is strong and enumerates its members at once. The
         others are sorted by bound, and the smallest of them stay weak while
-        their bounds sum to at most theta; the rest are strong as well. The
-        weak groups then add their factors to the candidates the strong
-        groups found, by the rule `_join` uses too (see `_add_to_members`).
+        their bounds sum to at most `floor`; the rest are strong as well.
+        The weak groups then add their factors to the candidates the strong
+        groups found (see `_add_to_members`). With `floor` 0.0 no group is
+        weak, and every x2 a landing reaches is given with all its factors.
         """
         left, kinds2 = self._left, self._kinds2
         rels2, objs2 = self._rels2, self._objs2
-        limit = self._limit
+        # A pair reached only through weak groups has p <= the sum of their
+        # bounds, so it cannot score above `floor`. The relative margin keeps
+        # rounding in those float sums from letting such a pair over it.
+        limit = floor * (1.0 - 1e-9)
         acc: dict[int, list[float]] = {}
-        weak: list[Landing] = []  # each group within theta alone
+        weak: list[Landing] = []  # each group within `floor` alone
         for r, y in zip(self._rels1[x], self._objs1[x]):
             coefs = self._coefs[r]
             for y2, pyy in left[y]:
@@ -759,11 +768,11 @@ class _InstanceFactors:
 
     def _add_to_members(self, acc: dict[int, list[float]], landed: list[Landing]) -> None:
         """Append each landing group's factor to the candidates in `acc` among
-        its members: the one rule by which `candidates` adds its weak groups
-        and `_join` all of its groups. A group is walked when it has at most
-        `_WALK_PER_LOOKUP` times as many members as there are candidates;
-        otherwise each candidate is tested against the group's member set,
-        built once per sweep."""
+        its members: the rule by which `candidates` adds its weak groups to
+        the candidates its strong groups found. A group is walked when it
+        has at most `_WALK_PER_LOOKUP` times as many members as there are
+        candidates; otherwise each candidate is tested against the group's
+        member set, built once per sweep."""
         if not acc:
             return
         walk = _WALK_PER_LOOKUP * len(acc)
@@ -828,30 +837,6 @@ class _InstanceFactors:
                 if penalty is not None and penalty > floor:
                     kept[x2] = penalty
         return kept, escaped
-
-    def _join(self, x: int, among: Collection[int]) -> dict[int, list[float]]:
-        """Every factor of x on each candidate in `among`, in that order:
-        each statement r(x, y) lands through each partner y2 of y on y2's
-        landing groups, as in `candidates`, and each group's factor reaches
-        the candidates among its members (see `_add_to_members`)."""
-        left, kinds2 = self._left, self._kinds2
-        rels2, objs2 = self._rels2, self._objs2
-        landed: list[Landing] = []
-        for r, y in zip(self._rels1[x], self._objs1[x]):
-            coefs = self._coefs[r]
-            for y2, pyy in left[y]:
-                rels = rels2[y2]
-                groups = self._groups(y2) if len(rels) > 1 else ()
-                if not groups:
-                    pairs = zip(rels, objs2[y2])
-                    groups = [(q, (x2,)) for q, x2 in pairs if kinds2[x2] == INSTANCE]
-                for q, x2s in groups:
-                    weighed = self._factor(coefs, r, q, pyy)
-                    if weighed is not None:
-                        landed.append((weighed[1], weighed[0], y2, q, x2s))
-        acc: dict[int, list[float]] = {x2: [] for x2 in among}
-        self._add_to_members(acc, landed)
-        return acc
 
     def _penalty_weights(
         self, subrel: InclusionTable | None
@@ -1003,12 +988,13 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
     instance, x2 second. Each call builds the sweep's evidence view from the
-    state's seeds and assignment, so it costs a copy of both seed lists; for
-    many pairs, run the sweep.
+    state's seeds and assignment, so it costs a copy of both seed lists, and
+    walks every landing of x's statements with no bound (`candidates` with
+    the floor 0.0); for many pairs, run the sweep.
     """
     ev = EvidenceView(state.literals, state.assignment)
     factors = _InstanceFactors(state, ev)
-    return factors.probability(x, x2, factors._join(x, (x2,))[x2])
+    return factors.probability(x, x2, factors.candidates(x, 0.0).get(x2, []))
 
 
 def update_all_instances(

@@ -22,7 +22,7 @@ from helpers import (
     make_ontology,
     random_world_pair,
 )
-from oracle import naive_functionality, oracle_run
+from oracle import naive_functionality, oracle_instance_sweep, oracle_run
 from ontoalign import engine
 from ontoalign.cli import main
 from ontoalign.engine import (
@@ -152,8 +152,8 @@ def born_and_died_pair():
 
 def test_row_join_keeps_every_relation_to_one_object():
     """Under negative evidence, a candidate that escapes its decisive
-    penalties gets its factors from the join of x's statements with every
-    such candidate. b0 holds both a birthPlace and a deathPlace statement
+    penalties is scored with the factors that the walk over x's landing
+    groups gives it. b0 holds both a birthPlace and a deathPlace statement
     to "C0", and both must give their factors. Every sweep stores what the
     one-pair scores store, and the run agrees with the brute-force oracle."""
     o1, o2 = born_and_died_pair()
@@ -182,6 +182,37 @@ def test_hub_worlds_match_brute_force_oracle():
             n_class=2, drop=rng.choice((0.0, 0.15)), hub=True,
         )
         _assert_lockstep(o1, o2, theta=0.1, negative=case >= 2)
+
+
+def test_one_pair_scores_match_the_oracle_below_theta():
+    """From iteration 2 on, theta is only the floor at which a sweep stores
+    a pair, so the brute-force sweep with the floor 0.0 gives every pair's
+    score. The one-pair operation, which is not floored, gives each of
+    them exactly, those at or below theta included, on plain and hub
+    worlds, with and without negative evidence."""
+    rng = random.Random(3141)
+    low = 0
+    for hub in (False, True):
+        for _ in range(2):
+            o1, o2 = random_world_pair(rng, n_inst=rng.randint(10, 16), hub=hub)
+            fun1, fun2 = naive_functionality(o1), naive_functionality(o2)
+            for negative in (False, True):
+                cfg = AlignmentConfig(negative_evidence=negative)
+                state, _ = step(bootstrap(o1, o2, cfg))
+                for _ in range(2):
+                    want = oracle_instance_sweep(
+                        o1, o2, engine_table_dict(state.equiv),
+                        state.assignment.forward, state.assignment.backward,
+                        (state.subrel.o1_to_o2, state.subrel.o2_to_o1),
+                        fun1, fun2, theta=0.0, negative=negative,
+                    )
+                    for x in o1.instances():
+                        for x2 in o2.instances():
+                            p = want.get((x, x2), 0.0)
+                            assert engine.instance_equivalence(state, x, x2) == p, (x, x2)
+                            low += 0.0 < p <= cfg.theta
+                    state, _ = step(state)
+    assert low > 100
 
 
 def test_instance_sweep_never_looks_pairs_up_in_the_store(monkeypatch):

@@ -565,11 +565,11 @@ def test_crossed_landing_adds_no_candidates():
     assert 0.0 < crossed < theta
     factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     x = o1.term_id("a1")
-    assert set(factors.candidates(x)) == set(ids(o2, "b0", "b1"))
+    assert set(factors.candidates(x, theta)) == set(ids(o2, "b0", "b1"))
     for mate in ids(o2, "b14", "b15"):
         assert 0.0 < instance_equivalence(state, x, mate) <= theta
     for x in o1.instances():
-        scored = factors.candidates(x)
+        scored = factors.candidates(x, theta)
         for x2 in o2.instances():
             if x2 not in scored:
                 assert instance_equivalence(state, x, x2) <= theta
@@ -592,36 +592,38 @@ class _CountedSets(dict):
         super().__setitem__(key, value)
 
 
-def test_join_gives_the_factors_of_the_enumeration():
-    """For every instance x, the join of x's statements with all the
-    candidates that `candidates` enumerates, and with each candidate alone,
-    gives each candidate the factors of the enumeration, pairs at or below
-    theta included. On hub worlds the hub group is weak in `candidates` and
-    outnumbers the candidates, and it outnumbers one candidate in the join,
-    so both test candidates against its member set, built once per sweep."""
+def test_bounded_candidates_give_the_factors_of_the_full_enumeration():
+    """For every instance x, each candidate that `candidates` gives under
+    theta has the factors that the full enumeration (the floor 0.0) gives
+    it, pairs at or below theta included, and every pair the bound leaves
+    out scores at or below theta. On hub worlds the hub group is weak under
+    theta and outnumbers the candidates, so the weak step tests them
+    against its member set, built once per sweep."""
     rng = random.Random(2525)
-    low = candidate_reads = join_reads = 0
+    low = left_out = candidate_reads = 0
     for hub in (False, True) * 3:
         o1, o2 = random_world_pair(
             rng, n_inst=rng.randint(10, 16), n_attr=3, value_pool=rng.choice((None, 3)), hub=hub,
         )
         state = bootstrap(o1, o2)
+        theta = state.config.theta
         for _ in range(3):
             ev = EvidenceView(state.literals, state.assignment)
             factors = engine._InstanceFactors(state, ev)
             sets = factors._member_sets = _CountedSets()
             for x in o1.instances():
                 reads = sets.reads
-                expected = {x2: sorted(fs) for x2, fs in factors.candidates(x).items()}
+                bounded = {x2: sorted(fs) for x2, fs in factors.candidates(x, theta).items()}
                 candidate_reads += sets.reads - reads
-                together = factors._join(x, expected)
-                assert {x2: sorted(fs) for x2, fs in together.items()} == expected
-                for x2, fs in expected.items():
-                    reads = sets.reads
-                    assert sorted(factors._join(x, (x2,))[x2]) == fs
-                    if hub:
-                        join_reads += sets.reads - reads
-                    low += 1.0 - _sorted_product(fs) <= state.config.theta
+                full = {x2: sorted(fs) for x2, fs in factors.candidates(x, 0.0).items()}
+                for x2, fs in full.items():
+                    if x2 in bounded:
+                        assert bounded[x2] == fs
+                        low += 1.0 - _sorted_product(fs) <= theta
+                    else:
+                        assert 1.0 - _sorted_product(fs) <= theta
+                        left_out += 1
+                assert bounded.keys() <= full.keys()
             assert all(n == 1 for n in sets.builds.values())
             for (y2, q), members in sets.items():
                 assert members == {
@@ -629,8 +631,8 @@ def test_join_gives_the_factors_of_the_enumeration():
                 }
             state, _ = step(state)
     assert low > 0
+    assert left_out > 0
     assert candidate_reads > 0
-    assert join_reads > 0
 
 
 @pytest.mark.parametrize(
@@ -945,7 +947,7 @@ def test_decisive_penalty_rules_out_city_mates():
         negative, EvidenceView(negative.literals, negative.assignment)
     )
     assert o1.relation_id("key") in factors._decisive
-    assert 1.0 - _sorted_product(factors._join(x, (mate,)).get(mate, [])) > 0.3
+    assert 1.0 - _sorted_product(factors.candidates(x, 0.0).get(mate, [])) > 0.3
     negative, stats = step(negative)
     assert stats.pairs_evaluated == 6
     assert negative.equiv.get(x, mate) == 0.0
@@ -1015,7 +1017,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     penalties = {}
     for i in (0, 5):
         x, x2 = o1.term_id(f"a{i}"), o2.term_id(f"b{i}")
-        assert 1.0 - _sorted_product(factors._join(x, (x2,)).get(x2, [])) == 1.0
+        assert 1.0 - _sorted_product(factors.candidates(x, 0.0).get(x2, [])) == 1.0
         penalties[i] = factors._penalty(x, x2, 1.0, theta)
         assert penalties[i] is not None  # no one penalty alone is at or below theta
     assert 0.0 < penalties[0] <= theta < penalties[5] <= 2 * theta

@@ -1,5 +1,5 @@
-"""The package's surface: `ontoalign.__all__` against its imports, and
-every private name against its users."""
+"""The package's surface: `ontoalign.__all__` against its imports, every
+private name against its users, and every import against its reads."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,28 @@ def test_no_private_name_is_orphaned():
     }
     orphans = sorted(defined - used)
     assert defined and not orphans, orphans
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module of the package imports is read somewhere in it,
+    so no import outlives its last use. `__future__` imports bind nothing,
+    and the package's `__init__` reads its re-exports through `__all__`."""
+    unused = []
+    for path in sorted(Path(ontoalign.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        if path.name == "__init__.py":
+            read |= set(ontoalign.__all__)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused, unused
