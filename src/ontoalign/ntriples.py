@@ -5,6 +5,15 @@ malformed lines are counted and skipped, and the loader aborts only when the
 skipped fraction exceeds `MAX_SKIP_FRACTION`. Literal objects keep their
 datatype/language tag in the lexical form (e.g. '"1955"^^<...#integer>'), so
 distinct tags intern as distinct terms.
+
+Two compiled patterns read a line. `_LINE` is the grammar: it admits every
+line form the parser accepts. `_SIMPLE` admits only the common form,
+``<IRI> <IRI> <IRI> .`` or ``<IRI> <IRI> "text" .`` with single spaces and no
+escape, tag, blank node or comment, and is tried first, with ``fullmatch`` on
+the stripped line; its groups give the triple that `_LINE` gives for the same
+line. Every other line goes through `_LINE`.
+
+Files are read as UTF-8; a leading byte-order mark is dropped.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ _LINE = re.compile(
     r'|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\]*)*)"'
     r'(?P<tag>@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>"]*>)?)\s*\.\s*(?:#.*)?$'
 )
+# The common line form, a subset of `_LINE` (see the module docstring).
+# Its fourth group is a literal object with its quotes, as the parser yields it.
+_SIMPLE = re.compile(r'<([^<>"]*)> <([^<>"]*)> (?:<([^<>"]*)>|("[^"\\]*")) \.')
 _ESCAPE = re.compile(r"\\(u.{4}|U.{8}|.)")
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
@@ -67,12 +79,13 @@ def _unescape_one(m: re.Match) -> str:
 
 
 def read_utf8_lines(path: str | Path) -> Iterator[str]:
-    """Yield the lines of a UTF-8 text file.
+    """Yield the lines of a UTF-8 text file, without a leading byte-order
+    mark.
 
     Bytes that do not decode raise ParseError naming the file; OSError from
     opening or reading it passes through.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
@@ -89,8 +102,15 @@ def parse_ntriples(
     with unescaped text and the original tag.
     """
     stats = stats if stats is not None else ParseStats()
+    simple = _SIMPLE.fullmatch
     for line in lines:
         bare = line.strip()
+        m = simple(bare)
+        if m is not None:
+            subj, pred, obj, literal = m.groups()
+            stats.parsed += 1
+            yield subj, pred, (obj if literal is None else literal)
+            continue
         if not bare or bare.startswith("#"):
             continue
         m = _LINE.match(bare)

@@ -74,6 +74,12 @@ Types are held per instance and per class: :meth:`Ontology.classes_of` and
 :meth:`Ontology.instances_of` return tuples, in insertion order, with the
 types the subclass closure derives after the given ones. A type edge given
 twice, or given and also derived, is kept once, at its first occurrence.
+The given edges are grouped into tuples once. The closure then closes each
+distinct given class tuple once (all of a generated side's persons share
+one) and interns the closed tuples, so instances whose class sequences end
+up equal share one tuple even when their given classes differ; each class
+gets its derived members in one append, in the order of the instances'
+first type edge.
 
 Term kinds are one list indexed by term id. :meth:`Ontology.kind` reads one
 entry; :meth:`Ontology.kinds` returns a read-only copy of the whole list,
@@ -425,16 +431,10 @@ def ontology_from_triples(
     # free the statements before the type closure allocates its own
     del subj, pred, obj
 
+    _group_types(onto, typed, typed_as)
+    del typed, typed_as
     # subclass closure: every instance gets the classes above its own
-    _group_types(onto, typed, typed_as)
-    for inst, classes in onto._types_of.items():
-        derived: set[int] = set()
-        for c in classes:
-            derived.update(classes_above.get(c, ()))
-        for d in derived:
-            typed.append(inst)
-            typed_as.append(d)
-    _group_types(onto, typed, typed_as)
+    _close_types(onto, classes_above)
     return onto
 
 
@@ -601,42 +601,62 @@ def _first_occurrences(
     return kept_s, kept_o
 
 
-def _group_types(onto: Ontology, typed_log: list[int], class_log: list[int]) -> None:
-    """Move the logged type edges into the per-term tuples, keep only the
-    first occurrence of an edge logged more than once, then clear the logs.
+def _group_types(onto: Ontology, typed: list[int], typed_as: list[int]) -> None:
+    """Group the given type edges, instance ``typed[i]`` of class
+    ``typed_as[i]``, into the per-term tuples, keeping only the first
+    occurrence of an edge given more than once.
 
     A repeat shows in its instance's tuple, so only tuples of more than one
     class are checked, and only the classes of a tuple that held a repeat
     have their instance tuples rebuilt."""
-    types_of, instances_of = onto._types_of, onto._instances_of
-    typed = _append_grouped(types_of, typed_log, class_log)
-    _append_grouped(instances_of, class_log, typed_log)
+    types_of = onto._types_of = _grouped(typed, typed_as)
+    instances_of = onto._instances_of = _grouped(typed_as, typed)
     repeated: set[int] = set()
-    for inst in typed:
-        classes = types_of[inst]
+    for inst, classes in types_of.items():
         if len(classes) > 1 and len(set(classes)) < len(classes):
             types_of[inst] = tuple(dict.fromkeys(classes))
             repeated.update(classes)
     for cls in repeated:
         instances_of[cls] = tuple(dict.fromkeys(instances_of[cls]))
-    # instances with equal class sequences share one tuple
+
+
+def _close_types(onto: Ontology, above: dict[int, set[int]]) -> None:
+    """Give every instance the classes above its given ones, after them.
+
+    Each distinct given class tuple is closed once, and the closed tuples are
+    interned, so instances with equal class sequences share one tuple. A
+    class's derived members follow its given ones, in the order of the
+    instances' first type edge; classes with no given member are added in
+    order of first derivation."""
+    types_of, instances_of = onto._types_of, onto._instances_of
+    # given class tuple -> its closed tuple and the classes derived for it
+    closed: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for inst, classes in types_of.items():
-        types_of[inst] = shared.setdefault(classes, classes)
-    typed_log.clear()
-    class_log.clear()
+    derived_members: dict[int, list[int]] = {}
+    for inst, given in types_of.items():
+        known = closed.get(given)
+        if known is None:
+            derived: set[int] = set()
+            for c in given:
+                derived.update(above.get(c, ()))
+            extra = tuple(d for d in derived if d not in given)
+            full = given + extra
+            known = closed[given] = shared.setdefault(full, full), extra
+        types_of[inst], extra = known
+        for d in extra:
+            members = derived_members.get(d)
+            if members is None:
+                members = derived_members[d] = []
+            members.append(inst)
+    for cls, members in derived_members.items():
+        instances_of[cls] = instances_of.get(cls, ()) + tuple(members)
 
 
-def _append_grouped(
-    index: dict[int, tuple], keys: list[int], values: list
-) -> Counter[int]:
-    """Append each ``values[i]`` to the tuple of ``keys[i]`` in index, and
-    return the keys whose tuples grew, with how many values each got.
+def _grouped(keys: list[int], values: list[int]) -> dict[int, tuple[int, ...]]:
+    """Each key mapped to the tuple of its values, ``values[i]`` for each
+    ``keys[i]``, in log order; keys in order of first appearance.
 
-    A counting sort groups the log, so each key's values keep log order and
-    no index of the log is sorted; keys new to the index are added in order
-    of first appearance, as appending one by one would add them.
-    """
+    A counting sort groups the log, so no index of the log is sorted."""
     counts = Counter(keys)  # in order of first appearance
     free = dict(zip(counts, accumulate(counts.values(), initial=0)))  # next slot
     grouped = [None] * len(keys)
@@ -646,9 +666,7 @@ def _append_grouped(
         grouped[i] = v
     del free
     runs = iter(grouped)
-    for k, n in counts.items():
-        index[k] = index.get(k, ()) + tuple(islice(runs, n))
-    return counts
+    return {k: tuple(islice(runs, n)) for k, n in counts.items()}
 
 
 def _closure(edges: dict[int, set[int]]) -> dict[int, set[int]]:

@@ -493,21 +493,32 @@ def _generated_copies(tmp_path):
 def test_input_order_and_layout_do_not_change_the_output(tmp_path, flags):
     """On a noisy pair and on a structure-only copy, whose many equal
     scores are summed in input order, shuffling both sides' lines,
-    repeating a tenth of the left side's lines or splitting the left side
-    into a directory of three files gives byte-identical TSVs; a repeated
-    line adds no statement."""
+    repeating a tenth of the left side's lines, splitting the left side
+    into a directory of three files, spelling every left line off the
+    common form the parser reads first, or a byte-order mark before the
+    left side gives byte-identical TSVs; a repeated line adds no
+    statement."""
     for work, sides in _generated_copies(tmp_path):
         _check_order_and_layout(work, flags, *sides)
 
 
+# A generated line: subject, predicate and object, each spelled as written.
+_TERMS = re.compile(r"(<[^>]*>) (<[^>]*>) (.*) \.\n")
+
+
 def _check_order_and_layout(work, flags, left, right):
-    """Align the given lines of both sides, and the three changes of them,
-    in `work`, and require the same TSVs from all four."""
+    """Align the given lines of both sides, and the five changes of them,
+    in `work`, and require the same TSVs from all six."""
     rng = random.Random(7)
 
-    def write(name, lines):
-        (work / name).write_text("".join(lines), encoding="utf-8")
+    def write(name, lines, encoding="utf-8"):
+        (work / name).write_text("".join(lines), encoding=encoding)
         return work / name
+
+    # tabs between the terms, spaces before the dot and a comment after it:
+    # every line goes through the full grammar
+    spelled = [_TERMS.sub(r"\1\t\2\t\3   . # spelled out\n", line) for line in left]
+    assert not set(spelled) & set(left)
 
     shuffled_left, shuffled_right = rng.sample(left, len(left)), rng.sample(right, len(right))
     repeated = left + rng.sample(left, len(left) // 10)
@@ -525,6 +536,8 @@ def _check_order_and_layout(work, flags, left, right):
                      write("shuffled_right.nt", shuffled_right)),
         "repeated": (write("repeated_left.nt", repeated), original_right),
         "split": (split, original_right),
+        "spelled": (write("spelled_left.nt", spelled), original_right),
+        "marked": (write("marked_left.nt", left, encoding="utf-8-sig"), original_right),
     }
     outputs = {}
     for name, (left_path, right_path) in runs.items():

@@ -6,9 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontoalign.ntriples import (
+    _ESCAPE,
+    _LINE,
+    _SIMPLE,
     AlignmentRow,
     ParseError,
     ParseStats,
+    _unescape_one,
     load_gold,
     load_ontology,
     parse_ntriples,
@@ -98,6 +102,73 @@ def test_comment_after_the_final_dot_is_ignored(gap):
     assert parse("<u:s> <u:p> <u:o> # c .", stats) == []
     assert stats.skipped == 1
     assert parse('<u:s#a> <u:p> "a # b" .' + gap + "#c") == [("u:s#a", "u:p", '"a # b"')]
+
+
+# Lines of the common form, which `_SIMPLE` reads, and near misses, which
+# only the grammar reads, each with whether `_SIMPLE` admits it.
+_FORMS = {
+    "<http://a/x> <http://a/p> <http://a/y> .": True,
+    '<http://a/x> <http://a/label> "Alice" .': True,
+    '<u:x> <u:l> "" .': True,
+    "<> <u:p> <> .": True,
+    '<u:x> <u:l> "é" .': True,
+    "<u:a b> <u:p> <u:o> .": True,  # an IRI holding a space
+    '<u:x> <u:l> "a> <u:q> <b" .': True,
+    '<u:x> <u:l> "ends ." .': True,
+    "  <u:x> <u:p> <u:o> .": True,  # the line is stripped first
+    "<u:x> <u:p> <u:o> . \r\n": True,
+    "<u:x>\t<u:p>\t<u:o> .": False,
+    "<u:x>  <u:p> <u:o> .": False,
+    '<u:x> <u:l>  "a" .': False,
+    "<u:x> <u:p> <u:o>.": False,
+    "<u:x> <u:p> <u:o>   .": False,
+    "<u:x> <u:p> <u:o> . # note": False,
+    '<u:x> <u:l> "a" .#note': False,
+    '<u:x> <u:l> "Paris"@fr .': False,
+    '<u:x> <u:n> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .': False,
+    '<u:x> <u:l> "say \\"hi\\"" .': False,
+    '<u:x> <u:l> "caf\\u00e9" .': False,
+    '<u:x> <u:l> "a \\" ." .': False,
+    "_:b <u:p> <u:o> .": False,
+    "<u:x> <u:p> _:b .": False,
+    # malformed: the grammar rejects them too
+    "<u:x> <u:p> <u:o>": False,
+    "<u:x> <u:p> <u:o> . .": False,
+    '<u:x> <u:p> "a" "b" .': False,
+    '<u:x> <u:l> "bad\\q" .': False,
+    '<u:a"b> <u:p> <u:o> .': False,
+    "<u:x> <u:p> <u:a> <u:b> .": False,
+}
+
+
+def _by_grammar(line):
+    """The triple `_LINE`'s groups give for a non-blank line, or None."""
+    m = _LINE.match(line.strip())
+    if m is None:
+        return None
+    subj, blank, pred, obj, blank_obj, text, tag = m.groups()
+    if text is not None:
+        obj = '"' + _ESCAPE.sub(_unescape_one, text) + '"' + (tag or "")
+    return (blank if subj is None else subj), pred, (blank_obj if obj is None else obj)
+
+
+def test_common_form_gives_what_the_grammar_gives():
+    """A line is read by `_SIMPLE` exactly when it has the common form, and
+    the parser yields the triple the grammar gives for it, or skips it when
+    the grammar rejects it. Read together with blank and comment lines, the
+    forms give the grammar's triples in order and its skip count."""
+    for line, simple in _FORMS.items():
+        assert (_SIMPLE.fullmatch(line.strip()) is not None) == simple, line
+        expected = _by_grammar(line)
+        stats = ParseStats()
+        assert list(parse_ntriples([line], stats)) == ([] if expected is None else [expected])
+        assert (stats.parsed, stats.skipped) == ((0, 1) if expected is None else (1, 0)), line
+    lines = [f"{line}\n" for line in _FORMS] + ["\n", "# comment\n", "   \n"]
+    expected = [t for t in map(_by_grammar, _FORMS) if t is not None]
+    assert 0 < len(expected) < len(_FORMS)
+    stats = ParseStats()
+    assert list(parse_ntriples(lines, stats)) == expected
+    assert (stats.parsed, stats.skipped) == (len(expected), len(_FORMS) - len(expected))
 
 
 def test_malformed_lines_are_skipped_and_counted():
@@ -359,6 +430,27 @@ def test_read_alignment_rejects_wrong_column_count(tmp_path):
     path.write_text("a\tb\t0.5\n")
     with pytest.raises(ParseError):
         read_alignment(path)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path):
+    """A UTF-8 byte-order mark is dropped before the first line, in
+    N-Triples inputs and in gold and alignment TSVs."""
+    triples = "".join(f"<u:x{i}> <u:p> <u:y{i}> .\n" for i in range(60))
+    gold = "a\tb\nc\td\n"
+    rows = "a\tb\t0.500000\tinstance\tequivalence\n"
+    for name, text in (("plain", ""), ("marked", "\ufeff")):
+        (tmp_path / f"{name}.nt").write_text(text + triples, encoding="utf-8")
+        (tmp_path / f"{name}_gold.tsv").write_text(text + gold, encoding="utf-8")
+        (tmp_path / f"{name}_rows.tsv").write_text(text + rows, encoding="utf-8")
+    assert (tmp_path / "marked.nt").read_bytes().startswith(b"\xef\xbb\xbf<u:x0>")
+    plain, marked = (load_ontology(tmp_path / f"{name}.nt") for name in ("plain", "marked"))
+    assert marked.term_id("u:x0") == plain.term_id("u:x0") is not None
+    assert marked.statement_count() == plain.statement_count() == 120
+    assert load_gold(tmp_path / "marked_gold.tsv") == {("a", "b"), ("c", "d")}
+    assert read_alignment(tmp_path / "marked_rows.tsv") == read_alignment(
+        tmp_path / "plain_rows.tsv"
+    )
+    assert read_alignment(tmp_path / "marked_rows.tsv")[0].left == "a"
 
 
 def test_load_gold_dedupes_and_tolerates_extra_columns(tmp_path):

@@ -515,12 +515,16 @@ _CLASSES = ("C0", "C1", "C2")
     st.lists(st.tuples(st.sampled_from(_CLASSES), st.sampled_from(_CLASSES)),
              max_size=3),
 )
+# different given classes, closed to the same sequence
+@example(statements=[], types=[("e0", "C0"), ("e1", "C0"), ("e1", "C1")],
+         subclasses=[("C0", "C1")])
 def test_reads_see_every_insert_in_insertion_order(statements, types, subclasses):
     """rows, classes_of and instances_of hold each statement and type once,
     in input order. The
     types the subclass closure derives come after an instance's given ones,
     and after a class's given members, in order of the instances' first
-    type edge."""
+    type edge. Instances with equal class sequences hold one tuple, also
+    when their given classes differ."""
     onto = ontology_from_triples(
         statements
         + [(a, RDFS_SUBCLASSOF, b) for a, b in subclasses]
@@ -567,3 +571,7 @@ def test_reads_see_every_insert_in_insertion_order(statements, types, subclasses
             assert listed == ()
         names = members.get(onto.lexical(t), ()) if onto.kind(t) == CLASS else ()
         assert onto.instances_of(t) == tuple(map(tid, names))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x in onto.instances():
+        classes = onto.classes_of(x)
+        assert shared.setdefault(classes, classes) is classes
