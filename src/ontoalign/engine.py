@@ -245,8 +245,6 @@ class InclusionTable:
 
 
 Partners = tuple[tuple[int, float], ...]  # (partner, probability), ascending by partner
-# Per second-ontology instance, its objects per relation (see `_penalty_index`).
-PenaltyIndex = dict[int, dict[int, list[int]]]
 
 
 def _with_assignment(
@@ -303,8 +301,9 @@ class AlignmentState:
     iteration body changes it (see `_advance`).
 
     The literal seeds' partner lists in `literals` are built once, by
-    `bootstrap`, and passed on unchanged from state to state; so is the
-    `penalty_index` (see `_penalty_index`), empty without negative evidence.
+    `bootstrap`, and passed on unchanged from state to state. Nothing else
+    is built per run: the penalties of negative evidence read the second
+    store's columns (see `_InstanceFactors._penalty`).
 
     The next iteration reads `subrel` and `assignment` in its instance
     sweep, whose evidence view it builds from them, and `assignment` again
@@ -322,7 +321,6 @@ class AlignmentState:
     fun1: FunctionalityTable
     fun2: FunctionalityTable
     literals: LiteralShare
-    penalty_index: PenaltyIndex
     equiv: EquivalenceTable | None
     assignment: MaximalAssignment
     subrel: InclusionTable | None  # None means the uniform bootstrap prior
@@ -428,19 +426,6 @@ def literal_seed_pairs(
     return LiteralShare(left, right)
 
 
-def _penalty_index(o2: Ontology) -> PenaltyIndex:
-    """Each second-ontology instance's objects, grouped by relation: all that
-    a penalty reads of a candidate (see `_InstanceFactors._penalty`)."""
-    index: PenaltyIndex = {}
-    for x2 in o2.instances():
-        rels = o2.subject_relations[x2]
-        if rels:
-            objs = index[x2] = {}
-            for q, o in zip(rels, o2.subject_objects[x2]):
-                objs.setdefault(q, []).append(o)
-    return index
-
-
 def bootstrap(
     o1: Ontology,
     o2: Ontology,
@@ -456,7 +441,6 @@ def bootstrap(
     return AlignmentState(
         o1=o1, o2=o2, config=config, fun1=fun1, fun2=fun2,
         literals=literals,
-        penalty_index=_penalty_index(o2) if config.negative_evidence else {},
         equiv=EquivalenceTable(literals), assignment=MaximalAssignment(),
         subrel=None, iteration=0,
     )
@@ -534,11 +518,13 @@ class _InstanceFactors:
     Under negative evidence, the penalty weights are built once per sweep
     (see `_penalty_weights`) and the part of x's penalties that does not
     depend on the candidate once per x (see `_penalty_plan`), so each
-    candidate x2 costs only the walk over its own objects, grouped by
-    relation once per run (`AlignmentState.penalty_index`). The sweep scores
-    x's candidates one after another; one plan is kept at a time. Penalties
-    are walked only for a pair that can still be stored, and the walk stops
-    as soon as one penalty rules it out (see `probability`).
+    candidate x2 costs only reads of its own columns in the second store:
+    per term, a lookup of y's partner among x2's objects, or where y has
+    several partners a walk over x2's objects under r2 (see `_penalty`).
+    The sweep scores x's candidates one after another; one plan is kept at
+    a time. Penalties are walked only for a pair that can still be stored,
+    and the walk stops as soon as one penalty rules it out (see
+    `probability`).
 
     A penalty can also rule candidates out before they are scored. The
     penalty of statement r(x, y) against an aligned relation r2 is decisive
@@ -588,7 +574,6 @@ class _InstanceFactors:
         # without it, so no penalties)
         self._weights = self._penalty_weights(state.subrel) if cfg.negative_evidence else {}
         self._decisive = self._decisive_relations(cfg.theta)
-        self._objs = state.penalty_index
         self._plan_of: int | None = None  # the instance `_plan` belongs to
         self._plan: list[PenaltyTerm] = []
         # per relation r of x's statements and relation q of a second-ontology
@@ -803,14 +788,16 @@ class _InstanceFactors:
 
         The term whose partners have the fewest statements, the first of
         them on a tie, is walked for its candidates, in the order its
-        partners' statements give them, each once; each other term keeps
-        those that have such a statement, read off the candidate's objects
-        grouped by relation. P is formed as `probability` forms it, and
-        where P <= floor the pair is ruled out, as p P <= P for every
-        p <= 1. A candidate kept always has a positive factor: the landing
-        through which it escapes has a positive weight, as the penalty
-        weight that makes the term decisive does."""
-        rels2, objs2, grouped = self._rels2, self._objs2, self._objs
+        partners' statements give them, each once. A candidate that is not
+        an instance is passed over: the sweep scores instances only. Each
+        other term keeps those that have such a statement, looked up in the
+        candidate's own columns (see `_holds_each`). P is formed as
+        `probability` forms it, and where P <= floor the pair is ruled out,
+        as p P <= P for every p <= 1. A candidate kept always has a
+        positive factor: the landing through which it escapes has a
+        positive weight, as the penalty weight that makes the term decisive
+        does."""
+        rels2, objs2, kinds2 = self._rels2, self._objs2, self._kinds2
         walked, least = 0, -1
         for i, (parts, _) in enumerate(terms):
             size = 0
@@ -829,8 +816,7 @@ class _InstanceFactors:
                 if q2 != q or x2 in seen:
                     continue
                 seen.add(x2)
-                objs = grouped.get(x2)  # None for a term that is not an instance
-                if objs is None or not _holds_each(objs, rest):
+                if kinds2[x2] != INSTANCE or not _holds_each(rels2[x2], objs2[x2], rest):
                     continue
                 escaped += 1
                 penalty = self._penalty(x, x2, 1.0, floor)
@@ -905,20 +891,36 @@ class _InstanceFactors:
         1 - fun(r) P(incl) inner, which multiplies left to right. A weight
         of 0.0 gives the factor exactly 1.0, which neither cuts the pair
         (p > floor wherever this runs) nor moves the product.
+
+        The inner product reads x2's own columns in the second store. Where
+        y has one partner b, it is 1 - P(y, b) if x2 has the statement
+        r2(x2, b) (see `_holds`), which the store keeps at most once, and 1
+        otherwise. Where y has several, x2's objects under r2 are walked in
+        row order, and each that is a partner of y multiplies in.
         """
         if x != self._plan_of:
             self._plan_of, self._plan = x, self._penalty_plan(x)
-        objs2 = self._objs[x2]
+        rels2, objs2 = self._rels2[x2], self._objs2[x2]
         pens: list[float] = []
         for parts, r2, w21, w12 in self._plan:
             inner = 1.0
-            for y2 in objs2.get(r2, ()):
-                # y's partners ascend, so the scan stops at y2's place
-                for b, pe in parts:
-                    if b >= y2:
-                        if b == y2:
-                            inner *= 1.0 - pe
-                        break
+            if len(parts) == 1:
+                (b, pe), = parts
+                if _holds(rels2, objs2, r2, b):
+                    inner = 1.0 - pe
+            elif parts:
+                n = rels2.count(r2)
+                i = -1
+                while n:
+                    i = rels2.index(r2, i + 1)
+                    y2 = objs2[i]
+                    # y's partners ascend, so the scan stops at y2's place
+                    for b, pe in parts:
+                        if b >= y2:
+                            if b == y2:
+                                inner *= 1.0 - pe
+                            break
+                    n -= 1
             for w in (w21, w12):
                 f = 1.0 - w * inner
                 if p * f <= floor:
@@ -957,16 +959,30 @@ class _InstanceFactors:
         return p * penalty
 
 
-def _holds_each(objs: dict[int, list[int]], terms: list[tuple[Partners, int]]) -> bool:
-    """Whether a candidate whose objects, grouped by relation, are `objs`
-    has for each term (parts, r2) an object under r2 among the partners
-    `parts` (see `_InstanceFactors._escaping`)."""
+def _holds(rels: tuple[int, ...], objs: tuple[int, ...], r2: int, b: int) -> bool:
+    """Whether a subject whose store columns are `rels` and `objs` has the
+    statement r2 to b. b's places among the objects are looked up, as
+    `_subrel_rows` looks up a pair's, so a subject with many objects under
+    r2, such as a city with its residents, costs no walk over them."""
+    n = objs.count(b)
+    i = -1
+    while n:
+        i = objs.index(b, i + 1)
+        if rels[i] == r2:
+            return True
+        n -= 1
+    return False
+
+
+def _holds_each(
+    rels: tuple[int, ...], objs: tuple[int, ...], terms: list[tuple[Partners, int]]
+) -> bool:
+    """Whether a candidate whose store columns are `rels` and `objs` has for
+    each term (parts, r2) a statement r2 to one of the partners `parts`
+    (see `_InstanceFactors._escaping`)."""
     for parts, r2 in terms:
-        held = objs.get(r2)
-        if not held:
-            return False
         for y2, _ in parts:
-            if y2 in held:
+            if _holds(rels, objs, r2, y2):
                 break
         else:
             return False

@@ -395,8 +395,8 @@ def test_equal_relation_and_class_sequences_share_one_tuple(tmp_path):
 
 def test_every_term_id_is_one_int_object(tmp_path):
     """The term lists hand out the int objects the columns and the type
-    tuples hold, and the literal seeds and the penalty index keep those
-    objects rather than equal copies."""
+    tuples hold, and the literal seeds keep those objects rather than equal
+    copies."""
     generate_pair(tmp_path, instances=400, seed=1)
     o1, o2 = (load_ontology(tmp_path / name) for name in ("left.nt", "right.nt"))
     objects = []
@@ -416,8 +416,6 @@ def test_every_term_id_is_one_int_object(tmp_path):
         seeded = [b for parts in parts_of for b, _ in parts]
         assert len(seeded) > 256
         assert all(b is partners[b] for b in seeded)
-    assert len(state.penalty_index) > 256
-    assert all(x2 is objects[1][x2] for x2 in state.penalty_index)
     # classes take the first ids, so ids above the small-int cache need many
     many = ontology_from_triples((f"x{i}", RDF_TYPE, f"C{i}") for i in range(300))
     by_id = {c: c for c in many.classes()}
