@@ -60,10 +60,7 @@ def _add_align_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=cfg.theta,
                    help="bootstrap relation prior and storage floor (default %(default)s)")
     p.add_argument("--max-iterations", type=int, default=cfg.max_iterations,
-                   help="most fixpoint iterations to run (default %(default)s)")
-    p.add_argument("--convergence", type=float, default=cfg.convergence_fraction,
-                   help="stop when no assignment changes or fewer than this fraction"
-                        " do (default %(default)s)")
+                   help="most fixpoint iterations to run, at least 1 (default %(default)s)")
     p.add_argument("--negative-evidence", action="store_true",
                    help="penalize pairs whose aligned relations disagree")
     p.add_argument("--literal-mode", choices=tuple(MEASURES), default=cfg.literal_mode,
@@ -76,7 +73,6 @@ def _config_from_args(args: argparse.Namespace) -> AlignmentConfig:
     return AlignmentConfig(
         theta=args.theta,
         max_iterations=args.max_iterations,
-        convergence_fraction=args.convergence,
         negative_evidence=args.negative_evidence,
         literal_mode=args.literal_mode,
     )
@@ -176,11 +172,10 @@ def cmd_align(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    last = result.iterations[-1] if result.iterations else None
     print(
         f"aligned in {len(result.iterations)} iterations"
-        f" (converged={str(result.converged).lower()}"
-        f"{f', final change {last.change_fraction:.2%}' if last else ''})"
+        f" (converged={str(result.converged).lower()},"
+        f" final change {result.iterations[-1].change_fraction:.2%})"
     )
     for name, (path, count) in outputs.items():
         print(f"  {name}: {count} rows -> {path}")

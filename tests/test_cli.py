@@ -131,7 +131,7 @@ def test_align_writes_outputs_and_manifest(world):
     assert manifest["config.theta"] == "0.1"
     # retired settings are not config fields, so the manifest has no key for them
     for gone in ("pair_cap", "restrict_to_assignment", "functionality_mode", "negative_inner",
-                 "class_score_threshold"):
+                 "class_score_threshold", "convergence_fraction"):
         assert f"config.{gone}" not in manifest
     assert int(manifest["iterations"]) >= 1
     # the recorded digest really is the digest of the input file
@@ -247,32 +247,30 @@ def test_odd_lexical_forms_round_trip_and_align(tmp_path, capsys):
     ]
 
 
-def test_zero_iterations_yields_empty_unconverged_outputs(world, tmp_path):
-    data, _ = world
-    out = tmp_path / "none"
-    code = main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                 "--out", str(out), "--max-iterations", "0"])
-    assert code == 0
-    assert read_alignment(out / "instances.tsv") == []
-    assert "converged=false" in (out / "manifest.txt").read_text().splitlines()
-
-
 def test_strict_flag_turns_non_convergence_into_exit_4(world, tmp_path):
+    """Iteration 1 assigns every instance afresh, so its change fraction is
+    1.0 and a one-iteration run cannot converge."""
     data, _ = world
+    out = tmp_path / "strict"
     code = main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                 "--out", str(tmp_path / "strict"), "--max-iterations", "0",
-                 "--strict"])
+                 "--out", str(out), "--max-iterations", "1", "--strict"])
     assert code == 4
+    manifest = dict(
+        line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert manifest["converged"] == "false"
+    assert manifest["iterations"] == "1"
+    assert manifest["iteration.1.change_fraction"] == "1.000000"
 
 
-def test_no_assignment_change_converges_under_convergence_0(tmp_path):
-    """With --convergence 0 no fraction is below the setting, so the run
-    stops once an iteration changes no assignment: here the second."""
+def test_an_iteration_that_changes_no_assignment_converges(tmp_path):
+    """The run stops once an iteration changes no assignment: here the
+    second."""
     data, out = tmp_path / "data", tmp_path / "out"
     assert main(["generate", "--out-dir", str(data), "--instances", "200",
                  "--seed", "3"]) == 0
     assert main(["align", str(data / "left.nt"), str(data / "right.nt"),
-                 "--out", str(out), "--convergence", "0", "--strict"]) == 0
+                 "--out", str(out), "--strict"]) == 0
     manifest = dict(
         line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines()
     )
@@ -507,11 +505,11 @@ def test_non_utf8_eval_input_exits_3(world, tmp_path, capsys, bad_arg):
         ["--theta", "-0.5"],
         ["--theta", "0"],
         ["--theta", "1"],
-        ["--convergence", "-1"],
-        ["--convergence", "1.5"],
         ["--max-iterations", "-1"],
         ["--theta", "nan"],
-        ["--convergence", "nan"],
+        ["--max-iterations", "0"],
+        ["--theta", "inf"],
+        ["--theta", "1.5", "--max-iterations", "0"],
     ],
 )
 def test_out_of_range_settings_exit_2(world, tmp_path, capsys, option):
@@ -598,10 +596,12 @@ def test_usage_errors_exit_2(world, tmp_path, capsys):
     # No flag bounds the inclusion sweeps, widens the evidence beyond the
     # assignment, picks another negative-evidence penalty, picks a
     # functionality estimator other than the harmonic mean, moves the class
-    # floor or writes instance pairs beyond the assignment, in any command.
+    # floor or the stop fraction, or writes instance pairs beyond the
+    # assignment, in any command.
     for flags in (
         ["--pair-cap", "0"], ["--no-restrict"], ["--functionality-mode", "median"],
         ["--negative-inner", "pair"], ["--class-threshold", "0.5"], ["--all-probabilities"],
+        ["--convergence", "0.01"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(["align", str(data / "left.nt"), str(data / "right.nt"),

@@ -22,10 +22,12 @@ from ontoalign.engine import (
     AlignmentConfig,
     EquivalenceTable,
     EvidenceView,
+    IterationStats,
     LiteralShare,
     bootstrap,
     compute_class_alignment,
     compute_maximal_assignment,
+    has_converged,
     instance_equivalence,
     literal_seed_pairs,
     result_rows,
@@ -644,9 +646,8 @@ def test_bounded_candidates_give_the_factors_of_the_full_enumeration():
         ("theta", 1.0),
         ("theta", -0.5),
         ("theta", float("nan")),
-        ("convergence_fraction", -0.01),
-        ("convergence_fraction", 1.01),
         ("max_iterations", -1),
+        ("max_iterations", 0),
         ("literal_mode", "fuzzy"),
     ],
 )
@@ -663,6 +664,14 @@ def test_config_has_no_negative_inner_field():
     assert AlignmentConfig.negative_inner == "object"
 
 
+def test_config_has_no_convergence_fraction_field():
+    """The stop fraction is fixed; the field that set it is gone, and the
+    value `bench/checks.py` reads is fixed."""
+    with pytest.raises(TypeError, match="convergence_fraction"):
+        AlignmentConfig(convergence_fraction=0.05)
+    assert AlignmentConfig.convergence_fraction == 0.01
+
+
 def test_config_has_no_class_score_threshold_field():
     """Class rows are reported from one fixed floor; the field that moved
     it is gone."""
@@ -671,15 +680,32 @@ def test_config_has_no_class_score_threshold_field():
     assert CLASS_SCORE_FLOOR == 0.4
 
 
-def test_zero_iterations_returns_bootstrap_outputs(alice):
+@pytest.mark.parametrize("changed, tracked, stops", [
+    (0, 0, True), (0, 200, True), (1, 200, True), (2, 200, False), (200, 200, False),
+])
+def test_a_run_stops_below_one_percent_of_changes(changed, tracked, stops):
+    """The stop fraction is 0.01, and a fraction of exactly 0.01 runs on."""
+    stats = IterationStats(
+        iteration=1, changed=changed, tracked=tracked,
+        change_fraction=(changed / tracked) if tracked else 0.0,
+        equivalences=0, subrelations=0, pairs_evaluated=0,
+        pairs_ruled_out_by_penalties=0, instances_ruled_out=0, phases={},
+    )
+    assert has_converged(stats, AlignmentConfig()) is stops
+
+
+def test_a_one_iteration_run_returns_that_iteration(alice):
+    """The shortest run is one iteration, which assigns every instance
+    afresh and so cannot converge; its result holds that iteration's
+    assignment and relation inclusions."""
     o1, o2 = alice
-    result = run_fixpoint(o1, o2, AlignmentConfig(max_iterations=0))
+    result = run_fixpoint(o1, o2, AlignmentConfig(max_iterations=1))
+    state, stats = step(bootstrap(o1, o2, result.config))
     assert not result.converged
-    assert result.iterations == []
-    assert result.assignment.forward == {}
-    assert len(result.subrel) == 0
-    instances, relations, classes = result_rows(result)
-    assert instances == [] and relations == []
+    assert [s.change_fraction for s in result.iterations] == [stats.change_fraction] == [1.0]
+    assert result.assignment.forward == state.assignment.forward != {}
+    assert result.subrel.o1_to_o2 == state.subrel.o1_to_o2 != {}
+    assert result.subrel.o2_to_o1 == state.subrel.o2_to_o1
 
 
 def test_empty_ontologies_converge_immediately():
