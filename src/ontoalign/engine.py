@@ -3,10 +3,10 @@
 Each iteration recomputes instance-equivalence probabilities from the previous
 iteration's tables (a full snapshot read, never in-place), derives the maximal
 assignment, then recomputes relation-inclusion probabilities from the fresh
-equivalences. Iteration stops when no assigned instance changes partner, or
-when fewer than a configured fraction of them do. Class inclusions are
-computed once, at the end, from the final assignment, and reported from
-`CLASS_SCORE_FLOOR` up.
+equivalences. Iteration stops when fewer than 1% of the assigned instances
+change partner, so also when none does. Class inclusions are computed once,
+at the end, from the final assignment, and reported from `CLASS_SCORE_FLOOR`
+up.
 
 Evidence model, in words:
 
@@ -22,11 +22,11 @@ Evidence model, in words:
 
 Literal-literal equalities are clamped up front through the shared
 normalized-value index and never change, so their share of the evidence is
-built once per run. An instance pair's factors and a relation statement's
-misses are multiplied in ascending order, so results do not depend on
-traversal order or on which ontology is called "first" when the two roles are
-swapped, and a relation's inverse scores exactly as the relation does. A class
-member's misses are multiplied in partner order.
+built once per run. An instance pair's factors, a penalty's misses and a
+relation statement's misses are multiplied in ascending order, so products do
+not depend on traversal order or on which ontology is called "first" when the
+two roles are swapped, and a relation's inverse scores exactly as the
+relation does. A class member's misses are multiplied in partner order.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class IterationStats:
 
     `phases` records the instance sweep, the assignment and the relation
     sweep, in that order (see `timed`); each sweep's time includes the build
-    of its evidence view and the assignment's its change count. The
+    of the evidence it reads and the assignment's its change count. The
     relation sweep's peak is the iteration's end; so the first phase to
     reach a peak names it.
     """
@@ -303,11 +303,11 @@ class AlignmentState:
     store's columns (see `_InstanceFactors._penalty`).
 
     The next iteration reads `subrel` and `assignment` in its instance
-    sweep, whose evidence view it builds from them, and `assignment` again
-    in its change count. It never reads `equiv`: the table is the
-    iteration's outcome, kept for the caller and the final result. The
-    iteration replaces each part once its last reader is done (see
-    `_advance`), so while it runs, `equiv` is None for a while. Where
+    sweep, which builds its partner list from the assignment, and
+    `assignment` again in its change count. It never reads `equiv`: the
+    table is the iteration's outcome, kept for the caller and the final
+    result. The iteration replaces each part once its last reader is done
+    (see `_advance`), so while it runs, `equiv` is None for a while. Where
     nothing else holds the state, as in `run_fixpoint`, each part is freed
     then.
     """
@@ -364,9 +364,10 @@ class EvidenceView:
       the stored p, so a stored pair that is best in neither direction
       carries no evidence.
 
-    The lists hold partner tuples only, with no dict per term: the
-    penalties find P(y, y2) by a scan of y's tuple (see `_penalty`). Each
-    sweep builds its own view, and the view lives as long as the sweep.
+    The lists hold partner tuples only, with no dict per term. The relation
+    sweep and the class phase each build their own view, which lives as long
+    as the phase. The instance sweep reads only the first ontology's list,
+    so it builds that one alone (see `update_all_instances`).
     """
 
     def __init__(self, literals: LiteralShare, assignment: MaximalAssignment) -> None:
@@ -452,16 +453,16 @@ def bootstrap(
 _TERM_SLACK = 2.0**-50
 
 # A landing group adds its factor to candidates by walking its members when
-# it has at most this many per candidate; otherwise each candidate is looked
-# up in a set of the group's members, built once per sweep (see
+# it has at most this many per candidate; otherwise each candidate's own
+# columns are searched for the group's statement (see
 # `_InstanceFactors._add_to_members`, the weak step of `candidates`).
-# On the weak groups that meet a candidate in the benchmark's `clean` and
-# `hub` inputs (seed 1; `negative` has none), a walked member costs
-# 0.03-0.07 us, a looked-up candidate 0.08-0.10 us and a set 0.06-0.09 us
-# per member to build (best of 9 replays of a run's groups, Python 3.11 on
-# a 2-core VM). Their summed cost is flat within 1% for ratios from 2 to 8,
-# and so are `align_s` and the peak in the benchmark; at 1, `clean` builds
-# 2 523 sets instead of 783 and peaks about 2 MB higher.
+# Replaying every weak step of a run on the benchmark's inputs (seed 1; best
+# of 15 replays, Python 3.11 on a 2-core VM), ratios 2, 4, 8 and 16 cost the
+# same within the spread of repeated measurements: 19-31 ms per run on
+# `clean`, 9.5-18 ms on `hub` and 0.7 ms on `negative`. A looked-up
+# candidate costs 0.26-0.52 us, a member of `hub`'s hub group 0.03 us to
+# walk. At this ratio a run looks up 1 192 candidates on `clean`, 20 032 on
+# `hub` and 337 on `negative`.
 _WALK_PER_LOOKUP = 4
 
 
@@ -512,12 +513,13 @@ class _InstanceFactors:
     pair with no stored inclusion, adds no factor and makes no candidate: its
     factor would be exactly 1.0.
 
-    Under negative evidence, the penalty weights are built once per sweep
-    (see `_penalty_weights`) and the part of x's penalties that does not
-    depend on the candidate once per x (see `_penalty_plan`), so each
-    candidate x2 costs only reads of its own columns in the second store:
-    per term, a lookup of y's partner among x2's objects, or where y has
-    several partners a walk over x2's objects under r2 (see `_penalty`).
+    Whether a candidate x2 holds a statement, for a weak group, an escape
+    or a penalty, is looked up in x2's own columns in the second store (see
+    `_holds`); no set is built for it. Under negative evidence, the penalty
+    weights are built once per sweep (see `_penalty_weights`) and the part
+    of x's penalties that does not depend on the candidate once per x (see
+    `_penalty_plan`), so each candidate x2 costs only lookups of y's
+    partners among its objects (see `_penalty`).
     The sweep scores x's candidates one after another; one plan is kept at
     a time. Penalties are walked only for a pair that can still be stored,
     and the walk stops as soon as one penalty rules it out (see
@@ -545,9 +547,10 @@ class _InstanceFactors:
     candidate the walk enumerates.
     """
 
-    def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
+    def __init__(self, state: AlignmentState, left: list[Partners]) -> None:
+        """`left` lists the first ontology's partners, as `EvidenceView.left`."""
         cfg = state.config
-        self._left = ev.left
+        self._left = left
         self._o1 = state.o1
         self._rels1 = state.o1.subject_relations
         self._objs1 = state.o1.subject_objects
@@ -578,9 +581,6 @@ class _InstanceFactors:
         # P(y, y2); filled on first use (see `_coefficient`)
         self._coefs: defaultdict[int, dict[int, tuple[float, float]]] = defaultdict(dict)
         self._grouped: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-        # the members of a looked-up weak landing group (y2, q), as a set;
-        # filled on first use (see `candidates`)
-        self._member_sets: dict[tuple[int, int], frozenset[int]] = {}
 
     def _coefficient(
         self, coefs: dict[int, tuple[float, float]], r: int, q: int
@@ -753,12 +753,14 @@ class _InstanceFactors:
         its members: the rule by which `candidates` adds its weak groups to
         the candidates its strong groups found. A group is walked when it
         has at most `_WALK_PER_LOOKUP` times as many members as there are
-        candidates; otherwise each candidate is tested against the group's
-        member set, built once per sweep."""
+        candidates; otherwise each candidate x2 is a member if it holds the
+        statement q^-1(x2, y2), looked up in its own columns (see `_holds`).
+        Either way each member gets the group's factor once: the store keeps
+        a statement at most once."""
         if not acc:
             return
         walk = _WALK_PER_LOOKUP * len(acc)
-        member_sets = self._member_sets
+        rels2, objs2 = self._rels2, self._objs2
         for _, f, y2, q, x2s in landed:
             if len(x2s) <= walk:
                 for x2 in x2s:
@@ -766,11 +768,9 @@ class _InstanceFactors:
                     if fs is not None:
                         fs.append(f)
                 continue
-            members = member_sets.get((y2, q))
-            if members is None:
-                members = member_sets[(y2, q)] = frozenset(x2s)
+            r2 = q ^ 1  # q(y2, x2) seen from x2's side
             for x2, fs in acc.items():
-                if x2 in members:
+                if _holds(rels2[x2], objs2[x2], r2, y2):
                     fs.append(f)
 
     def _escaping(
@@ -889,11 +889,10 @@ class _InstanceFactors:
         of 0.0 gives the factor exactly 1.0, which neither cuts the pair
         (p > floor wherever this runs) nor moves the product.
 
-        The inner product reads x2's own columns in the second store. Where
-        y has one partner b, it is 1 - P(y, b) if x2 has the statement
-        r2(x2, b) (see `_holds`), which the store keeps at most once, and 1
-        otherwise. Where y has several, x2's objects under r2 are walked in
-        row order, and each that is a partner of y multiplies in.
+        The inner product is the ascending product of 1 - P(y, b) over the
+        partners b of y for which x2 has the statement r2(x2, b), each looked
+        up in x2's own columns in the second store (see `_holds`), which
+        keep a statement at most once; 1 where there is none.
         """
         if x != self._plan_of:
             self._plan_of, self._plan = x, self._penalty_plan(x)
@@ -906,18 +905,9 @@ class _InstanceFactors:
                 if _holds(rels2, objs2, r2, b):
                     inner = 1.0 - pe
             elif parts:
-                n = rels2.count(r2)
-                i = -1
-                while n:
-                    i = rels2.index(r2, i + 1)
-                    y2 = objs2[i]
-                    # y's partners ascend, so the scan stops at y2's place
-                    for b, pe in parts:
-                        if b >= y2:
-                            if b == y2:
-                                inner *= 1.0 - pe
-                            break
-                    n -= 1
+                inner = _sorted_product(
+                    [1.0 - pe for b, pe in parts if _holds(rels2, objs2, r2, b)]
+                )
             for w in (w21, w12):
                 f = 1.0 - w * inner
                 if p * f <= floor:
@@ -958,9 +948,11 @@ class _InstanceFactors:
 
 def _holds(rels: tuple[int, ...], objs: tuple[int, ...], r2: int, b: int) -> bool:
     """Whether a subject whose store columns are `rels` and `objs` has the
-    statement r2 to b. b's places among the objects are looked up, as
-    `_subrel_rows` looks up a pair's, so a subject with many objects under
-    r2, such as a city with its residents, costs no walk over them."""
+    statement r2 to b: the instance sweep's one membership test, for weak
+    groups, escapes and penalties alike. b's places among the objects are
+    looked up, as `_subrel_rows` looks up a pair's, so a subject with many
+    objects under r2, such as a city with its residents, costs no walk over
+    them."""
     n = objs.count(b)
     i = -1
     while n:
@@ -1000,13 +992,14 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     Reads the state's tables as the previous iteration and applies the
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
-    instance, x2 second. Each call builds the sweep's evidence view from the
-    state's seeds and assignment, so it costs a copy of both seed lists, and
-    walks every landing of x's statements with no bound (`candidates` with
-    the floor 0.0); for many pairs, run the sweep.
+    instance, x2 second. Each call builds the sweep's partner list from the
+    state's seeds and assignment, so it costs a copy of the first ontology's
+    seed list, and walks every landing of x's statements with no bound
+    (`candidates` with the floor 0.0); for many pairs, run the sweep.
     """
-    ev = EvidenceView(state.literals, state.assignment)
-    factors = _InstanceFactors(state, ev)
+    a = state.assignment
+    left = _with_assignment(state.literals.left_sorted, a.forward, a.backward)
+    factors = _InstanceFactors(state, left)
     return factors.probability(x, x2, factors.candidates(x, 0.0).get(x2, []))
 
 
@@ -1020,10 +1013,13 @@ def update_all_instances(
     `counts["instances_ruled_out"]` (see `IterationStats`). The sweep never
     enumerates the full cross product: candidates come only from shared
     evidence, and only through statements that could lift a pair over theta
-    (see `_InstanceFactors`).
+    (see `_InstanceFactors`). It reads only the first ontology's partners,
+    so it builds that list of the evidence view alone.
     """
     theta = state.config.theta
-    factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    a = state.assignment
+    left = _with_assignment(state.literals.left_sorted, a.forward, a.backward)
+    factors = _InstanceFactors(state, left)
     rels_of = state.o1.subject_relations
     rows: dict[int, dict[int, float]] = {}
     evaluated = ruled_out = 0
@@ -1256,9 +1252,9 @@ def _advance(state: AlignmentState) -> IterationStats:
     * the table at once, before the instance sweep: no phase reads it;
     * the assignment after the change count.
 
-    Each sweep builds its evidence view from the state's assignment and
-    drops it when done, so the assignment phase runs without the instance
-    sweep's view, and the relation sweep and the class phase without the
+    Each sweep builds its evidence from the state's assignment and drops it
+    when done, so the assignment phase runs without the instance sweep's
+    partner list, and the relation sweep and the class phase without the
     previous assignment.
     """
     phases: Phases = {}

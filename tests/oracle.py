@@ -7,11 +7,11 @@ only index reuse is statement-set membership when locating a relation's
 statements between two terms (absent statements contribute exact 1.0 factors,
 so membership lookups cannot change any value).
 
-An instance pair's factors and a relation statement's misses are multiplied
-in ascending order, the documented canonical order; a class member's misses
-are multiplied in partner order, as the engine does. So oracle values should
-match the engine bit for bit, not just within an epsilon. Every relation,
-inverses included, is scored in its own pass.
+An instance pair's factors, a penalty's misses and a relation statement's
+misses are multiplied in ascending order, the documented canonical order; a
+class member's misses are multiplied in partner order, as the engine does. So
+oracle values should match the engine bit for bit, not just within an
+epsilon. Every relation, inverses included, is scored in its own pass.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from ontoalign.store import INSTANCE, LITERAL, Ontology
 
 
 def sorted_product(factors):
-    """Ascending-order product: the canonical order for equivalence factors
-    and inclusion misses."""
+    """Ascending-order product: the canonical order for equivalence factors,
+    penalty misses and inclusion misses."""
     prod = 1.0
     for f in sorted(factors):
         prod *= f
@@ -172,11 +172,9 @@ def oracle_instance_sweep(
                         s12 = sub12(r, r2)
                         if s21 <= 0.0 and s12 <= 0.0:
                             continue
-                        inner = 1.0
-                        for y2 in [o for q, o in o2.rows(x2) if q == r2]:
-                            pe = ev.p(y, y2)
-                            if pe:
-                                inner *= 1.0 - pe
+                        inner = sorted_product(
+                            [1.0 - ev.p(y, y2) for q, y2 in o2.rows(x2) if q == r2]
+                        )
                         if s21 > 0.0:
                             pens.append(1.0 - fun1[r] * s21 * inner)
                         if s12 > 0.0:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from helpers import (
     alice_pair,
     assert_sweeps_store_one_pair_scores,
     engine_table_dict,
+    instance_factors,
     make_ontology,
     random_world_pair,
 )
@@ -567,7 +569,7 @@ def test_crossed_landing_adds_no_candidates():
     theta = state.config.theta
     crossed = state.subrel.o1_to_o2[(o1.relation_id("born"), o2.relation_id("diedIn"))]
     assert 0.0 < crossed < theta
-    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    factors = instance_factors(state)
     x = o1.term_id("a1")
     assert set(factors.candidates(x, theta)) == set(ids(o2, "b0", "b1"))
     for mate in ids(o2, "b14", "b15"):
@@ -579,32 +581,26 @@ def test_crossed_landing_adds_no_candidates():
                 assert instance_equivalence(state, x, x2) <= theta
 
 
-class _CountedSets(dict):
-    """A member-set cache that counts its reads, and its writes per key."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = 0
-        self.builds = Counter()
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        self.builds[key] += 1
-        super().__setitem__(key, value)
-
-
-def test_bounded_candidates_give_the_factors_of_the_full_enumeration():
+def test_bounded_candidates_give_the_factors_of_the_full_enumeration(monkeypatch):
     """For every instance x, each candidate that `candidates` gives under
     theta has the factors that the full enumeration (the floor 0.0) gives
     it, pairs at or below theta included, and every pair the bound leaves
-    out scores at or below theta. On hub worlds the hub group is weak under
-    theta and outnumbers the candidates, so the weak step tests them
-    against its member set, built once per sweep."""
+    out scores at or below theta. The weak step gives the same factor lists
+    whether it looks every candidate up in its own columns
+    (`_WALK_PER_LOOKUP` 0), walks every group's members (a ratio above
+    every group's size) or mixes the two (the default ratio). On hub worlds
+    the hub group outnumbers the candidates, so the default ratio looks
+    them up too."""
     rng = random.Random(2525)
-    low = left_out = candidate_reads = 0
+    low = left_out = 0
+    lookups = Counter()
+    holds, default = engine._holds, engine._WALK_PER_LOOKUP
+
+    def counted_holds(*args):
+        lookups[engine._WALK_PER_LOOKUP] += 1
+        return holds(*args)
+
+    monkeypatch.setattr(engine, "_holds", counted_holds)
     for hub in (False, True) * 3:
         o1, o2 = random_world_pair(
             rng, n_inst=rng.randint(10, 16), n_attr=3, value_pool=rng.choice((None, 3)), hub=hub,
@@ -612,13 +608,14 @@ def test_bounded_candidates_give_the_factors_of_the_full_enumeration():
         state = bootstrap(o1, o2)
         theta = state.config.theta
         for _ in range(3):
-            ev = EvidenceView(state.literals, state.assignment)
-            factors = engine._InstanceFactors(state, ev)
-            sets = factors._member_sets = _CountedSets()
+            factors = instance_factors(state)
             for x in o1.instances():
-                reads = sets.reads
-                bounded = {x2: sorted(fs) for x2, fs in factors.candidates(x, theta).items()}
-                candidate_reads += sets.reads - reads
+                given = []
+                for ratio in (0, o2.term_count(), default):
+                    monkeypatch.setattr(engine, "_WALK_PER_LOOKUP", ratio)
+                    given.append(factors.candidates(x, theta))
+                assert given[0] == given[1] == given[2]
+                bounded = {x2: sorted(fs) for x2, fs in given[2].items()}
                 full = {x2: sorted(fs) for x2, fs in factors.candidates(x, 0.0).items()}
                 for x2, fs in full.items():
                     if x2 in bounded:
@@ -628,15 +625,11 @@ def test_bounded_candidates_give_the_factors_of_the_full_enumeration():
                         assert 1.0 - _sorted_product(fs) <= theta
                         left_out += 1
                 assert bounded.keys() <= full.keys()
-            assert all(n == 1 for n in sets.builds.values())
-            for (y2, q), members in sets.items():
-                assert members == {
-                    x2 for r, x2 in o2.rows(y2) if r == q and o2.kind(x2) == INSTANCE
-                }
             state, _ = step(state)
     assert low > 0
     assert left_out > 0
-    assert candidate_reads > 0
+    assert lookups.keys() == {0, default}  # walking every group looks nothing up
+    assert lookups[0] > 0 and lookups[default] > 0
 
 
 @pytest.mark.parametrize(
@@ -999,9 +992,7 @@ def test_decisive_penalty_rules_out_city_mates():
     x, mate = o1.term_id("a0"), o2.term_id("b1")
     negative, _ = step(bootstrap(o1, o2, AlignmentConfig(negative_evidence=True)))
     plain, _ = step(bootstrap(o1, o2))
-    factors = engine._InstanceFactors(
-        negative, EvidenceView(negative.literals, negative.assignment)
-    )
+    factors = instance_factors(negative)
     assert o1.relation_id("key") in factors._decisive
     assert 1.0 - _sorted_product(factors.candidates(x, 0.0).get(mate, [])) > 0.3
     negative, stats = step(negative)
@@ -1020,7 +1011,7 @@ def test_key_without_a_partner_gives_no_row():
     o1, o2 = shared_city_pair(keyless=2)
     cfg = AlignmentConfig(negative_evidence=True)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    factors = instance_factors(state)
     assert factors.stranded == set(ids(o1, "a0", "a1"))
     fresh, stats = step(state)
     assert stats.pairs_evaluated == 4
@@ -1032,6 +1023,38 @@ def test_key_without_a_partner_gives_no_row():
             assert all(instance_equivalence(state, x, x2) <= cfg.theta for x2 in o2.instances())
         else:
             assert fresh.assignment.forward[x][0] == o2.term_id(f"b{i}")
+
+
+def test_penalty_misses_multiply_in_ascending_order():
+    """y has three partners, and x2 holds a friend statement to each. Under
+    negative evidence the penalty of x's knows statement multiplies the
+    three misses 1 - P(y, y_i), whose product depends on the order they are
+    multiplied in. They multiply in ascending order, as every product of the
+    sweep does, so the pair scores the same bits in whichever order the
+    second ontology lists x2's statements."""
+    ps = (0.58, 0.43, 0.17)
+    misses = [1.0 - p for p in ps]
+    assert misses[0] * misses[1] * misses[2] != misses[2] * misses[1] * misses[0]
+    o1 = make_ontology("first", [("x", "key", '"K"'), ("x", "knows", "y")])
+    scores = set()
+    for order in itertools.permutations(range(3)):
+        statements2 = [(f"y{i}", "ref", f'"Y{i}"') for i in range(3)]  # ids in name order
+        statements2 += [("x2", "ref", '"K"')] + [("x2", "friend", f"y{i}") for i in order]
+        o2 = make_ontology("second", statements2)
+        state = bootstrap(o1, o2, AlignmentConfig(negative_evidence=True))
+        y, ys = o1.term_id("y"), ids(o2, "y0", "y1", "y2")
+        state.assignment = engine.MaximalAssignment(
+            {y: (ys[0], ps[0])}, {y2: (y, p) for y2, p in zip(ys, ps)}
+        )
+        aligned = [("knows", "friend"), ("key", "ref")]
+        state.subrel = engine.InclusionTable(
+            {(o1.relation_id(r), o2.relation_id(r2)): 0.9 for r, r2 in aligned},
+            {(o2.relation_id(r2), o1.relation_id(r)): 0.9 for r, r2 in aligned},
+        )
+        assert len(instance_factors(state)._left[y]) == 3
+        scores.add(instance_equivalence(state, o1.term_id("x"), o2.term_id("x2")))
+    assert len(scores) == 1
+    assert 0.0 < scores.pop() < 1.0
 
 
 def home_and_club_pair():
@@ -1066,7 +1089,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     theta = cfg.theta
     assert_sweeps_store_one_pair_scores(o1, o2, cfg, 5)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
+    factors = instance_factors(state)
     assert o1.relation_id("key") in factors._decisive
     assert o1.relation_id("home") not in factors._decisive
     assert o1.relation_id("club") not in factors._decisive
@@ -1122,7 +1145,7 @@ def test_stranded_instances_are_those_with_a_decisive_value_without_a_partner():
         state = bootstrap(o1, o2, cfg)
         for _ in range(4):
             ev = EvidenceView(state.literals, state.assignment)
-            factors = engine._InstanceFactors(state, ev)
+            factors = instance_factors(state)
             expected = {
                 x for x in o1.instances()
                 if any(r in factors._decisive and ev.left[y] == () for r, y in o1.rows(x))
