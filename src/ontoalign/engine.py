@@ -124,7 +124,7 @@ class IterationStats:
 
     `phases` records the instance sweep, the assignment and the relation
     sweep, in that order (see `timed`); each sweep's time includes the build
-    of the evidence it reads and the assignment's its change count. The
+    of its evidence view and the assignment's its change count. The
     relation sweep's peak is the iteration's end; so the first phase to
     reach a peak names it.
     """
@@ -303,11 +303,11 @@ class AlignmentState:
     store's columns (see `_InstanceFactors._penalty`).
 
     The next iteration reads `subrel` and `assignment` in its instance
-    sweep, which builds its partner list from the assignment, and
-    `assignment` again in its change count. It never reads `equiv`: the
-    table is the iteration's outcome, kept for the caller and the final
-    result. The iteration replaces each part once its last reader is done
-    (see `_advance`), so while it runs, `equiv` is None for a while. Where
+    sweep, whose evidence view it builds from them, and `assignment` again
+    in its change count. It never reads `equiv`: the table is the
+    iteration's outcome, kept for the caller and the final result. The
+    iteration replaces each part once its last reader is done (see
+    `_advance`), so while it runs, `equiv` is None for a while. Where
     nothing else holds the state, as in `run_fixpoint`, each part is freed
     then.
     """
@@ -364,10 +364,10 @@ class EvidenceView:
       the stored p, so a stored pair that is best in neither direction
       carries no evidence.
 
-    The lists hold partner tuples only, with no dict per term. The relation
-    sweep and the class phase each build their own view, which lives as long
-    as the phase. The instance sweep reads only the first ontology's list,
-    so it builds that one alone (see `update_all_instances`).
+    The lists hold partner tuples only, with no dict per term: the
+    penalties look each partner b of y up in a candidate's own columns (see
+    `_penalty`). Each sweep builds its own view, and the view lives as long
+    as the sweep.
     """
 
     def __init__(self, literals: LiteralShare, assignment: MaximalAssignment) -> None:
@@ -547,10 +547,9 @@ class _InstanceFactors:
     candidate the walk enumerates.
     """
 
-    def __init__(self, state: AlignmentState, left: list[Partners]) -> None:
-        """`left` lists the first ontology's partners, as `EvidenceView.left`."""
+    def __init__(self, state: AlignmentState, ev: EvidenceView) -> None:
         cfg = state.config
-        self._left = left
+        self._left = ev.left
         self._o1 = state.o1
         self._rels1 = state.o1.subject_relations
         self._objs1 = state.o1.subject_objects
@@ -992,14 +991,13 @@ def instance_equivalence(state: AlignmentState, x: int, x2: int) -> float:
     Reads the state's tables as the previous iteration and applies the
     state's own config, negative evidence included. The value is not floored:
     the sweep stores it only if it is above theta. x is a first-ontology
-    instance, x2 second. Each call builds the sweep's partner list from the
-    state's seeds and assignment, so it costs a copy of the first ontology's
-    seed list, and walks every landing of x's statements with no bound
-    (`candidates` with the floor 0.0); for many pairs, run the sweep.
+    instance, x2 second. Each call builds the sweep's evidence view from the
+    state's seeds and assignment, so it costs a copy of both seed lists, and
+    walks every landing of x's statements with no bound (`candidates` with
+    the floor 0.0); for many pairs, run the sweep.
     """
-    a = state.assignment
-    left = _with_assignment(state.literals.left_sorted, a.forward, a.backward)
-    factors = _InstanceFactors(state, left)
+    ev = EvidenceView(state.literals, state.assignment)
+    factors = _InstanceFactors(state, ev)
     return factors.probability(x, x2, factors.candidates(x, 0.0).get(x2, []))
 
 
@@ -1013,13 +1011,10 @@ def update_all_instances(
     `counts["instances_ruled_out"]` (see `IterationStats`). The sweep never
     enumerates the full cross product: candidates come only from shared
     evidence, and only through statements that could lift a pair over theta
-    (see `_InstanceFactors`). It reads only the first ontology's partners,
-    so it builds that list of the evidence view alone.
+    (see `_InstanceFactors`).
     """
     theta = state.config.theta
-    a = state.assignment
-    left = _with_assignment(state.literals.left_sorted, a.forward, a.backward)
-    factors = _InstanceFactors(state, left)
+    factors = _InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     rels_of = state.o1.subject_relations
     rows: dict[int, dict[int, float]] = {}
     evaluated = ruled_out = 0
@@ -1252,9 +1247,9 @@ def _advance(state: AlignmentState) -> IterationStats:
     * the table at once, before the instance sweep: no phase reads it;
     * the assignment after the change count.
 
-    Each sweep builds its evidence from the state's assignment and drops it
-    when done, so the assignment phase runs without the instance sweep's
-    partner list, and the relation sweep and the class phase without the
+    Each sweep builds its evidence view from the state's assignment and
+    drops it when done, so the assignment phase runs without the instance
+    sweep's view, and the relation sweep and the class phase without the
     previous assignment.
     """
     phases: Phases = {}

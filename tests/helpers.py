@@ -104,15 +104,6 @@ def engine_table_dict(table) -> dict[tuple[int, int], float]:
     return {(a, b): p for a, b, p in table.pairs()}
 
 
-def instance_factors(state) -> engine._InstanceFactors:
-    """The instance sweep's factors over `state`, with the partner list that
-    `update_all_instances` builds."""
-    a = state.assignment
-    return engine._InstanceFactors(
-        state, engine._with_assignment(state.literals.left_sorted, a.forward, a.backward)
-    )
-
-
 def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
     """Each of `steps` sweeps stores every pair whose one-pair score is above
     theta, at that score, and no other pair. Returns how many of the sweeps
@@ -120,7 +111,8 @@ def assert_sweeps_store_one_pair_scores(o1, o2, cfg, steps):
     state = engine.bootstrap(o1, o2, cfg)
     decisive = 0
     for _ in range(steps):
-        decisive += bool(instance_factors(state)._decisive)
+        ev = engine.EvidenceView(state.literals, state.assignment)
+        decisive += bool(engine._InstanceFactors(state, ev)._decisive)
         table, _ = engine.update_all_instances(state)
         for x in o1.instances():
             for x2 in o2.instances():

@@ -19,7 +19,6 @@ import pytest
 from helpers import (
     assert_sweeps_store_one_pair_scores,
     engine_table_dict,
-    instance_factors,
     make_ontology,
     random_world_pair,
 )
@@ -164,7 +163,8 @@ def test_row_join_keeps_every_relation_to_one_object():
     assert assert_sweeps_store_one_pair_scores(o1, o2, cfg, 4) >= 2
     _assert_lockstep(o1, o2, theta=cfg.theta, negative=True)
     state, _ = step(step(bootstrap(o1, o2, cfg))[0])
-    decisive = instance_factors(state)._decisive
+    ev = EvidenceView(state.literals, state.assignment)
+    decisive = engine._InstanceFactors(state, ev)._decisive
     assert o1.relation_id("bornIn") in decisive and o1.relation_id("diedIn") in decisive
     assert state.equiv.get(o1.term_id("a0"), x2) > cfg.theta
 

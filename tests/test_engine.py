@@ -14,7 +14,6 @@ from helpers import (
     alice_pair,
     assert_sweeps_store_one_pair_scores,
     engine_table_dict,
-    instance_factors,
     make_ontology,
     random_world_pair,
 )
@@ -569,7 +568,7 @@ def test_crossed_landing_adds_no_candidates():
     theta = state.config.theta
     crossed = state.subrel.o1_to_o2[(o1.relation_id("born"), o2.relation_id("diedIn"))]
     assert 0.0 < crossed < theta
-    factors = instance_factors(state)
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     x = o1.term_id("a1")
     assert set(factors.candidates(x, theta)) == set(ids(o2, "b0", "b1"))
     for mate in ids(o2, "b14", "b15"):
@@ -608,7 +607,8 @@ def test_bounded_candidates_give_the_factors_of_the_full_enumeration(monkeypatch
         state = bootstrap(o1, o2)
         theta = state.config.theta
         for _ in range(3):
-            factors = instance_factors(state)
+            ev = EvidenceView(state.literals, state.assignment)
+            factors = engine._InstanceFactors(state, ev)
             for x in o1.instances():
                 given = []
                 for ratio in (0, o2.term_count(), default):
@@ -992,7 +992,9 @@ def test_decisive_penalty_rules_out_city_mates():
     x, mate = o1.term_id("a0"), o2.term_id("b1")
     negative, _ = step(bootstrap(o1, o2, AlignmentConfig(negative_evidence=True)))
     plain, _ = step(bootstrap(o1, o2))
-    factors = instance_factors(negative)
+    factors = engine._InstanceFactors(
+        negative, EvidenceView(negative.literals, negative.assignment)
+    )
     assert o1.relation_id("key") in factors._decisive
     assert 1.0 - _sorted_product(factors.candidates(x, 0.0).get(mate, [])) > 0.3
     negative, stats = step(negative)
@@ -1011,7 +1013,7 @@ def test_key_without_a_partner_gives_no_row():
     o1, o2 = shared_city_pair(keyless=2)
     cfg = AlignmentConfig(negative_evidence=True)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = instance_factors(state)
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     assert factors.stranded == set(ids(o1, "a0", "a1"))
     fresh, stats = step(state)
     assert stats.pairs_evaluated == 4
@@ -1051,7 +1053,7 @@ def test_penalty_misses_multiply_in_ascending_order():
             {(o1.relation_id(r), o2.relation_id(r2)): 0.9 for r, r2 in aligned},
             {(o2.relation_id(r2), o1.relation_id(r)): 0.9 for r, r2 in aligned},
         )
-        assert len(instance_factors(state)._left[y]) == 3
+        assert len(EvidenceView(state.literals, state.assignment).left[y]) == 3
         scores.add(instance_equivalence(state, o1.term_id("x"), o2.term_id("x2")))
     assert len(scores) == 1
     assert 0.0 < scores.pop() < 1.0
@@ -1089,7 +1091,7 @@ def test_penalty_product_alone_rules_out_a_pair():
     theta = cfg.theta
     assert_sweeps_store_one_pair_scores(o1, o2, cfg, 5)
     state, _ = step(bootstrap(o1, o2, cfg))
-    factors = instance_factors(state)
+    factors = engine._InstanceFactors(state, EvidenceView(state.literals, state.assignment))
     assert o1.relation_id("key") in factors._decisive
     assert o1.relation_id("home") not in factors._decisive
     assert o1.relation_id("club") not in factors._decisive
@@ -1145,7 +1147,7 @@ def test_stranded_instances_are_those_with_a_decisive_value_without_a_partner():
         state = bootstrap(o1, o2, cfg)
         for _ in range(4):
             ev = EvidenceView(state.literals, state.assignment)
-            factors = instance_factors(state)
+            factors = engine._InstanceFactors(state, ev)
             expected = {
                 x for x in o1.instances()
                 if any(r in factors._decisive and ev.left[y] == () for r, y in o1.rows(x))
